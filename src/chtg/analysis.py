@@ -22,10 +22,8 @@ import numpy as np
 
 from .classify import REGULAR_ELLIPTIC, classify, discriminant
 from .traces import sigma_closed, tau_123_closed, trace_oracle
-from .triangle import TriangleParams, realize
+from .triangle import TWO_PI, TriangleParams, realize
 from .words import enumerate_words, word_to_str
-
-TWO_PI = 2.0 * math.pi
 
 TYPE_B = "TypeB"
 OUT_OF_CRITERION = "OutOfCriterion"

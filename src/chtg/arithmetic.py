@@ -26,9 +26,7 @@ import numpy as np
 
 from .traces import (trace_combinatorial, trace_mu_combinatorial,
                      trace_polynomial)
-from .triangle import ExistenceViolation, TriangleParams, realize
-
-TWO_PI = 2.0 * math.pi
+from .triangle import TWO_PI, ExistenceViolation, TriangleParams, realize
 
 INTEGER_ENTRIES = (3, 4, 6, math.inf)
 
@@ -208,8 +206,7 @@ def group_conjugate_traces(group: GroupWithRotation, word, q: int):
         if e not in INTEGER_ENTRIES and e != q:
             raise ValueError(f"entry {e} is neither in {{3,4,6,inf}} nor q={q}")
     poly = trace_polynomial(word, mode="exact")
-    n_len = len(tuple(word))
-    sign = (-1.0) ** n_len
+    sign = (-1.0) ** poly.n
     pairs = []
     for m in range(1, q // 2 + 1):
         if math.gcd(m, q) != 1:
@@ -226,16 +223,9 @@ def group_conjugate_traces(group: GroupWithRotation, word, q: int):
         q_val = xs[0] * xs[1] * xs[2]
         z = (s_val + cmath.sqrt(complex(s_val * s_val - 4.0 * q_val))) / 2.0
         zb = q_val / z
-
-        def assemble(zp, zn):
-            acc = 2.0 + 0j
-            for w, pw in poly.coeffs.items():
-                val = sum(c * xs[0] ** j1 * xs[1] ** j2 * xs[2] ** j3
-                          for (j1, j2, j3), c in pw.items())
-                acc += val * (zp ** w if w >= 0 else zn ** (-w))
-            return sign * acc
-
-        pairs.append((assemble(z, zb), assemble(zb, z)))
+        pairs.append(tuple(
+            sign * (2.0 + sum(poly.substituted(xs, zp, zn).values()))
+            for zp, zn in ((z, zb), (zb, z))))
     return pairs
 
 

@@ -266,10 +266,6 @@ def cmd_thresholds(args) -> int:
     return EXIT_OK
 
 
-def cmd_family(args) -> int:
-    return cmd_thresholds(args)
-
-
 def cmd_invariants(args) -> int:
     cfg = _resolve(args)
     params = cfg.params
@@ -385,7 +381,7 @@ def build_parser() -> _Parser:
     p_fam = _add_common(subs.add_parser("family",
                                         help="distinguished family membership and type"),
                         need_angle=False)
-    p_fam.set_defaults(func=cmd_family)
+    p_fam.set_defaults(func=cmd_thresholds)
 
     p_inv = _add_common(subs.add_parser("invariants",
                                         help="angular and vertex invariants"))

@@ -53,22 +53,6 @@ def boxtimes(z, w) -> np.ndarray:
     ]))
 
 
-def mat(rows) -> np.ndarray:
-    return np.array(rows, dtype=complex)
-
-
-def mat_mul(a, b) -> np.ndarray:
-    return a @ b
-
-
-def mat_apply(m, z) -> np.ndarray:
-    return m @ z
-
-
-def mat_trace(m) -> complex:
-    return complex(np.trace(m))
-
-
 def rank_one(c, scale=1.0) -> np.ndarray:
     """The matrix scale * c c^*, where c^*(z) = <z, c>.
 

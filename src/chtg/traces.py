@@ -17,29 +17,39 @@ iota_{a_n}:
   operators; base traces are tau() = 3, tau(k) = -1, tau(k,l) = 4 r_m^2 - 1
   for the letter m completing {k, l}, and tau(k,k) = 3.
 
-Collecting the subset expansion by winding number gives Fourier data
-tau_a = (-1)^n (2 + sum_w q_w e^{i alpha w}).  In exact mode each q_w is
-stored as (8 r1 r2 r3)^{|w|} times an integer polynomial in X_k = 4 r_k^2;
-``trace_polynomial`` produces either representation.
+The subset sum is never enumerated.  In the balanced gauge the polar vectors
+have the Gram matrix G with G_kk = 1 and G_ab = r_m z^{chi(b - a)}, where
+z = e^{i alpha / 3} and m is the letter completing {a, b}; the product of G
+around a closed subsequence is r1^{u1} r2^{u2} r3^{u3} e^{i alpha w}.  With
+E_a the projection onto row a, tr(E_{b_1} G ... E_{b_k} G) is that cyclic
+product, so
 
-The mu-reflection variants expand prod(id + (mu_k - 1) c_k c_k^*) instead:
+      tr prod_k (I + f_{a_k} E_{a_k} G)
+          = 3 + sum_{S nonempty} prod_{k in S} f_{a_k} r^{u(S)} e^{i alpha w(S)}.
+
+Each factor is a rank-one row update, so the sum costs O(n) matrix updates.
+With f = -2 the trace is (-1)^n tau_a; with f = mu_k - 1 it is the trace of
+the mu-reflection word,
 
       tau_a = 2 + sum_S prod_k (mu_k - 1)^{n_k(S)} r_k^{u_k(S)}
                         e^{i alpha w(S)}.
+
+Run over sparse polynomials in (r1, r2, r3, z) instead of numbers, the same
+updates give the Fourier data tau_a = (-1)^n (2 + sum_w q_w e^{i alpha w}).
+``trace_polynomial`` stores each q_w exactly as (8 r1 r2 r3)^{|w|} times an
+integer polynomial P_w in X_k = 4 r_k^2.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .words import LETTERS, canonical, chi, psi, v_count, winding, wrap
 
-COMBINATORIAL_CAP = 20
-EXACT_CAP = 16
+EXACT_CAP = 48
 
 
 class CapExceeded(ValueError):
@@ -56,115 +66,99 @@ class TraceValue:
     method: str
 
 
-# pair contribution tables, 1-based letters
-_PAIR_U = {(a, b): tuple(psi(k, a, b) for k in LETTERS)
-           for a in LETTERS for b in LETTERS}
-_PAIR_X = {(a, b): chi(b - a) for a in LETTERS for b in LETTERS}
+# exponents (u1, u2, u3, s) of the Gram entry G_ab = r1^u1 r2^u2 r3^u3 z^s
+_GRAM_KEYS = tuple(tuple((*(psi(k, a, b) for k in LETTERS), chi(b - a))
+                         for b in LETTERS) for a in LETTERS)
 
 
-def subset_stats(word) -> dict:
-    """Counters over the nonempty cyclic subsequences of a word.
+class _Poly(dict):
+    """Sparse polynomial {(u1, u2, u3, s): coefficient} in r1, r2, r3, z."""
 
-    Maps (n1, n2, n3, u1, u2, u3, w) -> number of subsets realising those
-    values, where n_k counts letters, u_k the {k-1, k+1} adjacencies and w
-    the winding number of the subsequence closed cyclically.
+    def __iadd__(self, other):
+        for key, c in other.items():
+            self[key] = self.get(key, 0) + c
+        return self
+
+    def __mul__(self, other):
+        """Product with a scalar or with a one-term _Poly."""
+        if not isinstance(other, _Poly):
+            return _Poly({key: c * other for key, c in self.items()})
+        ((b1, b2, b3, b4), d), = other.items()
+        return _Poly({(a1 + b1, a2 + b2, a3 + b3, a4 + b4): c * d
+                      for (a1, a2, a3, a4), c in self.items()})
+
+
+def _expand(word, factors, gram, m):
+    """tr prod_k (I + f_{a_k} E_{a_k} G) by rank-one row updates.
+
+    ``m`` is the identity matrix in the coefficient type, with distinct
+    entries; it is updated in place.  The coefficients only need +=, * by
+    the ``gram`` entries and * by the ``factors``.
     """
-    word = tuple(word)
-    n = len(word)
-    out: dict = {}
-    if n == 0:
-        return out
-    pu = _PAIR_U
-    px = _PAIR_X
-
-    def go(i, first, prev, n1, n2, n3, u1, u2, u3, s):
-        if i == n:
-            if first is not None:
-                du = pu[(prev, first)]
-                key = (n1, n2, n3, u1 + du[0], u2 + du[1], u3 + du[2],
-                       (s + px[(prev, first)]) // 3)
-                out[key] = out.get(key, 0) + 1
-            return
-        go(i + 1, first, prev, n1, n2, n3, u1, u2, u3, s)
-        a = word[i]
-        m1 = n1 + (a == 1)
-        m2 = n2 + (a == 2)
-        m3 = n3 + (a == 3)
-        if first is None:
-            go(i + 1, a, a, m1, m2, m3, u1, u2, u3, s)
-        else:
-            du = pu[(prev, a)]
-            go(i + 1, first, a, m1, m2, m3,
-               u1 + du[0], u2 + du[1], u3 + du[2], s + px[(prev, a)])
-
-    go(0, None, None, 0, 0, 0, 0, 0, 0, 0)
-    return out
+    for a in word:
+        f = factors[a - 1]
+        g = gram[a - 1]
+        for row in m:
+            t = row[a - 1] * f
+            for j in range(3):
+                row[j] += t * g[j]
+    tr = m[0][0]
+    tr += m[1][1]
+    tr += m[2][2]
+    return tr
 
 
-@lru_cache(maxsize=512)
-def _compiled_stats(word):
-    """subset_stats packed into numpy arrays for fast re-evaluation."""
-    st = subset_stats(word)
-    if not st:
-        empty = np.zeros(0, dtype=np.int64)
-        return (empty,) * 7 + (np.zeros(0),)
-    keys = np.array(list(st.keys()), dtype=np.int64)
-    cnt = np.array(list(st.values()), dtype=float)
-    return (keys[:, 0], keys[:, 1], keys[:, 2],
-            keys[:, 3], keys[:, 4], keys[:, 5], keys[:, 6], cnt)
-
-
-def _check_cap(word, cap):
-    if len(word) > cap:
-        raise CapExceeded(f"word of length {len(word)} exceeds cap {cap}")
-
-
-def trace_combinatorial(word, params, cap: int = COMBINATORIAL_CAP) -> TraceValue:
-    """Subset-expansion trace; cost 2^n, capped."""
-    word = tuple(word)
-    _check_cap(word, cap)
+def _numeric_trace(word, params, factors) -> complex:
     params._need_alpha()
-    n = len(word)
-    if n == 0:
-        return TraceValue(3.0 + 0j, "combinatorial")
-    n1, n2, n3, u1, u2, u3, w, cnt = _compiled_stats(word)
     r1, r2, r3 = params.r
-    total = 1.0 + np.sum(cnt * np.power(-2.0, n1 + n2 + n3)
-                         * r1 ** u1 * r2 ** u2 * r3 ** u3
-                         * np.exp(1j * params.alpha * w))
-    return TraceValue(complex((-1.0) ** n * (2.0 + total)), "combinatorial")
+    z = {s: cmath.exp(1j * params.alpha * s / 3.0) for s in (-1, 0, 1)}
+    gram = [[r1 ** u1 * r2 ** u2 * r3 ** u3 * z[s] for u1, u2, u3, s in row]
+            for row in _GRAM_KEYS]
+    return _expand(word, factors, gram, [[1.0 + 0j if i == j else 0j
+                                          for j in range(3)] for i in range(3)])
 
 
-def trace_mu_combinatorial(word, params, mus,
-                           cap: int = COMBINATORIAL_CAP) -> TraceValue:
-    """Subset-expansion trace for mu-reflection generators."""
+def _fourier_terms(word, factors):
+    """The expansion as (w, (u1, u2, u3), c): q_w = sum c r1^u1 r2^u2 r3^u3."""
     word = tuple(word)
-    _check_cap(word, cap)
-    params._need_alpha()
+    if len(word) > EXACT_CAP:
+        raise CapExceeded(
+            f"word of length {len(word)} exceeds cap {EXACT_CAP}")
+    gram = [[_Poly({key: 1}) for key in row] for row in _GRAM_KEYS]
+    const = (0, 0, 0, 0)
+    tr = _expand(word, factors, gram, [[_Poly({const: 1} if i == j else {})
+                                        for j in range(3)] for i in range(3)])
+    # the trace counts the empty subset 3 times, q_0 counts it once
+    tr[const] -= 2
+    for (u1, u2, u3, s), c in tr.items():
+        if s % 3:
+            raise ArithmeticError("subset term with a fractional winding")
+        yield s // 3, (u1, u2, u3), c
+
+
+def trace_combinatorial(word, params) -> TraceValue:
+    """Subset-expansion trace, summed by the transfer-matrix core."""
+    word = tuple(word)
+    tr = _numeric_trace(word, params, (-2.0, -2.0, -2.0))
+    return TraceValue(complex((-1.0) ** len(word) * tr), "combinatorial")
+
+
+def trace_mu_combinatorial(word, params, mus) -> TraceValue:
+    """Subset-expansion trace for mu-reflection generators."""
     if any(abs(abs(mu) - 1.0) > 1e-9 for mu in mus):
         raise ValueError("mu factors must be unit complex numbers")
-    if len(word) == 0:
-        return TraceValue(3.0 + 0j, "mu-combinatorial")
-    n1, n2, n3, u1, u2, u3, w, cnt = _compiled_stats(word)
-    r1, r2, r3 = params.r
-    f1, f2, f3 = (complex(mu) - 1.0 for mu in mus)
-    total = 1.0 + np.sum(cnt
-                         * np.power(f1, n1) * np.power(f2, n2) * np.power(f3, n3)
-                         * r1 ** u1 * r2 ** u2 * r3 ** u3
-                         * np.exp(1j * params.alpha * w))
-    return TraceValue(complex(2.0 + total), "mu-combinatorial")
+    factors = tuple(complex(mu) - 1.0 for mu in mus)
+    return TraceValue(complex(_numeric_trace(tuple(word), params, factors)),
+                      "mu-combinatorial")
 
 
-def trace_mu_polynomial(word, params, mus, cap: int = COMBINATORIAL_CAP) -> dict:
+def trace_mu_polynomial(word, params, mus) -> dict:
     """Fourier coefficients q_w of the mu-expansion, as complex numbers."""
-    word = tuple(word)
-    _check_cap(word, cap)
     r1, r2, r3 = params.r
-    f1, f2, f3 = (complex(mu) - 1.0 for mu in mus)
-    q: dict = {0: 1.0 + 0j}
-    for (m1, m2, m3, u1, u2, u3, w), cnt in subset_stats(word).items():
-        q[w] = q.get(w, 0.0 + 0j) + cnt * f1 ** m1 * f2 ** m2 * f3 ** m3 \
-            * r1 ** u1 * r2 ** u2 * r3 ** u3
+    factors = tuple(complex(mu) - 1.0 for mu in mus)
+    q: dict = {}
+    for w, (u1, u2, u3), c in _fourier_terms(word, factors):
+        q[w] = q.get(w, 0.0 + 0j) + c * r1 ** u1 * r2 ** u2 * r3 ** u3
     return q
 
 
@@ -214,105 +208,79 @@ def poly_sub(a: dict, b: dict) -> dict:
 
 @dataclass(frozen=True)
 class TracePolynomial:
-    """Fourier data of a trace: tau = (-1)^n (2 + sum_w q_w e^{i alpha w}).
+    """Exact Fourier data of a trace: tau = (-1)^n (2 + sum_w q_w e^{i alpha w}).
 
-    numeric mode: ``coeffs[w]`` is the complex value of q_w with the radii
-    substituted.  exact mode: ``coeffs[w]`` is an integer polynomial P_w in
-    X_k = 4 r_k^2 (a dict monomial -> coefficient), with the implicit
-    prefactor q_w = (8 r1 r2 r3)^{|w|} P_w.
+    ``coeffs[w]`` is an integer polynomial P_w in X_k = 4 r_k^2 (a dict
+    monomial -> coefficient), with the implicit prefactor
+    q_w = (8 r1 r2 r3)^{|w|} P_w.
     """
 
     word: tuple
     n: int
-    mode: str
     coeffs: dict
 
     def support(self):
         return sorted(self.coeffs)
 
-    def coefficient_value(self, w, params=None) -> complex:
-        if self.mode == "numeric":
-            return self.coeffs.get(w, 0.0 + 0j)
-        poly = self.coeffs.get(w)
-        if poly is None:
-            return 0.0 + 0j
-        r1, r2, r3 = params.r
-        x1, x2, x3 = 4 * r1 * r1, 4 * r2 * r2, 4 * r3 * r3
-        val = sum(c * x1 ** j1 * x2 ** j2 * x3 ** j3
-                  for (j1, j2, j3), c in poly.items())
-        return complex((8.0 * params.r_product) ** abs(w) * val)
+    def substituted(self, xs, zp, zn) -> dict:
+        """w -> P_w(xs) zp^w for w >= 0 and P_w(xs) zn^{-w} for w < 0.
+
+        With X_k = 4 r_k^2 and (zp, zn) = 8 R e^{+-i alpha} the values are
+        the terms q_w e^{i alpha w}; integer arguments keep it exact.
+        """
+        x1, x2, x3 = xs
+        return {w: sum(c * x1 ** j1 * x2 ** j2 * x3 ** j3
+                       for (j1, j2, j3), c in poly.items())
+                * (zp ** w if w >= 0 else zn ** -w)
+                for w, poly in self.coeffs.items()}
+
+    def coefficient_value(self, w, params) -> complex:
+        big = 8.0 * params.r_product
+        xs = tuple(4.0 * r * r for r in params.r)
+        return complex(self.substituted(xs, big, big).get(w, 0.0))
 
     def evaluate(self, params) -> complex:
         """Reassemble tau at the given parameters."""
         params._need_alpha()
-        total = 0.0 + 0j
-        for w in self.coeffs:
-            total += self.coefficient_value(w, params) \
-                * cmath.exp(1j * params.alpha * w)
+        z = 8.0 * params.r_product * cmath.exp(1j * params.alpha)
+        xs = tuple(4.0 * r * r for r in params.r)
+        total = sum(self.substituted(xs, z, z.conjugate()).values())
         return (-1.0) ** self.n * (2.0 + total)
 
     def ideal_sum(self) -> int:
         """Exact integer value of sum_w q_w at r1 = r2 = r3 = 1."""
-        if self.mode != "exact":
-            raise ValueError("ideal_sum needs exact mode")
-        total = 0
-        for w, poly in self.coeffs.items():
-            pw = sum(c * 4 ** (j1 + j2 + j3) for (j1, j2, j3), c in poly.items())
-            total += 8 ** abs(w) * pw
-        return total
+        return sum(self.substituted((4, 4, 4), 8, 8).values())
 
     def to_json_dict(self) -> dict:
-        rows = []
-        for w in self.support():
-            if self.mode == "exact":
-                rows.append({"w": w, "poly": poly_to_str(self.coeffs[w])})
-            else:
-                q = self.coeffs[w]
-                rows.append({"w": w, "re": q.real, "im": q.imag})
-        return {"n": self.n, "mode": self.mode, "coeffs": rows}
+        rows = [{"w": w, "poly": poly_to_str(self.coeffs[w])}
+                for w in self.support()]
+        return {"n": self.n, "mode": "exact", "coeffs": rows}
 
 
-def trace_polynomial(word, params=None, mode: str = "exact",
-                     cap: int | None = None) -> TracePolynomial:
-    """Collect the subset expansion by winding number.
+def trace_polynomial(word, mode: str = "exact") -> TracePolynomial:
+    """Collect the subset expansion by winding number, exactly.
 
-    Exact mode factors every subset contribution as
-    (-1)^{|S|} 2^{|S| - sum_k u_k} (8 r1 r2 r3)^{|w|} prod_k X_k^{(u_k-|w|)/2},
-    which is the reduction/straightening bookkeeping in closed form: each
+    Every subset contributes (-2)^{|S|} r^u e^{i alpha w}, which factors as
+    (-1)^{|S|} 2^{|S| - sum_k u_k} (8 r1 r2 r3)^{|w|} prod_k X_k^{(u_k-|w|)/2}:
+    the reduction/straightening bookkeeping in closed form, where each
     reduction of the subsequence divides the tracked monomial by 2 and each
-    straightening by one X_k.  The exponents are checked to be nonnegative
-    integers, which is the ring-membership statement for q_w.
+    straightening by one X_k.  The collected coefficient of r^u e^{i alpha w}
+    must therefore be divisible by 2^{u1+u2+u3}, with every u_k - |w| even
+    and nonnegative; that is the ring-membership statement for q_w.
     """
-    word = tuple(word)
-    if cap is None:
-        cap = EXACT_CAP if mode == "exact" else COMBINATORIAL_CAP
-    _check_cap(word, cap)
-    n = len(word)
-    if mode == "numeric":
-        if params is None:
-            raise ValueError("numeric mode needs parameters")
-        r1, r2, r3 = params.r
-        qn: dict = {0: 1.0 + 0j}
-        for (m1, m2, m3, u1, u2, u3, w), cnt in subset_stats(word).items():
-            qn[w] = qn.get(w, 0.0 + 0j) + cnt * (-2.0) ** (m1 + m2 + m3) \
-                * r1 ** u1 * r2 ** u2 * r3 ** u3
-        return TracePolynomial(word, n, "numeric", qn)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    qe: dict = {0: {(0, 0, 0): 1}}
-    for (m1, m2, m3, u1, u2, u3, w), cnt in subset_stats(word).items():
-        size = m1 + m2 + m3
+    word = tuple(word)
+    qe: dict = {}
+    for w, us, c in _fourier_terms(word, (-2, -2, -2)):
+        if c == 0:
+            continue
         aw = abs(w)
-        two = size - (u1 + u2 + u3)
-        if two < 0 or any(u < aw or (u - aw) % 2 for u in (u1, u2, u3)):
+        if any(u < aw or (u - aw) % 2 for u in us) or c % 2 ** sum(us):
             raise ArithmeticError("subset monomial escapes the coefficient ring")
-        mono = ((u1 - aw) // 2, (u2 - aw) // 2, (u3 - aw) // 2)
-        poly = qe.setdefault(w, {})
-        poly[mono] = poly.get(mono, 0) + (-1) ** size * 2 ** two * cnt
-    qe = {w: {m: c for m, c in poly.items() if c != 0}
-          for w, poly in qe.items()}
-    qe = {w: poly for w, poly in qe.items() if poly}
-    return TracePolynomial(word, n, "exact", qe)
+        mono = tuple((u - aw) // 2 for u in us)
+        qe.setdefault(w, {})[mono] = c // 2 ** sum(us)
+    return TracePolynomial(word, len(word), qe)
 
 
 def word_matrix(realization, word, matrices=None) -> np.ndarray:

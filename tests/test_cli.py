@@ -129,6 +129,15 @@ def test_usage_errors(capsys):
     assert code == 64
 
 
+def test_trace_long_word(capsys):
+    # the expansion route is no longer capped at length 20
+    code, out, _ = run(capsys, "trace", "--word", "123121321323" * 2,
+                       "--p", "4", "5", "6", "--t", "0.8", "--json")
+    assert code == 0
+    assert set(json.loads(out)["methods"]) == {"oracle", "combinatorial",
+                                                "recursive"}
+
+
 def test_domain_error(capsys):
     # alpha = 0 violates the existence bound at ideal radii
     code, _, err = run(capsys, "trace", "--word", "123", "--r", "1", "1", "1",

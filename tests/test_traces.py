@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from chtg.traces import (CapExceeded, ZeroRadiusUnsupported, poly_mul,
-                         poly_sub, poly_to_str, sigma_closed, sigma_word,
-                         subset_stats, tau_123_closed, tau_2321_closed,
+from chtg.traces import (EXACT_CAP, CapExceeded, ZeroRadiusUnsupported,
+                         poly_mul, poly_sub, poly_to_str, sigma_closed,
+                         sigma_word, tau_123_closed, tau_2321_closed,
                          trace_combinatorial, trace_mu, trace_mu_combinatorial,
                          trace_mu_polynomial, trace_oracle, trace_polynomial,
                          trace_recursive)
@@ -44,10 +44,23 @@ def _brute_stats(word):
     return out
 
 
+def _brute_polynomial(word):
+    """P_w collected from the literal subset list: (-2)^{|S|} r^u over
+    2^{sum u}, keyed by the X_k exponents (u_k - |w|) / 2."""
+    out = {0: {(0, 0, 0): 1}}
+    for (m1, m2, m3, u1, u2, u3, w), cnt in _brute_stats(word).items():
+        mono = tuple((u - abs(w)) // 2 for u in (u1, u2, u3))
+        poly = out.setdefault(w, {})
+        poly[mono] = poly.get(mono, 0) \
+            + (-2) ** (m1 + m2 + m3) * cnt // 2 ** (u1 + u2 + u3)
+    out = {w: {m: c for m, c in poly.items() if c} for w, poly in out.items()}
+    return {w: poly for w, poly in out.items() if poly}
+
+
 def test_subset_stats_against_bruteforce(rng):
     for _ in range(40):
         w = draw_word(rng, 8)
-        assert subset_stats(w) == _brute_stats(w)
+        assert trace_polynomial(w).coeffs == _brute_polynomial(w)
 
 
 def test_combinatorial_hand_expansion():
@@ -111,6 +124,24 @@ def test_methods_agree_longer_words(rng):
         assert abs(trace_recursive(w, p).value - t0) < 1e-7
 
 
+def test_long_words_match_oracle(rng):
+    # the expansion routes have no length cap; exact data runs to EXACT_CAP
+    def close(a, b):
+        return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+    for _ in range(10):
+        p = draw_params(rng)
+        rz = realize(p)
+        mus = tuple(cmath.exp(1j * float(x))
+                    for x in rng.uniform(0, 2 * math.pi, 3))
+        w = draw_word(rng, 40, min_len=21)
+        assert close(trace_combinatorial(w, p).value, trace_oracle(w, rz).value)
+        assert close(trace_mu_combinatorial(w, p, mus).value,
+                     trace_mu(w, rz, mus).value)
+        w = draw_word(rng, 24, min_len=17)
+        assert close(trace_polynomial(w).evaluate(p), trace_oracle(w, rz).value)
+
+
 def test_cyclic_and_reversal_invariance(rng):
     p = draw_params(rng)
     rz = realize(p)
@@ -124,11 +155,8 @@ def test_cyclic_and_reversal_invariance(rng):
 
 
 def test_caps_and_zero_radius():
-    p = TriangleParams(0.9, 0.9, 0.9, alpha=2.7)
     with pytest.raises(CapExceeded):
-        trace_combinatorial((1, 2, 3) * 8, p)
-    with pytest.raises(CapExceeded):
-        trace_polynomial((1, 2, 3) * 6, mode="exact")
+        trace_polynomial((1,) * (EXACT_CAP + 1), mode="exact")
     zero = TriangleParams(0.0, 0.9, 0.9, alpha=2.9)
     with pytest.raises(ZeroRadiusUnsupported):
         trace_recursive((1, 2), zero)
@@ -157,9 +185,8 @@ def test_polynomial_reproduces_trace(rng):
         p = draw_params(rng)
         w = draw_word(rng, 9)
         want = trace_combinatorial(w, p).value
-        for mode in ("numeric", "exact"):
-            tp = trace_polynomial(w, params=p, mode=mode)
-            assert abs(tp.evaluate(p) - want) < 1e-9
+        tp = trace_polynomial(w, mode="exact")
+        assert abs(tp.evaluate(p) - want) < 1e-9
 
 
 def test_polynomial_integer_checksum(rng):
