@@ -16,6 +16,7 @@ R = r1 r2 r3.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -348,16 +349,18 @@ def scan_elliptic(params: TriangleParams, max_len: int,
     """Classify every cyclic class up to max_len; flag regular elliptic hits.
 
     Deterministic order (length, then lexicographic) regardless of ``jobs``;
-    parallel runs partition the lengths across processes.
+    parallel runs partition the lengths across at most ``jobs`` processes,
+    and never more than there are lengths or CPUs.
     """
     if max_len > 24:
         raise ValueError("scan capped at words of length 24")
     blocks = [(params, [n], skip_alternating, tol) for n in range(1, max_len + 1)]
-    if jobs <= 1:
+    workers = min(jobs, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
         results = [_scan_block(b) for b in blocks]
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_block, blocks))
     rows = tuple(row for block in results for row in block)
     return ScanReport(params, max_len, skip_alternating, rows)

@@ -189,8 +189,10 @@ def cmd_trace(args) -> int:
     rz = triangle.realize(params)
     results["oracle"] = traces.trace_oracle(word, rz).value
     results["combinatorial"] = traces.trace_combinatorial(word, params).value
-    if min(params.r) > 0.0:
+    try:
         results["recursive"] = traces.trace_recursive(word, params).value
+    except traces.ZeroRadiusUnsupported:
+        pass
     tau = results["oracle"]
     cls = classify(tau, tol=cfg.tol)
     deltas = {name: abs(v - tau) for name, v in results.items() if name != "oracle"}
@@ -221,8 +223,10 @@ def cmd_trace(args) -> int:
         for name, d in deltas.items():
             lines.append(f"  delta[{name}] = {d:.3g}")
         _emit(lines)
-    if deltas and max(deltas.values()) > 1e-6:
-        sys.stderr.write("method disagreement above 1e-6\n")
+    bound = traces.agreement_bound(word, rz)
+    if deltas and max(deltas.values()) > bound:
+        sys.stderr.write(f"method disagreement {max(deltas.values()):.3g} "
+                         f"above the rounding bound {bound:.3g}\n")
         return EXIT_DOMAIN
     return EXIT_OK
 

@@ -43,13 +43,20 @@ integer polynomial P_w in X_k = 4 r_k^2.
 from __future__ import annotations
 
 import cmath
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .triangle import TWO_PI
 from .words import LETTERS, canonical, chi, psi, v_count, winding, wrap
 
 EXACT_CAP = 48
+# safety factor of agreement_bound: the largest ratio of route disagreement
+# to the bound without it, over signatures, side lengths and raw radii, was 3.6
+_AGREEMENT_C = 64.0
+_EPS = float(np.finfo(float).eps)
 
 
 class CapExceeded(ValueError):
@@ -297,6 +304,29 @@ def trace_oracle(word, realization) -> TraceValue:
     return TraceValue(complex(np.trace(word_matrix(realization, word))), "oracle")
 
 
+def agreement_bound(word, realization) -> float:
+    """How far the trace routes may disagree on a word from rounding alone.
+
+    c n u prod_k ||iota_{a_k}||_2, the forward error bound for a product of
+    n matrices (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3), where u is the unit roundoff or, if larger, the relative error
+    with which the realization reproduces (r, alpha).  It is divided by
+    min(1, r_min), since the recursion's coefficients carry r_k^{-1}; a
+    radius below the unit roundoff is zero, and the recursion skips it.
+    """
+    params = realization.params
+    u = _EPS
+    for got, want in zip(realization.r, params.r):
+        u = max(u, abs(got - want) / max(want, 1.0))
+    d = (realization.alpha - params.alpha) % TWO_PI
+    u = max(u, min(d, TWO_PI - d))
+    norms = [float(np.linalg.norm(m, 2)) for m in realization.iotas]
+    rmin = min(params.r)
+    scale = 1.0 / rmin if _EPS < rmin < 1.0 else 1.0
+    return _AGREEMENT_C * max(len(word), 1) * u * scale \
+        * math.prod(norms[a - 1] for a in word)
+
+
 def trace_mu(word, realization, mus) -> TraceValue:
     """Matrix-product trace with mu-reflection generators.
 
@@ -319,18 +349,45 @@ def _cancel_adjacent(word):
     return tuple(out)
 
 
+def _join(head, tail):
+    """_cancel_adjacent(head + tail) when head and tail are each reduced:
+    equal letters can only cancel in pairs across the junction."""
+    m = len(head)
+    k = 0
+    while k < len(tail) and k < m and head[m - 1 - k] == tail[k]:
+        k += 1
+    return head[:m - k] + tail[k:]
+
+
+def _deletion_terms(a):
+    """The seven reduced words the recursion expands a reduced word a of
+    length >= 3 into: a[:-1], head + a[-2:] and head + (a[-2],) carry -1;
+    a[:-2] + a[-1:], a[:-2], head + a[-1:] and head carry beta."""
+    head = a[:-3]
+    y, z = a[-2:]
+    return (a[:-1], _join(head, (y, z)), _join(head, (y,)),
+            _join(a[:-2], (z,)), a[:-2], _join(head, (z,)), head)
+
+
+# (v1, v2, v3, winding) of each three-letter tail, for the recursion's beta
+_TAIL_EXPONENTS = {t: (*(v_count(k, t) for k in LETTERS), winding(t))
+                   for t in itertools.product(LETTERS, repeat=3)}
+
+
 def trace_recursive(word, params, memo: dict | None = None) -> TraceValue:
     """Deletion recursion, memoised on linear words.
 
     The input is cyclically canonicalised once (traces are invariant under
-    rotation); below that the recursion works on linear words, cancelling
-    adjacent equal letters as it goes.  A memo dict may be supplied to share
-    work between words evaluated at the same parameters; never reuse it
-    across parameter sets.
+    rotation); below that the recursion works on reduced linear words,
+    cancelling adjacent equal letters as it goes.  It runs on an explicit
+    stack, so the word length is not bounded by Python's recursion limit.
+    A memo dict may be supplied to share work between words evaluated at
+    the same parameters; never reuse it across parameter sets.  A radius
+    below the unit roundoff, such as cos(pi/2), counts as zero.
     """
     params._need_alpha()
     r = params.r
-    if min(r) <= 0.0:
+    if min(r) <= _EPS:
         raise ZeroRadiusUnsupported(
             "recursion undefined at r_k = 0; use the oracle or the expansion")
     r1, r2, r3 = r
@@ -338,31 +395,35 @@ def trace_recursive(word, params, memo: dict | None = None) -> TraceValue:
     if memo is None:
         memo = {}
 
-    def tau(a):
-        a = _cancel_adjacent(a)
-        val = memo.get(a)
-        if val is not None:
-            return val
-        n = len(a)
-        if n == 0:
-            val = 3.0 + 0j
-        elif n == 1:
-            val = -1.0 + 0j
-        elif n == 2:
-            rm = r[6 - a[0] - a[1] - 1]  # the letter completing {a0, a1}
-            val = complex(4.0 * rm * rm - 1.0)
-        else:
-            t3 = a[-3:]
-            beta = 2.0 * r1 ** v_count(1, t3) * r2 ** v_count(2, t3) \
-                * r3 ** v_count(3, t3) * ei ** winding(t3) - 1.0
-            head = a[:-3]
-            val = -(tau(a[:-1]) + tau(head + a[-2:]) + tau(head + (a[-2],))) \
-                + beta * (tau(a[:-2] + a[-1:]) + tau(a[:-2])
-                          + tau(head + a[-1:]) + tau(head))
-        memo[a] = val
-        return val
-
-    return TraceValue(tau(canonical(tuple(word))), "recursive")
+    top = _cancel_adjacent(canonical(tuple(word)))
+    stack = [(top, None)]
+    while stack:
+        a, kids = stack[-1]
+        if kids is None:
+            if a in memo:
+                stack.pop()
+                continue
+            n = len(a)
+            if n < 3:
+                stack.pop()
+                if n == 0:
+                    memo[a] = 3.0 + 0j
+                elif n == 1:
+                    memo[a] = -1.0 + 0j
+                else:
+                    rm = r[6 - a[0] - a[1] - 1]  # the letter completing {a0, a1}
+                    memo[a] = complex(4.0 * rm * rm - 1.0)
+                continue
+            kids = _deletion_terms(a)
+            stack[-1] = (a, kids)
+            stack.extend((c, None) for c in kids if c not in memo)
+            continue
+        stack.pop()
+        v1, v2, v3, w = _TAIL_EXPONENTS[a[-3:]]
+        beta = 2.0 * r1 ** v1 * r2 ** v2 * r3 ** v3 * ei ** w - 1.0
+        v = [memo[c] for c in kids]
+        memo[a] = -(v[0] + v[1] + v[2]) + beta * (v[3] + v[4] + v[5] + v[6])
+    return TraceValue(memo[top], "recursive")
 
 
 # --- closed forms for the short words -------------------------------------

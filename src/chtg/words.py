@@ -164,18 +164,32 @@ def delete(word):
     return drop_last(word), drop_second_last(word), drop_third_last(word)
 
 
-def _necklaces(n: int):
-    """Length-n necklaces over {1,2,3} (lex-minimal rotations), in lex order."""
+def _necklaces(n: int, reduced: bool):
+    """Length-n necklaces over {1,2,3} (lex-minimal rotations), in lex order.
+
+    The FKM recursion (Fredricksen-Kessler-Maiorana; Ruskey-Savage-Wang,
+    J. Algorithms 13, 1992) extends prenecklaces one letter at a time.  With
+    ``reduced`` it never places a letter equal to its left neighbour, and a
+    leaf must also differ from the first letter across the wrap.  Every
+    prefix of a word without equal neighbours has none either, so this
+    yields exactly the cyclically reduced necklaces, in the same order,
+    without visiting the others (necklaces with a forbidden substring,
+    Ruskey-Sawada, COCOON 2000).
+    """
     a = [1] * (n + 1)
 
     def gen(t, p):
         if t > n:
-            if n % p == 0:
+            if n % p == 0 and not (reduced and n > 1 and a[1] == a[n]):
                 yield tuple(a[1:])
-        else:
-            a[t] = a[t - p]
+            return
+        left = a[t - 1] if reduced and t > 1 else 0
+        j = a[t - p]
+        if j != left:
+            a[t] = j
             yield from gen(t + 1, p)
-            for j in range(a[t - p] + 1, 4):
+        for j in range(j + 1, 4):
+            if j != left:
                 a[t] = j
                 yield from gen(t + 1, t)
 
@@ -200,10 +214,13 @@ def enumerate_words(max_len: int, cyclically_reduced: bool = False,
     if max_len < 1:
         raise WordError("max_len must be >= 1")
     for n in range(max(min_len, 1), max_len + 1):
-        for w in _necklaces(n):
-            if cyclically_reduced and not is_cyclically_reduced(w):
-                continue
-            if canonical(inverse(w)) < w:
+        for w in _necklaces(n, cyclically_reduced):
+            # w is its own least rotation, so canonical(inverse(w)) < w iff
+            # some rotation of the reversed word is smaller than w; only a
+            # rotation that starts with w's first (least) letter can be
+            r = w[::-1] * 2
+            a0 = w[0]
+            if any(r[i] == a0 and r[i:i + n] < w for i in range(n)):
                 continue
             yield w
 

@@ -138,6 +138,30 @@ def test_trace_long_word(capsys):
                                                 "recursive"}
 
 
+def test_trace_large_tau_agrees_relatively(capsys):
+    # |tau| ~ 9.6e12: the routes differ by ~0.09, i.e. ~1e-14 relative
+    code, out, err = run(capsys, "trace", "--word", "12131213121312132312",
+                         "--lengths", "2", "2.5", "3", "--t", "0.3", "--json")
+    assert code == 0, err
+    assert max(json.loads(out)["deltas"].values()) > 1e-6
+
+
+def test_trace_zero_radius_skips_recursion(capsys):
+    # p = 2 gives r_1 = cos(pi/2) ~ 6e-17, where the recursion is undefined
+    code, out, err = run(capsys, "trace", "--word", "1213", "--p", "2", "5", "6",
+                         "--t", "0.3", "--json")
+    assert code == 0, err
+    assert set(json.loads(out)["methods"]) == {"oracle", "combinatorial"}
+
+
+def test_trace_very_long_word(capsys):
+    # 1,200 letters: deeper than Python's recursion limit
+    code, out, err = run(capsys, "trace", "--word", "12" * 600,
+                         "--p", "4", "5", "6", "--t", "0.5", "--json")
+    assert code == 0, err
+    assert "recursive" in json.loads(out)["methods"]
+
+
 def test_domain_error(capsys):
     # alpha = 0 violates the existence bound at ideal radii
     code, _, err = run(capsys, "trace", "--word", "123", "--r", "1", "1", "1",

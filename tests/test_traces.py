@@ -142,6 +142,15 @@ def test_long_words_match_oracle(rng):
         assert close(trace_polynomial(w).evaluate(p), trace_oracle(w, rz).value)
 
 
+def test_recursion_long_words(rng):
+    # far deeper than Python's recursion limit
+    p = TriangleParams.from_signature(4, 5, 6).with_t(0.5)
+    rz = realize(p)
+    for w in ((1, 2) * 600, draw_word(rng, 1500, min_len=1000)):
+        tau = trace_oracle(w, rz).value
+        assert abs(trace_recursive(w, p).value - tau) <= 1e-9 * max(1.0, abs(tau))
+
+
 def test_cyclic_and_reversal_invariance(rng):
     p = draw_params(rng)
     rz = realize(p)
