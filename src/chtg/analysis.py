@@ -23,7 +23,7 @@ import numpy as np
 
 from .classify import REGULAR_ELLIPTIC, classify, discriminant
 from .traces import sigma_closed, tau_123_closed, trace_oracle
-from .triangle import TWO_PI, TriangleParams, realize
+from .triangle import TWO_PI, TriangleParams, alpha_of_t, realize, t_of_alpha
 from .words import enumerate_words, word_to_str
 
 TYPE_B = "TypeB"
@@ -35,21 +35,6 @@ FAMILY_TOL = 1e-10
 
 class NotInFamily(ValueError):
     pass
-
-
-def t_of_alpha(alpha: float) -> float:
-    """cot(alpha / 2); the sentinel +inf at alpha = 0 (mod 2 pi)."""
-    alpha = alpha % TWO_PI
-    half = alpha / 2.0
-    s = math.sin(half)
-    if abs(s) < 1e-154:
-        return math.inf
-    return math.cos(half) / s
-
-
-def alpha_of_t(t: float) -> float:
-    """Inverse of t_of_alpha: alpha = 2 atan2(1, t) in (0, 2 pi)."""
-    return 2.0 * math.atan2(1.0, t)
 
 
 def t_of_cos(c: float) -> float:

@@ -208,10 +208,7 @@ def group_conjugate_traces(group: GroupWithRotation, word, q: int):
     poly = trace_polynomial(word, mode="exact")
     sign = (-1.0) ** poly.n
     pairs = []
-    for m in range(1, q // 2 + 1):
-        if math.gcd(m, q) != 1:
-            continue
-        x = 2.0 * math.cos(TWO_PI * m / q)
+    for x in _conjugate_points(q):
         xs = [(2.0 + x) if p == q else 4.0 * math.cos(math.pi / p) ** 2
               for p in group.signature]
         if group.n == q:

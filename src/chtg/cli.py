@@ -1,9 +1,10 @@
 """Command line interface: the ``chtg`` tool.
 
 Subcommands: trace, thresholds, scan, ring-check, invariants, family.
-Output formats: --json (one object), --csv (header + rows), default human
-table.  Floats in machine formats are printed with 17 significant digits and
-field order is fixed, so identical configurations give byte-identical output.
+Output formats: --json (one object), --csv (header + rows; trace, scan and
+ring-check only), default human table.  Floats in machine formats are printed
+with 17 significant digits and field order is fixed, so identical
+configurations give byte-identical output.
 
 Exit codes: 0 ok; 2 a certificate / elliptic hit / failed ring check was
 found (scripting convenience); 64 usage error; 65 math domain error.
@@ -18,8 +19,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import analysis, arithmetic, classify as classify_mod, traces, triangle, words
-from .classify import classify
+from . import analysis, arithmetic, traces, triangle, words
+from .classify import REGULAR_ELLIPTIC, classify
 from .triangle import TriangleError, TriangleParams
 
 EXIT_OK = 0
@@ -107,13 +108,13 @@ def _parse_fraction(token: str) -> float:
 @dataclass
 class RunConfig:
     params: TriangleParams
-    n: float | None
+    group: arithmetic.GroupWithRotation | None
     fmt: str
     tol: float
     jobs: int
 
 
-def _add_common(sub, need_angle=True):
+def _add_common(sub, csv=True):
     src = sub.add_mutually_exclusive_group(required=True)
     src.add_argument("--p", nargs=3, metavar=("P1", "P2", "P3"),
                      help="signature (integers or inf)")
@@ -129,16 +130,18 @@ def _add_common(sub, need_angle=True):
     ang.add_argument("--n", help="rotation order for the (3,1,3,2) element")
     out = sub.add_mutually_exclusive_group(required=False)
     out.add_argument("--json", action="store_true")
-    out.add_argument("--csv", action="store_true")
+    if csv:
+        out.add_argument("--csv", action="store_true")
+    else:
+        sub.set_defaults(csv=False)
     sub.add_argument("--tol", type=float, default=None,
                      help="classification tolerance (default 1e-9 or CHTG_TOL)")
     sub.add_argument("--jobs", type=int, default=1)
-    sub._chtg_need_angle = need_angle
     return sub
 
 
 def _resolve(args, need_angle=True) -> RunConfig:
-    n = None
+    group = None
     if args.p is not None:
         ps = tuple(_parse_p(tok) for tok in args.p)
         base = TriangleParams.from_signature(*ps)
@@ -146,10 +149,6 @@ def _resolve(args, need_angle=True) -> RunConfig:
         base = TriangleParams.from_lengths(*args.lengths)
     else:
         base = TriangleParams(*args.r)
-    angle_flags = [args.alpha is not None, args.cos_alpha is not None,
-                   args.t is not None, args.n is not None]
-    if sum(angle_flags) > 1:
-        raise UsageError("supply exactly one of --alpha/--cos-alpha/--t/--n")
     if args.alpha is not None:
         params = base.with_alpha(_parse_alpha(args.alpha))
     elif args.cos_alpha is not None:
@@ -160,7 +159,7 @@ def _resolve(args, need_angle=True) -> RunConfig:
         n = _parse_p(args.n)
         if args.p is None:
             raise UsageError("--n needs a --p signature")
-        group = arithmetic.group_with_rotation(*_signature(args), n)
+        group = arithmetic.group_with_rotation(*ps, n)
         params = group.params
     else:
         if need_angle:
@@ -170,11 +169,7 @@ def _resolve(args, need_angle=True) -> RunConfig:
     tol = args.tol
     if tol is None:
         tol = float(os.environ.get("CHTG_TOL", "1e-9"))
-    return RunConfig(params, n, fmt, tol, args.jobs)
-
-
-def _signature(args):
-    return tuple(_parse_p(tok) for tok in args.p)
+    return RunConfig(params, group, fmt, tol, args.jobs)
 
 
 def _emit(lines):
@@ -231,7 +226,7 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _threshold_payload(params, n):
+def _threshold_payload(params):
     th = analysis.thresholds(params)
     payload = {
         "params": params.to_json_dict(),
@@ -245,14 +240,14 @@ def _threshold_payload(params, n):
         payload["f_b"] = list(th.f_b)
         payload["t_b_minus"] = th.t_b_minus
         payload["t_b_plus"] = th.t_b_plus
-    if n is not None:
-        payload["n"] = n
+    if params.n is not None:
+        payload["n"] = params.n
     return payload
 
 
 def cmd_thresholds(args) -> int:
     cfg = _resolve(args, need_angle=False)
-    payload = _threshold_payload(cfg.params, cfg.n)
+    payload = _threshold_payload(cfg.params)
     if cfg.fmt == "json":
         _emit([dumps_stable(payload)])
     else:
@@ -305,9 +300,7 @@ def cmd_scan(args) -> int:
     report = analysis.scan_elliptic(cfg.params, args.max_len,
                                     skip_alternating=not args.include_alternating,
                                     tol=cfg.tol, jobs=cfg.jobs)
-    cert = None
-    if abs(cfg.params.t) > analysis.thresholds(cfg.params).t_a:
-        cert = analysis.non_discreteness_certificate(cfg.params, tol=cfg.tol)
+    cert = analysis.non_discreteness_certificate(cfg.params, tol=cfg.tol)
     if cfg.fmt == "json":
         payload = {"params": cfg.params.to_json_dict(), "max_len": args.max_len,
                    "rows": [r.to_json_dict() for r in report.rows],
@@ -327,7 +320,7 @@ def cmd_scan(args) -> int:
     else:
         lines = []
         for r in report.rows:
-            mark = " *" if (r.verdict == classify_mod.REGULAR_ELLIPTIC
+            mark = " *" if (r.verdict == REGULAR_ELLIPTIC
                             and not r.filtered) else ""
             lines.append(f"{words.word_to_str(r.word):12s} tau = {r.tau:.8g} "
                          f"rho = {r.rho:.6g} {r.verdict}{mark}")
@@ -340,7 +333,7 @@ def cmd_ring_check(args) -> int:
     if args.p is None or args.n is None:
         raise UsageError("ring-check needs --p and --n")
     cfg = _resolve(args)
-    group = arithmetic.group_with_rotation(*_signature(args), _parse_p(args.n))
+    group = cfg.group
     tol = args.ring_tol
     rows = []
     any_fail = False
@@ -379,16 +372,17 @@ def build_parser() -> _Parser:
 
     p_thr = _add_common(subs.add_parser("thresholds",
                                         help="existence/ellipticity thresholds"),
-                        need_angle=False)
+                        csv=False)
     p_thr.set_defaults(func=cmd_thresholds)
 
     p_fam = _add_common(subs.add_parser("family",
                                         help="distinguished family membership and type"),
-                        need_angle=False)
+                        csv=False)
     p_fam.set_defaults(func=cmd_thresholds)
 
     p_inv = _add_common(subs.add_parser("invariants",
-                                        help="angular and vertex invariants"))
+                                        help="angular and vertex invariants"),
+                        csv=False)
     p_inv.set_defaults(func=cmd_invariants)
 
     p_scan = _add_common(subs.add_parser("scan",
@@ -414,9 +408,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except (TriangleError, traces.CapExceeded, traces.ZeroRadiusUnsupported,
-            analysis.NotInFamily, arithmetic.IllConditionedBasis,
-            words.WordError, ValueError) as exc:
+    except (ValueError, arithmetic.IllConditionedBasis) as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN
 

@@ -33,6 +33,21 @@ _ONE_TOL = 1e-12          # "this r_k equals 1" for chart selection
 _CHART_TOL = 1e-7         # below this the generic chart loses too much precision
 
 
+def t_of_alpha(alpha: float) -> float:
+    """cot(alpha / 2); the sentinel +inf at alpha = 0 (mod 2 pi)."""
+    alpha = alpha % TWO_PI
+    half = alpha / 2.0
+    s = math.sin(half)
+    if abs(s) < 1e-154:
+        return math.inf
+    return math.cos(half) / s
+
+
+def alpha_of_t(t: float) -> float:
+    """Inverse of t_of_alpha: alpha = 2 atan2(1, t) in (0, 2 pi)."""
+    return 2.0 * math.atan2(1.0, t)
+
+
 class TriangleError(ValueError):
     pass
 
@@ -118,11 +133,7 @@ class TriangleParams:
     def t(self) -> float:
         """cot(alpha / 2); +inf at alpha = 0."""
         self._need_alpha()
-        half = self.alpha / 2.0
-        s = math.sin(half)
-        if abs(s) < 1e-154:
-            return math.inf
-        return math.cos(half) / s
+        return t_of_alpha(self.alpha)
 
     @property
     def canonical_alpha(self) -> float:
@@ -146,7 +157,7 @@ class TriangleParams:
 
     def with_t(self, t):
         """Set alpha = 2 * atan2(1, t), i.e. t = cot(alpha / 2)."""
-        return replace(self, alpha=2.0 * math.atan2(1.0, t))
+        return replace(self, alpha=alpha_of_t(t))
 
     def with_cos_alpha(self, c, negative_t: bool = False):
         a = math.acos(c)

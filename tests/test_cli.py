@@ -86,6 +86,15 @@ def test_scan_hit_exit_code(capsys):
     assert data["certificate"]["word"] == "3231"
 
 
+def test_scan_human_table(capsys):
+    code, out, _ = run(capsys, "scan", "--p", "4", "4", "inf", "--t", "1.9",
+                       "--max-len", "4")
+    assert code == 2
+    lines = out.strip().split("\n")
+    assert [line.split()[0] for line in lines if line.endswith(" *")] == ["1323"]
+    assert lines[-1] == "hits: 1"
+
+
 def test_scan_no_hit(capsys):
     code, out, _ = run(capsys, "scan", "--p", "4", "4", "inf", "--t", "1.0",
                        "--max-len", "4", "--json")
@@ -127,6 +136,15 @@ def test_usage_errors(capsys):
     assert code == 64
     code, _, _ = run(capsys, "thresholds")
     assert code == 64
+
+
+@pytest.mark.parametrize("command", ["thresholds", "family", "invariants"])
+def test_csv_rejected_on_table_commands(capsys, command):
+    code, out, err = run(capsys, command, "--p", "4", "4", "inf",
+                         "--alpha", "1.0", "--csv")
+    assert code == 64
+    assert out == ""
+    assert "--csv" in err
 
 
 def test_trace_long_word(capsys):

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import chtg
 from chtg.linalg import (J, ProjPoint, boxtimes, herm, in_u21, random_u21,
                          rank_one, vec, vector_type)
 
@@ -102,6 +108,30 @@ def test_random_u21_preserves_form(rng):
     for _ in range(50):
         u = random_u21(rng)
         assert in_u21(u, tol=1e-10)
+
+
+def test_random_u21_matches_scipy_expm():
+    expm = pytest.importorskip("scipy.linalg").expm
+    for scale in (0.5, 0.05, 2.0):
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(200):
+            u = random_u21(rng, scale)
+            a = (ref_rng.standard_normal((3, 3))
+                 + 1j * ref_rng.standard_normal((3, 3)))
+            want = expm(J @ (scale * (a - np.conj(a.T))))
+            assert np.linalg.norm(u - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_import_loads_no_scipy():
+    env = {**os.environ, "PYTHONPATH": str(Path(chtg.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chtg, chtg.cli; "
+         "print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_vector_type():
