@@ -234,7 +234,6 @@ def family_c_a_report(params_or_r, tol: float = 1e-9) -> dict:
 
 
 W_A = (3, 2, 3, 1)
-W_B = (1, 2, 3)
 
 
 @dataclass(frozen=True)

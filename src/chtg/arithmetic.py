@@ -9,9 +9,11 @@ trace 1 + 2 cos(2 pi / n):
 When every entry of {p1, p2, p3, n} is 3, 4, 6 or inf, the quantities
 2 Re(tau) and |tau|^2 are plain integers; that check is sharp.  With one
 extra entry q, they land in Z[2 cos(2 pi / q)] and the membership test works
-over the Galois conjugates of 2 cos(2 pi / q); the conjugate traces are
-evaluated through the exact Fourier data with 8 R e^{i alpha} replaced by the
-conjugated root Z of Z^2 - S Z + Q = 0, S = 16 R cos(alpha) and Q = (8 R)^2.
+over the Galois conjugates of 2 cos(2 pi / q).  A conjugate moves X_k =
+4 r_k^2 and the root Z = 8 R e^{i alpha} of Z^2 - S Z + Q = 0, S = 16 R
+cos(alpha) and Q = (8 R)^2; its trace is the O(n) transfer-matrix sum of
+``traces`` at the moved point, which equals the exact Fourier sum as a
+polynomial identity (see group_conjugate_traces), so no exact data is built.
 Floating-point ring membership is a heuristic; every verdict from the basis
 method carries experimental=True and is not a hard gate.
 """
@@ -19,13 +21,14 @@ method carries experimental=True and is not a hard gate.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .traces import (trace_combinatorial, trace_mu_combinatorial,
-                     trace_polynomial)
+from .traces import (_gram_trace, trace_combinatorial,  # noqa: F401
+                     trace_mu_combinatorial, trace_polynomial)  # re-exported
 from .triangle import TWO_PI, ExistenceViolation, TriangleParams, realize
 
 INTEGER_ENTRIES = (3, 4, 6, math.inf)
@@ -120,6 +123,18 @@ def _conjugate_points(q: int):
             for m in range(1, q // 2 + 1) if math.gcd(m, q) == 1]
 
 
+@functools.lru_cache(maxsize=64)
+def _power_basis_pinv(q: int, rows: int) -> np.ndarray:
+    """Read-only lstsq pseudo-inverse of the power basis at ``rows`` conjugates."""
+    pts = _conjugate_points(q)
+    v = np.array([[pts[i] ** j for j in range(len(pts))] for i in range(rows)])
+    if np.linalg.cond(v @ v.T) > 1e12:
+        raise IllConditionedBasis(f"power basis of degree {len(pts)} is unusable")
+    pinv = np.linalg.lstsq(v, np.eye(rows), rcond=None)[0]
+    pinv.flags.writeable = False
+    return pinv
+
+
 @dataclass(frozen=True)
 class BasisExpansion:
     ok: bool
@@ -146,7 +161,7 @@ class BasisRingVerdict:
                            "residual": self.abs_sq.residual}}
 
 
-def _expand_in_power_basis(values, pts, tol) -> BasisExpansion:
+def _expand_in_power_basis(values, q, tol) -> BasisExpansion:
     """Integer coefficients on {x^j : j < deg} from conjugate evaluations.
 
     With all deg conjugates supplied the Vandermonde system is square and the
@@ -154,14 +169,9 @@ def _expand_in_power_basis(values, pts, tol) -> BasisExpansion:
     this degrades to a minimal-norm heuristic.  Acceptance always means the
     rounded solution reproduces the m = 1 value within tol.
     """
-    d = len(pts)
-    rows = min(len(values), d)
-    v = np.array([[pts[i] ** j for j in range(d)] for i in range(rows)])
-    gram = v @ v.T
-    if np.linalg.cond(gram) > 1e12:
-        raise IllConditionedBasis(f"power basis of degree {d} is unusable")
-    sol = np.linalg.lstsq(v, np.asarray(values[:rows], dtype=float),
-                          rcond=None)[0]
+    pts = _conjugate_points(q)
+    rows = min(len(values), len(pts))
+    sol = _power_basis_pinv(q, rows) @ np.asarray(values[:rows], dtype=float)
     coeffs = tuple(int(c) for c in np.rint(sol))
     approx = sum(c * pts[0] ** j for j, c in enumerate(coeffs))
     residual = abs(values[0] - approx)
@@ -180,14 +190,13 @@ def basis_ring_check(tau, q: int, tol: float = 1e-7,
     """
     if q < 3:
         raise ValueError("q must be >= 3")
-    pts = _conjugate_points(q)
     if conjugate_pairs is None:
         tau = complex(tau)
         conjugate_pairs = [(tau, tau.conjugate())]
     two_re_vals = [(t + tb).real for t, tb in conjugate_pairs]
     abs_vals = [(t * tb).real for t, tb in conjugate_pairs]
-    e1 = _expand_in_power_basis(two_re_vals, pts, tol)
-    e2 = _expand_in_power_basis(abs_vals, pts, tol)
+    e1 = _expand_in_power_basis(two_re_vals, q, tol)
+    e2 = _expand_in_power_basis(abs_vals, q, tol)
     return BasisRingVerdict(q, e1.ok and e2.ok, e1, e2)
 
 
@@ -195,45 +204,41 @@ def group_conjugate_traces(group: GroupWithRotation, word, q: int):
     """Galois-conjugate (tau, tau-bar) pairs for a word in G(p1, p2, p3; n).
 
     Valid when every entry of {p1, p2, p3, n} lies in {3, 4, 6, inf, q}.
-    Conjugation replaces 2 cos(2 pi / q) by 2 cos(2 pi m / q); the trace is
-    reassembled from the exact Fourier data with X_k and the root pair
-    (Z, Q / Z) of Z^2 - S Z + Q conjugated accordingly.
+    Conjugation replaces 2 cos(2 pi / q) by 2 cos(2 pi m / q), moving X_k
+    and the roots (Z, Q / Z).  Subset monomials c r^u z^s have u_k = |w|
+    (mod 2) and s = 3 w, so at r_k = sqrt(X_k) / 2 and zp = 1 / zn any cube
+    root of Z / (8 r1 r2 r3) the transfer-matrix sum is sum_w P_w(X) Z^w,
+    (Q / Z)^{|w|} for w < 0; tau-bar swaps Z and Q / Z, i.e. zp and zn.
     """
     if group.signature is None:
         raise ValueError("conjugation needs an integer signature")
-    entries = [*group.signature, group.n]
-    for e in entries:
+    for e in (*group.signature, group.n):
         if e not in INTEGER_ENTRIES and e != q:
             raise ValueError(f"entry {e} is neither in {{3,4,6,inf}} nor q={q}")
-    poly = trace_polynomial(word, mode="exact")
-    sign = (-1.0) ** poly.n
+    sign = (-1.0) ** len(word)
     pairs = []
     for x in _conjugate_points(q):
         xs = [(2.0 + x) if p == q else 4.0 * math.cos(math.pi / p) ** 2
               for p in group.signature]
-        if group.n == q:
-            cn = x / 2.0
-        else:
-            cn = cos_two_pi_over(group.n)
+        cn = x / 2.0 if group.n == q else cos_two_pi_over(group.n)
         # Z + Q/Z = 16 R cos(alpha) = X1 X2 + X3 - 2 - 2 cos(2 pi / n)
         s_val = xs[0] * xs[1] + xs[2] - 2.0 - 2.0 * cn
         q_val = xs[0] * xs[1] * xs[2]
         z = (s_val + cmath.sqrt(complex(s_val * s_val - 4.0 * q_val))) / 2.0
-        zb = q_val / z
-        pairs.append(tuple(
-            sign * (2.0 + sum(poly.substituted(xs, zp, zn).values()))
-            for zp, zn in ((z, zb), (zb, z))))
+        r = [math.sqrt(xk) / 2.0 for xk in xs]
+        zp = (z / math.sqrt(q_val)) ** (1.0 / 3.0)
+        pairs.append(tuple(sign * _gram_trace(word, (-2.0,) * 3, r, a, b)
+                           for a, b in ((zp, 1.0 / zp), (1.0 / zp, zp))))
     return pairs
 
 
 def group_ring_check(group: GroupWithRotation, word, tol: float = 1e-7):
     """Dispatch: all-integer entries -> hard integrality; one extra entry q
     -> conjugate basis method (experimental)."""
-    entries = [*group.signature, group.n]
-    specials = sorted({e for e in entries if e not in INTEGER_ENTRIES})
-    tau = trace_combinatorial(word, group.params).value
+    specials = sorted({*group.signature, group.n} - set(INTEGER_ENTRIES))
     if not specials:
-        return integer_ring_check(tau, tol)
+        return integer_ring_check(
+            trace_combinatorial(word, group.params).value, tol)
     if len(specials) > 1:
         raise ValueError("only one entry outside {3,4,6,inf} is supported")
     q = specials[0]
@@ -241,7 +246,7 @@ def group_ring_check(group: GroupWithRotation, word, tol: float = 1e-7):
         raise ValueError("the extra entry must be an integer")
     q = int(q)
     pairs = group_conjugate_traces(group, word, q)
-    return basis_ring_check(tau, q, tol, conjugate_pairs=pairs)
+    return basis_ring_check(pairs[0][0], q, tol, conjugate_pairs=pairs)
 
 
 @dataclass(frozen=True)

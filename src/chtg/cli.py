@@ -180,10 +180,9 @@ def cmd_trace(args) -> int:
     cfg = _resolve(args)
     word = words.parse_word(args.word)
     params = cfg.params
-    results = {}
     rz = triangle.realize(params)
-    results["oracle"] = traces.trace_oracle(word, rz).value
-    results["combinatorial"] = traces.trace_combinatorial(word, params).value
+    results = {"oracle": traces.trace_oracle(word, rz).value,
+               "combinatorial": traces.trace_combinatorial(word, params).value}
     try:
         results["recursive"] = traces.trace_recursive(word, params).value
     except traces.ZeroRadiusUnsupported:
@@ -202,8 +201,12 @@ def cmd_trace(args) -> int:
         "deltas": deltas,
         "params": params.to_json_dict(),
     }
-    if args.fourier:
-        payload["fourier"] = traces.trace_polynomial(word, mode="exact").to_json_dict()
+    if args.fourier and cfg.fmt == "json":
+        try:
+            payload["fourier"] = traces.trace_polynomial(word).to_json_dict()
+        except traces.CapExceeded as exc:
+            payload["fourier"] = None
+            sys.stderr.write(f"fourier skipped: {exc} (EXACT_CAP)\n")
     if cfg.fmt == "json":
         _emit([dumps_stable(payload)])
     elif cfg.fmt == "csv":
@@ -334,14 +337,9 @@ def cmd_ring_check(args) -> int:
         raise UsageError("ring-check needs --p and --n")
     cfg = _resolve(args)
     group = cfg.group
-    tol = args.ring_tol
-    rows = []
-    any_fail = False
-    for w in words.enumerate_words(args.max_len, cyclically_reduced=True):
-        verdict = arithmetic.group_ring_check(group, w, tol=tol)
-        ok = verdict.ok
-        any_fail = any_fail or not ok
-        rows.append((w, verdict))
+    rows = [(w, arithmetic.group_ring_check(group, w, tol=args.ring_tol))
+            for w in words.enumerate_words(args.max_len, cyclically_reduced=True)]
+    any_fail = not all(v.ok for _, v in rows)
     if cfg.fmt == "json":
         payload = {"params": group.params.to_json_dict(),
                    "n": group.n, "max_len": args.max_len,
@@ -349,9 +347,7 @@ def cmd_ring_check(args) -> int:
                              **v.to_json_dict()} for w, v in rows]}
         _emit([dumps_stable(payload)])
     elif cfg.fmt == "csv":
-        lines = ["word,ok"]
-        lines += [f"{words.word_to_str(w)},{int(v.ok)}" for w, v in rows]
-        _emit(lines)
+        _emit(["word,ok", *(f"{words.word_to_str(w)},{int(v.ok)}" for w, v in rows)])
     else:
         lines = [f"{words.word_to_str(w):10s} ok={v.ok}" for w, v in rows]
         lines.append(f"all passed: {not any_fail}")
@@ -367,7 +363,7 @@ def build_parser() -> _Parser:
     p_trace = _add_common(subs.add_parser("trace", help="trace of one word"))
     p_trace.add_argument("--word", required=True, help="digit string, 'e' = identity")
     p_trace.add_argument("--fourier", action="store_true",
-                         help="include the exact Fourier coefficient data")
+                         help="include the exact Fourier data (--json only)")
     p_trace.set_defaults(func=cmd_trace)
 
     p_thr = _add_common(subs.add_parser("thresholds",

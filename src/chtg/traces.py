@@ -115,14 +115,19 @@ def _expand(word, factors, gram, m):
     return tr
 
 
-def _numeric_trace(word, params, factors) -> complex:
-    params._need_alpha()
-    r1, r2, r3 = params.r
-    z = {s: cmath.exp(1j * params.alpha * s / 3.0) for s in (-1, 0, 1)}
-    gram = [[r1 ** u1 * r2 ** u2 * r3 ** u3 * z[s] for u1, u2, u3, s in row]
-            for row in _GRAM_KEYS]
+def _gram_trace(word, factors, r, zp, zn) -> complex:
+    """_expand at G_ab = r_m z^{chi(b - a)} with z = zp, 1 / z = zn."""
+    z = {-1: zn, 0: 1.0 + 0j, 1: zp}
+    gram = [[r[0] ** u1 * r[1] ** u2 * r[2] ** u3 * z[s]
+             for u1, u2, u3, s in row] for row in _GRAM_KEYS]
     return _expand(word, factors, gram, [[1.0 + 0j if i == j else 0j
                                           for j in range(3)] for i in range(3)])
+
+
+def _numeric_trace(word, params, factors) -> complex:
+    params._need_alpha()
+    return _gram_trace(word, factors, params.r, cmath.exp(1j * params.alpha / 3.0),
+                       cmath.exp(-1j * params.alpha / 3.0))
 
 
 def _fourier_terms(word, factors):
@@ -240,11 +245,6 @@ class TracePolynomial:
                        for (j1, j2, j3), c in poly.items())
                 * (zp ** w if w >= 0 else zn ** -w)
                 for w, poly in self.coeffs.items()}
-
-    def coefficient_value(self, w, params) -> complex:
-        big = 8.0 * params.r_product
-        xs = tuple(4.0 * r * r for r in params.r)
-        return complex(self.substituted(xs, big, big).get(w, 0.0))
 
     def evaluate(self, params) -> complex:
         """Reassemble tau at the given parameters."""

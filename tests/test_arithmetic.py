@@ -1,17 +1,19 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from chtg.arithmetic import (IllConditionedBasis, basis_ring_check,
-                             group_conjugate_traces, group_ring_check,
-                             group_with_rotation, integer_ring_check,
-                             mostow_group, mostow_trace_field_check, totient)
+                             cos_two_pi_over, group_conjugate_traces,
+                             group_ring_check, group_with_rotation,
+                             integer_ring_check, mostow_group,
+                             mostow_trace_field_check, totient)
 from chtg.classify import REGULAR_ELLIPTIC, classify
 from chtg.traces import (sigma_closed, trace_combinatorial, trace_mu,
                          trace_mu_combinatorial, trace_mu_polynomial,
-                         trace_oracle)
+                         trace_oracle, trace_polynomial)
 from chtg.triangle import ExistenceViolation
 from chtg.words import enumerate_words
 
@@ -100,6 +102,74 @@ def test_conjugate_traces_first_is_plain_trace():
         tau = trace_combinatorial(w, g.params).value
         assert abs(pairs[0][0] - tau) < 1e-9
         assert abs(pairs[0][1] - tau.conjugate()) < 1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_poly(word):
+    return trace_polynomial(word)
+
+
+def _exact_conjugate_pairs(group, word, q):
+    """(tau, tau-bar) at each conjugate, reassembled from the exact Fourier
+    data as sum_w P_w(X) Z^w, with Q / Z for Z when w < 0 and the roles of
+    Z and Q / Z swapped for tau-bar; also whether any root Z was real."""
+    poly = _exact_poly(word)
+    sign = (-1.0) ** poly.n
+    pairs, real_root = [], False
+    for m in range(1, q // 2 + 1):
+        if math.gcd(m, q) != 1:
+            continue
+        x = 2.0 * math.cos(2.0 * math.pi * m / q)
+        xs = [(2.0 + x) if p == q else 4.0 * math.cos(math.pi / p) ** 2
+              for p in group.signature]
+        cn = x / 2.0 if group.n == q else cos_two_pi_over(group.n)
+        s_val = xs[0] * xs[1] + xs[2] - 2.0 - 2.0 * cn
+        q_val = xs[0] * xs[1] * xs[2]
+        real_root = real_root or s_val * s_val >= 4.0 * q_val
+        z = (s_val + cmath.sqrt(complex(s_val * s_val - 4.0 * q_val))) / 2.0
+        zb = q_val / z
+        pairs.append(tuple(
+            sign * (2.0 + sum(poly.substituted(xs, zp, zn).values()))
+            for zp, zn in ((z, zb), (zb, z))))
+    return pairs, real_root
+
+
+@pytest.mark.parametrize("p1, p2, p3, n, q", [
+    (4, 4, math.inf, 5, 5), (4, 4, math.inf, 8, 8), (4, 4, math.inf, 10, 10),
+    (4, 4, math.inf, 12, 12), (4, 4, 4, 7, 7), (6, 6, math.inf, 5, 5)])
+def test_conjugate_traces_match_exact_data(p1, p2, p3, n, q):
+    g = group_with_rotation(p1, p2, p3, n)
+    real_root = False
+    for w in enumerate_words(10, cyclically_reduced=True):
+        want, real = _exact_conjugate_pairs(g, w, q)
+        real_root = real_root or real
+        got = group_conjugate_traces(g, w, q)
+        assert len(got) == len(want)
+        for pair, exact in zip(got, want):
+            for a, b in zip(pair, exact):
+                assert abs(a - b) <= 1e-9 * max(1.0, abs(b)), (w, a, b)
+        v = group_ring_check(g, w)
+        ref = basis_ring_check(want[0][0], q, conjugate_pairs=want)
+        assert v.ok == ref.ok, w
+        assert v.two_re.coefficients == ref.two_re.coefficients, w
+        assert v.abs_sq.coefficients == ref.abs_sq.coefficients, w
+    # (4,4,4;7) and (6,6,inf;5) have conjugates with a real root Z
+    assert real_root == ((p1, p2, p3, n) in {(4, 4, 4, 7), (6, 6, math.inf, 5)})
+
+
+def test_ring_check_past_exact_cap():
+    # 60 letters is past EXACT_CAP = 48; (3,1,3,2) has order 5 in
+    # G(4,4,inf;5), and in each conjugate, so its 15th power has trace 3
+    g = group_with_rotation(4, 4, math.inf, 5)
+    v = group_ring_check(g, (3, 1, 3, 2) * 15)
+    assert v.ok
+    assert v.two_re.coefficients == (6, 0)
+    assert v.abs_sq.coefficients == (9, 0)
+    w = (1, 2, 3, 2, 1, 3, 1, 2) * 7 + (1, 3, 2, 3)
+    tau = trace_oracle(w, g.realize()).value
+    pairs = group_conjugate_traces(g, w, 5)
+    assert abs(pairs[0][0] - tau) <= 1e-9 * abs(tau)
+    assert abs(pairs[0][1] - tau.conjugate()) <= 1e-9 * abs(tau)
 
 
 def test_basis_q3_reduces_to_integers():

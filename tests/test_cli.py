@@ -180,6 +180,38 @@ def test_trace_very_long_word(capsys):
     assert "recursive" in json.loads(out)["methods"]
 
 
+@pytest.mark.parametrize("fmt", [None, "--csv"])
+def test_trace_fourier_only_in_json(capsys, monkeypatch, fmt):
+    # the human and CSV formats print no Fourier data, so they compute none
+    import chtg.cli as cli_mod
+
+    def fail(*args, **kwargs):
+        raise AssertionError("trace_polynomial called")
+
+    monkeypatch.setattr(cli_mod.traces, "trace_polynomial", fail)
+    argv = ["trace", "--word", "2321", "--p", "4", "5", "6", "--t", "0.8",
+            "--fourier"]
+    code, out, err = run(capsys, *argv, *([fmt] if fmt else []))
+    assert code == 0, err
+    assert out and err == ""
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv", None])
+def test_trace_fourier_past_cap(capsys, fmt):
+    # 51 letters > EXACT_CAP = 48: the trace is still reported, exit 0
+    argv = ["trace", "--word", "123" * 17, "--p", "4", "5", "6", "--t", "0.8",
+            "--fourier"]
+    code, out, err = run(capsys, *argv, *([fmt] if fmt else []))
+    assert code == 0, err
+    if fmt == "--json":
+        data = json.loads(out)
+        assert data["fourier"] is None
+        assert set(data["methods"]) == {"oracle", "combinatorial", "recursive"}
+        assert len(err.splitlines()) == 1 and "cap 48" in err
+    else:
+        assert out and err == ""
+
+
 def test_domain_error(capsys):
     # alpha = 0 violates the existence bound at ideal radii
     code, _, err = run(capsys, "trace", "--word", "123", "--r", "1", "1", "1",
