@@ -13,7 +13,7 @@ from .arithmetic import (BasisRingVerdict, FieldVerdict, GroupWithRotation,
                          mostow_group, mostow_trace_field_check)
 from .classify import (BOUNDARY_NON_UNIPOTENT, HYPERBOLIC, INDETERMINATE,
                        REGULAR_ELLIPTIC, UNIPOTENT, IsometryClass,
-                       NormalizationRequired, classify, discriminant)
+                       discriminant)
 from .linalg import ProjPoint, boxtimes, herm, in_u21, random_u21, rank_one
 from .traces import (CapExceeded, TracePolynomial, TraceValue,
                      ZeroRadiusUnsupported, sigma_closed, sigma_word,

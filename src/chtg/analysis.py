@@ -95,9 +95,9 @@ def _family_roots(big_r: float):
     return roots[0], roots[1]
 
 
-def family_membership(params_or_r) -> bool:
+def family_membership(r) -> bool:
     """Whether r1^2 + r2^2 + r3^2 = 1 + 2 r1 r2 r3 within 1e-10."""
-    r1, r2, r3 = params_or_r.r if hasattr(params_or_r, "r") else params_or_r
+    r1, r2, r3 = r
     return abs(r1 * r1 + r2 * r2 + r3 * r3 - 1.0 - 2.0 * r1 * r2 * r3) <= FAMILY_TOL
 
 
@@ -157,13 +157,12 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> 
     return 0.5 * (lo + hi)
 
 
-def sigma_lower_bound_check(params_or_r, alpha_samples: int = 100) -> bool:
+def sigma_lower_bound_check(r, alpha_samples: int = 100) -> bool:
     """sigma_k > -1 over an alpha sweep.
 
     The bound can fail only at 2 r_{k-1} r_{k+1} = r_k with cos(alpha) = 1;
     those sample points are skipped.
     """
-    r = params_or_r.r if hasattr(params_or_r, "r") else tuple(params_or_r)
     for alpha in np.linspace(0.0, TWO_PI, alpha_samples, endpoint=False):
         p = TriangleParams(*r, alpha=float(alpha))
         for k in (1, 2, 3):
@@ -194,11 +193,10 @@ def family_type(params: TriangleParams) -> str:
     return OUT_OF_CRITERION
 
 
-def family_c_a_printed(params_or_r) -> float:
+def family_c_a_printed(r) -> float:
     """The family shortcut for c_A: 1 - sin^2(phi1 + phi2) / (4R) in the angle
     case, 1 + sinh^2(l1 - l2) / (4R) in the ultra-parallel case (as printed;
     see family_c_a_report for the cross-check against the general formula)."""
-    r = params_or_r.r if hasattr(params_or_r, "r") else tuple(params_or_r)
     r1, r2, r3 = r
     big_r = r1 * r2 * r3
     if r1 <= 1.0 and r2 <= 1.0:
@@ -212,15 +210,14 @@ def family_c_a_printed(params_or_r) -> float:
     raise ValueError("family shortcut needs r1, r2 on the same side of 1")
 
 
-def family_c_a_report(params_or_r, tol: float = 1e-9) -> dict:
+def family_c_a_report(params: TriangleParams, tol: float = 1e-9) -> dict:
     """Compare the printed family shortcut for c_A with the general formula.
 
     Any mismatch is surfaced, not reconciled: the dict carries both values,
     a consistency flag, and (in the ultra-parallel case) the half-argument
     variant sinh^2((l1 - l2)/2) which does agree with the general formula.
     """
-    r = params_or_r.r if hasattr(params_or_r, "r") else tuple(params_or_r)
-    params = TriangleParams(*r)
+    r = params.r
     general = thresholds(params).c_a
     printed = family_c_a_printed(r)
     out = {"printed": printed, "general": general,
@@ -285,9 +282,6 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class ScanReport:
-    params: TriangleParams
-    max_len: int
-    skip_alternating: bool
     rows: tuple
 
     @property
@@ -347,4 +341,4 @@ def scan_elliptic(params: TriangleParams, max_len: int,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_block, blocks))
     rows = tuple(row for block in results for row in block)
-    return ScanReport(params, max_len, skip_alternating, rows)
+    return ScanReport(rows)

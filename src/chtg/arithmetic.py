@@ -27,9 +27,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# trace_polynomial and realize are unused here; the benchmark tracer
+# (bench/tracer.py) patches them under these names
 from .traces import (_gram_trace, trace_combinatorial,  # noqa: F401
-                     trace_mu_combinatorial, trace_polynomial)  # re-exported
-from .triangle import TWO_PI, ExistenceViolation, TriangleParams, realize
+                     trace_mu_combinatorial, trace_polynomial)
+from .triangle import (TWO_PI, ExistenceViolation, TriangleParams,  # noqa: F401
+                       realize)
 
 INTEGER_ENTRIES = (3, 4, 6, math.inf)
 
@@ -67,14 +70,13 @@ class GroupWithRotation:
     def signature(self):
         return self.params.p
 
-    def realize(self):
-        return realize(self.params)
-
 
 def group_with_rotation(p1, p2, p3, n) -> GroupWithRotation:
     """G(p1, p2, p3; n); raises ExistenceViolation if the tuned angle is
     out of range or violates the triangle existence bound.  n = inf is
     allowed and means the rotation degenerates to trace 3."""
+    if n != math.inf and not (float(n).is_integer() and n >= 1):
+        raise ValueError(f"rotation order n must be an integer >= 1 or inf, got {n}")
     base = TriangleParams.from_signature(p1, p2, p3)
     r1, r2, r3 = base.r
     if min(r1, r2, r3) <= 0.0:
@@ -242,8 +244,8 @@ def group_ring_check(group: GroupWithRotation, word, tol: float = 1e-7):
     if len(specials) > 1:
         raise ValueError("only one entry outside {3,4,6,inf} is supported")
     q = specials[0]
-    if q != int(q):
-        raise ValueError("the extra entry must be an integer")
+    if q != int(q) or q < 3:
+        raise ValueError(f"the extra entry must be an integer >= 3, got {q}")
     q = int(q)
     pairs = group_conjugate_traces(group, word, q)
     return basis_ring_check(pairs[0][0], q, tol, conjugate_pairs=pairs)
@@ -267,9 +269,6 @@ class MostowGroup:
     @property
     def mus(self):
         return (self.mu, self.mu, self.mu)
-
-    def realize(self):
-        return realize(self.params)
 
 
 def mostow_group(p: int, rho) -> MostowGroup:

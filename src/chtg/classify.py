@@ -12,10 +12,6 @@ BOUNDARY_NON_UNIPOTENT = "BoundaryNonUnipotent"
 INDETERMINATE = "Indeterminate"
 
 
-class NormalizationRequired(ValueError):
-    """classify needs the trace of a determinant-1 representative."""
-
-
 def discriminant(z) -> float:
     """rho(z) = |z|^4 - 8 Re(z^3) + 18 |z|^2 - 27.
 
@@ -39,7 +35,7 @@ class IsometryClass:
                 "tau": {"re": self.tau.real, "im": self.tau.imag}}
 
 
-def classify(tau, det_is_one: bool = True, tol: float = 1e-9) -> IsometryClass:
+def classify(tau, tol: float = 1e-9) -> IsometryClass:
     """Classify a determinant-1 isometry by its trace.
 
     Regular elliptic iff rho < 0 and hyperbolic iff rho > 0.  Inside the
@@ -47,8 +43,6 @@ def classify(tau, det_is_one: bool = True, tol: float = 1e-9) -> IsometryClass:
     element is a complex reflection (in a geodesic or a point) or
     ellipto-parabolic, which the trace alone cannot separate.
     """
-    if not det_is_one:
-        raise NormalizationRequired("rescale the matrix to determinant 1 first")
     tau = complex(tau)
     if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
         return IsometryClass(INDETERMINATE, math.nan, tau, tol)

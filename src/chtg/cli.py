@@ -110,8 +110,6 @@ class RunConfig:
     params: TriangleParams
     group: arithmetic.GroupWithRotation | None
     fmt: str
-    tol: float
-    jobs: int
 
 
 def _add_common(sub, csv=True):
@@ -134,9 +132,6 @@ def _add_common(sub, csv=True):
         out.add_argument("--csv", action="store_true")
     else:
         sub.set_defaults(csv=False)
-    sub.add_argument("--tol", type=float, default=None,
-                     help="classification tolerance (default 1e-9 or CHTG_TOL)")
-    sub.add_argument("--jobs", type=int, default=1)
     return sub
 
 
@@ -166,10 +161,13 @@ def _resolve(args, need_angle=True) -> RunConfig:
             raise UsageError("this command needs one of --alpha/--cos-alpha/--t/--n")
         params = base
     fmt = "json" if args.json else ("csv" if args.csv else "human")
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get("CHTG_TOL", "1e-9"))
-    return RunConfig(params, group, fmt, tol, args.jobs)
+    return RunConfig(params, group, fmt)
+
+
+def _tol(args) -> float:
+    if args.tol is not None:
+        return args.tol
+    return float(os.environ.get("CHTG_TOL", "1e-9"))
 
 
 def _emit(lines):
@@ -188,7 +186,7 @@ def cmd_trace(args) -> int:
     except traces.ZeroRadiusUnsupported:
         pass
     tau = results["oracle"]
-    cls = classify(tau, tol=cfg.tol)
+    cls = classify(tau, tol=_tol(args))
     deltas = {name: abs(v - tau) for name, v in results.items() if name != "oracle"}
     payload = {
         "word": words.word_to_str(word),
@@ -300,10 +298,11 @@ def cmd_invariants(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = _resolve(args)
+    tol = _tol(args)
     report = analysis.scan_elliptic(cfg.params, args.max_len,
                                     skip_alternating=not args.include_alternating,
-                                    tol=cfg.tol, jobs=cfg.jobs)
-    cert = analysis.non_discreteness_certificate(cfg.params, tol=cfg.tol)
+                                    tol=tol, jobs=args.jobs)
+    cert = analysis.non_discreteness_certificate(cfg.params, tol=tol)
     if cfg.fmt == "json":
         payload = {"params": cfg.params.to_json_dict(), "max_len": args.max_len,
                    "rows": [r.to_json_dict() for r in report.rows],
@@ -384,9 +383,15 @@ def build_parser() -> _Parser:
     p_scan = _add_common(subs.add_parser("scan",
                                          help="classify all short words"))
     p_scan.add_argument("--max-len", type=int, default=6)
+    p_scan.add_argument("--jobs", type=int, default=1,
+                        help="worker processes, capped at --max-len and the CPU count")
     p_scan.add_argument("--include-alternating", action="store_true",
                         help="also flag two-letter alternation powers")
     p_scan.set_defaults(func=cmd_scan)
+
+    for sub in (p_trace, p_scan):  # the two commands that classify
+        sub.add_argument("--tol", type=float, default=None,
+                         help="classification tolerance (default 1e-9 or CHTG_TOL)")
 
     p_ring = _add_common(subs.add_parser("ring-check",
                                          help="integrality of trace data"))

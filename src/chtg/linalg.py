@@ -29,16 +29,6 @@ def herm(z, w) -> complex:
     return complex(z[0] * np.conj(w[0]) + z[1] * np.conj(w[1]) - z[2] * np.conj(w[2]))
 
 
-def vector_type(z, tol: float = 1e-10) -> str:
-    """'negative', 'null' or 'positive' by the sign of <z, z>."""
-    s = herm(z, z).real
-    if s < -tol:
-        return "negative"
-    if s > tol:
-        return "positive"
-    return "null"
-
-
 def boxtimes(z, w) -> np.ndarray:
     """Hermitian cross product z boxtimes w, perpendicular to both factors.
 

@@ -164,16 +164,6 @@ def trace_mu_combinatorial(word, params, mus) -> TraceValue:
                       "mu-combinatorial")
 
 
-def trace_mu_polynomial(word, params, mus) -> dict:
-    """Fourier coefficients q_w of the mu-expansion, as complex numbers."""
-    r1, r2, r3 = params.r
-    factors = tuple(complex(mu) - 1.0 for mu in mus)
-    q: dict = {}
-    for w, (u1, u2, u3), c in _fourier_terms(word, factors):
-        q[w] = q.get(w, 0.0 + 0j) + c * r1 ** u1 * r2 ** u2 * r3 ** u3
-    return q
-
-
 def _monomial_sort_key(mono):
     return (-(mono[0] + mono[1] + mono[2]), tuple(-e for e in mono))
 
@@ -200,22 +190,6 @@ def poly_to_str(poly: dict) -> str:
         else:
             parts.append(("+ " if coeff > 0 else "- ") + term)
     return " ".join(parts) if parts else "0"
-
-
-def poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2])
-            out[m] = out.get(m, 0) + ca * cb
-    return {m: c for m, c in out.items() if c != 0}
-
-
-def poly_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for m, c in b.items():
-        out[m] = out.get(m, 0) - c
-    return {m: c for m, c in out.items() if c != 0}
 
 
 @dataclass(frozen=True)

@@ -88,9 +88,12 @@ class TriangleParams:
 
     def __post_init__(self):
         for r in (self.r1, self.r2, self.r3):
-            if r < 0:
-                raise TriangleError("side invariants r_k must be nonnegative")
+            if not 0.0 <= r < math.inf:
+                raise TriangleError(
+                    f"side invariants r_k must be finite and nonnegative, got {r}")
         if self.alpha is not None:
+            if not math.isfinite(self.alpha):
+                raise TriangleError(f"alpha must be finite, got {self.alpha}")
             object.__setattr__(self, "alpha", float(self.alpha) % TWO_PI)
 
     @classmethod
@@ -109,7 +112,10 @@ class TriangleParams:
         ls = (l1, l2, l3)
         if any(l <= 0 for l in ls):
             raise TriangleError("side distances must be positive")
-        r = tuple(math.cosh(l / 2.0) for l in ls)
+        try:
+            r = tuple(math.cosh(l / 2.0) for l in ls)
+        except OverflowError:
+            raise TriangleError(f"cosh overflows at side distances {ls}") from None
         return cls(*r, alpha=alpha, ell=ls)
 
     @property
@@ -159,9 +165,8 @@ class TriangleParams:
         """Set alpha = 2 * atan2(1, t), i.e. t = cot(alpha / 2)."""
         return replace(self, alpha=alpha_of_t(t))
 
-    def with_cos_alpha(self, c, negative_t: bool = False):
-        a = math.acos(c)
-        return replace(self, alpha=(TWO_PI - a) if negative_t else a)
+    def with_cos_alpha(self, c):
+        return replace(self, alpha=math.acos(c))
 
     def to_json_dict(self) -> dict:
         out = {"r1": self.r1, "r2": self.r2, "r3": self.r3}

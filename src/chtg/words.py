@@ -139,31 +139,6 @@ def reduce_straighten(word):
     return canonical(w), steps
 
 
-def drop_last(word):
-    if len(word) < 1:
-        raise WordError("cannot drop from the empty word")
-    return word[:-1]
-
-
-def drop_second_last(word):
-    if len(word) < 2:
-        raise WordError("word too short")
-    return word[:-2] + word[-1:]
-
-
-def drop_third_last(word):
-    if len(word) < 3:
-        raise WordError("word too short")
-    return word[:-3] + word[-2:]
-
-
-def delete(word):
-    """The three deletion operators (drop last, second-last, third-last)."""
-    if len(word) < 3:
-        raise WordError("deletion operators need length >= 3")
-    return drop_last(word), drop_second_last(word), drop_third_last(word)
-
-
 def _necklaces(n: int, reduced: bool):
     """Length-n necklaces over {1,2,3} (lex-minimal rotations), in lex order.
 

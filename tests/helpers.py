@@ -1,9 +1,10 @@
-"""Shared draw helpers for the test suite."""
+"""Shared draw helpers and reference polynomial arithmetic for the tests."""
 
 import math
 
 import numpy as np
 
+from chtg.traces import _fourier_terms
 from chtg.triangle import TriangleParams
 
 
@@ -26,3 +27,30 @@ def draw_params(rng, lo=0.55, hi=1.1, margin=0.03, cos_floor=-0.98):
 def draw_word(rng, max_len, min_len=0):
     n = int(rng.integers(min_len, max_len + 1))
     return tuple(int(x) for x in rng.integers(1, 4, n))
+
+
+def poly_mul(a: dict, b: dict) -> dict:
+    """Product of polynomials {(j1, j2, j3): coefficient} in X1, X2, X3."""
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2])
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def poly_sub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) - c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def trace_mu_polynomial(word, params, mus) -> dict:
+    """Fourier coefficients q_w of the mu-expansion, as complex numbers."""
+    r1, r2, r3 = params.r
+    factors = tuple(complex(mu) - 1.0 for mu in mus)
+    q: dict = {}
+    for w, (u1, u2, u3), c in _fourier_terms(word, factors):
+        q[w] = q.get(w, 0.0 + 0j) + c * r1 ** u1 * r2 ** u2 * r3 ** u3
+    return q

@@ -1,12 +1,10 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from chtg.classify import (BOUNDARY_NON_UNIPOTENT, HYPERBOLIC, INDETERMINATE,
-                           REGULAR_ELLIPTIC, UNIPOTENT, NormalizationRequired,
-                           classify, discriminant)
+                           REGULAR_ELLIPTIC, UNIPOTENT, classify, discriminant)
 from chtg.linalg import random_u21
 from chtg.traces import trace_oracle
 from chtg.triangle import realize
@@ -44,11 +42,6 @@ def test_classify_real_interval_rule(rng):
             assert verdict == REGULAR_ELLIPTIC
         else:
             assert verdict == HYPERBOLIC
-
-
-def test_classify_requires_unit_determinant():
-    with pytest.raises(NormalizationRequired):
-        classify(1.0, det_is_one=False)
 
 
 def test_classify_indeterminate():

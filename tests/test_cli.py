@@ -255,6 +255,56 @@ def test_scan_jobs_flag(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("command", ["thresholds", "family", "invariants",
+                                     "ring-check"])
+@pytest.mark.parametrize("flag", [("--jobs", "2"), ("--tol", "1e-3")],
+                         ids=["jobs", "tol"])
+def test_flags_rejected_where_unused(capsys, command, flag):
+    # only scan runs worker processes, and only trace and scan classify
+    code, out, err = run(capsys, command, "--p", "4", "4", "inf",
+                         "--n", "5", *flag)
+    assert code == 64
+    assert out == ""
+    assert flag[0] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("trace", "--word", "12", "--p", "4", "4", "inf", "--n", "0"),
+    ("thresholds", "--p", "4", "4", "inf", "--n", "0"),
+    ("family", "--p", "4", "4", "inf", "--n", "0"),
+    ("invariants", "--p", "4", "4", "inf", "--n", "0"),
+    ("scan", "--p", "4", "4", "inf", "--n", "0", "--max-len", "3"),
+    ("ring-check", "--p", "4", "4", "inf", "--n", "0", "--max-len", "3"),
+    ("ring-check", "--p", "4", "4", "inf", "--n", "-5", "--max-len", "3"),
+    # n = 1 is a valid rotation order, but q = 1 has no Galois conjugates
+    ("ring-check", "--p", "4", "4", "inf", "--n", "1", "--max-len", "3"),
+], ids=["trace-n0", "thresholds-n0", "family-n0", "invariants-n0", "scan-n0",
+        "ring-check-n0", "ring-check-n-5", "ring-check-n1"])
+def test_invalid_rotation_order_is_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 65
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("domain error")
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--p", "4", "5", "6", "--t", "nan", "--max-len", "3"),
+    ("trace", "--word", "12", "--r", "nan", "1", "1", "--alpha", "1"),
+    ("trace", "--word", "12", "--r", "inf", "1", "1", "--alpha", "1"),
+    ("trace", "--word", "12", "--p", "4", "5", "6", "--alpha", "inf"),
+    ("trace", "--word", "12", "--p", "4", "5", "6", "--alpha", "nan"),
+    ("trace", "--word", "12", "--p", "4", "5", "6", "--cos-alpha", "nan"),
+    ("invariants", "--lengths", "1", "1", "1500", "--alpha", "1"),
+    ("thresholds", "--lengths", "1", "nan", "1"),
+], ids=["t-nan", "r-nan", "r-inf", "alpha-inf", "alpha-nan", "cos-alpha-nan",
+        "lengths-overflow", "lengths-nan"])
+def test_non_finite_parameters_are_domain_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 65
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("domain error")
+
+
 def test_subprocess_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "chtg", "trace", "--word", "1212",

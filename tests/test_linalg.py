@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import chtg
 from chtg.linalg import (J, ProjPoint, boxtimes, herm, in_u21, random_u21,
-                         rank_one, vec, vector_type)
+                         rank_one, vec)
 
 coord = st.floats(-2.0, 2.0, allow_nan=False)
 cpx = st.builds(complex, coord, coord)
@@ -79,7 +79,6 @@ def test_intersecting_polars_give_negative_vertex(rng):
             continue
         v = boxtimes(c1, c2)
         assert herm(v, v).real < 0
-        assert vector_type(v) == "negative"
 
 
 def test_rank_one_action_and_trace(rng):
@@ -132,12 +131,6 @@ def test_import_loads_no_scipy():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-
-
-def test_vector_type():
-    assert vector_type(vec(1, 0, 0)) == "positive"
-    assert vector_type(vec(0, 0, 1)) == "negative"
-    assert vector_type(vec(1, 0, 1)) == "null"
 
 
 def test_projpoint_normalisation():

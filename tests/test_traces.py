@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from chtg.traces import (EXACT_CAP, CapExceeded, ZeroRadiusUnsupported,
-                         poly_mul, poly_sub, poly_to_str, sigma_closed,
-                         sigma_word, tau_123_closed, tau_2321_closed,
-                         trace_combinatorial, trace_mu, trace_mu_combinatorial,
-                         trace_mu_polynomial, trace_oracle, trace_polynomial,
+                         poly_to_str, sigma_closed, sigma_word, tau_123_closed,
+                         tau_2321_closed, trace_combinatorial, trace_mu,
+                         trace_mu_combinatorial, trace_oracle, trace_polynomial,
                          trace_recursive)
 from chtg.triangle import TriangleParams, realize
 from chtg.words import (canonical, n_count, power_word, reduce_straighten,
                         rotate, u_count, winding)
 
-from helpers import draw_params, draw_word
+from helpers import (draw_params, draw_word, poly_mul, poly_sub,
+                     trace_mu_polynomial)
 
 
 def test_oracle_base_cases(rng):

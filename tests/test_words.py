@@ -3,10 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from chtg.words import (WordError, canonical, chi, delete, drop_second_last,
-                        enumerate_words, inverse, is_cyclically_reduced,
-                        n_count, parse_word, power_word, psi, reduce_straighten,
-                        rotate, u_count, v_count, winding, word_to_str)
+from chtg.traces import _cancel_adjacent, _deletion_terms
+from chtg.words import (WordError, canonical, chi, enumerate_words, inverse,
+                        is_cyclically_reduced, n_count, parse_word, power_word,
+                        psi, reduce_straighten, rotate, u_count, v_count,
+                        winding, word_to_str)
 
 letter = st.integers(1, 3)
 word_st = st.lists(letter, max_size=18).map(tuple)
@@ -127,17 +128,29 @@ def test_reduce_reaches_winding_power(w):
 
 
 def test_delete_examples():
-    d, dp, dpp = delete((1, 2, 3))
-    assert (d, dp, dpp) == ((1, 2), (1, 3), (2, 3))
-    with pytest.raises(WordError):
-        delete((1, 2))
+    # 123 expands into the seven words left by deleting a nonempty subset
+    # of its last three letters
+    assert _deletion_terms((1, 2, 3)) == ((1, 2), (2, 3), (2,), (1, 3), (1,),
+                                          (3,), ())
+    # deleting the third-last letter of 1213 leaves 113, which cancels to 3
+    assert _deletion_terms((1, 2, 1, 3))[1] == (3,)
 
 
-@given(st.lists(letter, min_size=4, max_size=14).map(tuple))
-def test_deletion_commutation(w):
-    # dropping the (new) second-last twice equals third-last then second-last
-    _, dp, dpp = delete(w)
-    assert drop_second_last(dp) == drop_second_last(dpp)
+def test_deletion_terms_match_cancelled_deletions():
+    # every linearly reduced word of length 3-10: _join cancels across the
+    # junction exactly what _cancel_adjacent cancels in the joined word
+    count = 0
+    for n in range(3, 11):
+        level = [(1,), (2,), (3,)]
+        for _ in range(n - 1):
+            level = [w + (a,) for w in level for a in (1, 2, 3) if a != w[-1]]
+        for a in level:
+            want = tuple(_cancel_adjacent(x) for x in (
+                a[:-1], a[:-3] + a[-2:], a[:-3] + a[-2:-1], a[:-2] + a[-1:],
+                a[:-2], a[:-3] + a[-1:], a[:-3]))
+            assert _deletion_terms(a) == want, a
+            count += 1
+    assert count == 3060
 
 
 def test_delete_to_empty():
