@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import REGULAR_ELLIPTIC, classify, discriminant
-from .traces import sigma_closed, tau_123_closed, trace_oracle
+from .traces import oracle_traces, sigma_closed, tau_123_closed, trace_oracle
 from .triangle import TWO_PI, TriangleParams, alpha_of_t, realize, t_of_alpha
 from .words import enumerate_words, word_to_str
 
@@ -309,8 +309,8 @@ def _scan_block(args):
     rz = realize(params)
     rows = []
     for n in lengths:
-        for w in enumerate_words(n, cyclically_reduced=True, min_len=n):
-            tau = trace_oracle(w, rz).value
+        ws = list(enumerate_words(n, cyclically_reduced=True, min_len=n))
+        for w, tau in zip(ws, oracle_traces(ws, rz)):
             cls = classify(tau, tol=tol)
             filtered = False
             if skip_alternating:
@@ -330,6 +330,8 @@ def scan_elliptic(params: TriangleParams, max_len: int,
     parallel runs partition the lengths across at most ``jobs`` processes,
     and never more than there are lengths or CPUs.
     """
+    if max_len < 1:
+        raise ValueError("scan needs max_len >= 1")
     if max_len > 24:
         raise ValueError("scan capped at words of length 24")
     blocks = [(params, [n], skip_alternating, tol) for n in range(1, max_len + 1)]

@@ -165,9 +165,18 @@ def _resolve(args, need_angle=True) -> RunConfig:
 
 
 def _tol(args) -> float:
+    """--tol, else CHTG_TOL, else 1e-9; a finite value >= 0."""
     if args.tol is not None:
-        return args.tol
-    return float(os.environ.get("CHTG_TOL", "1e-9"))
+        raw, source = args.tol, "--tol"
+    else:
+        raw, source = os.environ.get("CHTG_TOL", "1e-9"), "CHTG_TOL"
+    try:
+        tol = float(raw)
+    except ValueError:
+        raise UsageError(f"bad {source} {raw!r}") from None
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"{source} must be finite and >= 0, got {raw!r}")
+    return tol
 
 
 def _emit(lines):
@@ -175,6 +184,7 @@ def _emit(lines):
 
 
 def cmd_trace(args) -> int:
+    tol = _tol(args)
     cfg = _resolve(args)
     word = words.parse_word(args.word)
     params = cfg.params
@@ -186,7 +196,7 @@ def cmd_trace(args) -> int:
     except traces.ZeroRadiusUnsupported:
         pass
     tau = results["oracle"]
-    cls = classify(tau, tol=_tol(args))
+    cls = classify(tau, tol=tol)
     deltas = {name: abs(v - tau) for name, v in results.items() if name != "oracle"}
     payload = {
         "word": words.word_to_str(word),
@@ -297,8 +307,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    cfg = _resolve(args)
     tol = _tol(args)
+    cfg = _resolve(args)
     report = analysis.scan_elliptic(cfg.params, args.max_len,
                                     skip_alternating=not args.include_alternating,
                                     tol=tol, jobs=args.jobs)
@@ -390,7 +400,7 @@ def build_parser() -> _Parser:
     p_scan.set_defaults(func=cmd_scan)
 
     for sub in (p_trace, p_scan):  # the two commands that classify
-        sub.add_argument("--tol", type=float, default=None,
+        sub.add_argument("--tol", default=None,
                          help="classification tolerance (default 1e-9 or CHTG_TOL)")
 
     p_ring = _add_common(subs.add_parser("ring-check",

@@ -317,7 +317,8 @@ def realize(params: TriangleParams) -> TriangleRealization:
     labels so that slot 0 carries the radius farthest from 1; when every
     radius equals 1 the asymptotic chart is used instead.  Radii within
     (1e-12, 1e-7) of 1 on every slot leave no well-conditioned chart and
-    raise DegenerateNormalization.
+    raise DegenerateNormalization.  Radii so large that the polar vectors or
+    reflections overflow raise TriangleError.
     """
     params._need_alpha()
     if params.existence_margin() <= 0.0:
@@ -338,7 +339,13 @@ def realize(params: TriangleParams) -> TriangleRealization:
         chart = _chart_generic if rot[0] < 1.0 else _chart_ultra
         d = chart(rot, alpha)
     cs = [d[(i - s) % 3] for i in range(3)]
-    return TriangleRealization.from_polar_vectors(*cs, params=params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rz = TriangleRealization.from_polar_vectors(*cs, params=params)
+        finite = all(np.isfinite(m).all() for m in (*rz.c, *rz.iotas))
+    if not finite:
+        raise TriangleError("the realization overflows: polar vectors or "
+                            "reflections are not finite")
+    return rz
 
 
 def realize_pinfty(p1, p2, alpha) -> TriangleRealization:

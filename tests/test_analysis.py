@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from chtg import traces
 from chtg.analysis import (OUT_OF_CRITERION, TYPE_B, TYPE_B_PRODUCT_BOUND,
-                           Certificate, NotInFamily, alpha_of_t, bisect,
+                           Certificate, NotInFamily, _alternation_index,
+                           alpha_of_t, bisect,
                            cos_of_t, family_c_a_printed, family_c_a_report,
                            family_membership, family_quartic, family_type,
                            non_discreteness_certificate, rho_123_weighted,
                            scan_elliptic, sigma_lower_bound_check, t_of_alpha,
                            t_of_cos, thresholds)
-from chtg.classify import HYPERBOLIC, REGULAR_ELLIPTIC
-from chtg.traces import sigma_closed
-from chtg.triangle import TriangleParams
+from chtg.classify import HYPERBOLIC, REGULAR_ELLIPTIC, classify
+from chtg.traces import oracle_traces, sigma_closed, trace_oracle
+from chtg.triangle import TriangleParams, realize
+from chtg.words import enumerate_words
 
-from helpers import draw_params
+from helpers import draw_params, draw_word
 
 
 def test_t_alpha_conversions():
@@ -267,3 +270,59 @@ def test_scan_jobs_capped(monkeypatch):
 def test_scan_length_cap():
     with pytest.raises(ValueError):
         scan_elliptic(TriangleParams(1, 1, 1, alpha=2.0), 25)
+
+
+_SCAN_CASES = {
+    "456": TriangleParams.from_signature(4, 5, 6).with_t(1.0),
+    "ultra": TriangleParams.from_lengths(2.0, 2.5, 3.0).with_t(1.5),
+    "ideal": TriangleParams(1, 1, 1).with_cos_alpha(61 / 64),
+    "44inf": TriangleParams.from_signature(4, 4, math.inf).with_t(1.9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_CASES))
+def test_scan_rows_equal_per_word_oracle(name):
+    # the stacked products give trace_oracle's values bit for bit, and each
+    # row carries classify's verdict and the alternation filter
+    p = _SCAN_CASES[name]
+    tol = 1e-9
+    rz = realize(p)
+    rows = scan_elliptic(p, 12, tol=tol).rows
+    assert [r.word for r in rows] == list(
+        enumerate_words(12, cyclically_reduced=True))
+    for row in rows:
+        assert row.tau == trace_oracle(row.word, rz).value
+        cls = classify(row.tau, tol=tol)
+        assert (row.rho, row.verdict) == (cls.rho, cls.verdict)
+        k = _alternation_index(row.word)
+        assert row.filtered == (k is not None and p.r[k - 1] < 1.0 - 1e-12)
+    if name == "44inf":
+        assert any(r.filtered for r in rows)
+        assert {r.word for r in scan_elliptic(p, 12, skip_alternating=False,
+                                              tol=tol).hits} \
+            > {r.word for r in scan_elliptic(p, 12, tol=tol).hits}
+
+
+def test_scan_rows_independent_of_chunk_size(monkeypatch):
+    p = _SCAN_CASES["456"]
+    rows = scan_elliptic(p, 10).rows
+    monkeypatch.setattr(traces, "ORACLE_CHUNK", 7)
+    assert scan_elliptic(p, 10).rows == rows
+
+
+def test_oracle_traces_match_trace_oracle(rng):
+    for name, p in sorted(_SCAN_CASES.items()):
+        rz = realize(p)
+        for n in range(0, 61):
+            w = draw_word(rng, n, min_len=n)
+            assert oracle_traces([w], rz)[0] == trace_oracle(w, rz).value
+        same_len = [draw_word(rng, 9, min_len=9) for _ in range(20)]
+        assert oracle_traces(same_len, rz) == [trace_oracle(w, rz).value
+                                               for w in same_len]
+    assert oracle_traces([], rz) == []
+
+
+@pytest.mark.parametrize("max_len", [0, -3])
+def test_scan_needs_positive_length(max_len):
+    with pytest.raises(ValueError):
+        scan_elliptic(TriangleParams(1, 1, 1, alpha=2.0), max_len)

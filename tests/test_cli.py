@@ -296,9 +296,53 @@ def test_invalid_rotation_order_is_domain_error(capsys, argv):
     ("trace", "--word", "12", "--p", "4", "5", "6", "--cos-alpha", "nan"),
     ("invariants", "--lengths", "1", "1", "1500", "--alpha", "1"),
     ("thresholds", "--lengths", "1", "nan", "1"),
+    # finite radii whose realization overflows
+    ("trace", "--word", "12", "--r", "1e200", "1", "1", "--alpha", "1"),
+    ("trace", "--word", "12", "--lengths", "1", "1", "1400", "--alpha", "1"),
 ], ids=["t-nan", "r-nan", "r-inf", "alpha-inf", "alpha-nan", "cos-alpha-nan",
-        "lengths-overflow", "lengths-nan"])
+        "lengths-overflow", "lengths-nan", "r-realization-overflow",
+        "lengths-realization-overflow"])
 def test_non_finite_parameters_are_domain_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 65
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("domain error")
+
+
+_SCAN3 = ("scan", "--p", "4", "5", "6", "--t", "1", "--max-len", "3", "--csv")
+_TRACE12 = ("trace", "--word", "12", "--p", "4", "5", "6", "--t", "1")
+
+
+@pytest.mark.parametrize("argv, env", [
+    ((*_SCAN3, "--tol", "-5"), None),
+    ((*_SCAN3, "--tol", "nan"), None),
+    ((*_SCAN3, "--tol", "inf"), None),
+    ((*_SCAN3, "--tol", "abc"), None),
+    (_SCAN3, "nan"),
+    (_TRACE12, "abc"),
+    (_TRACE12, "-1e-9"),
+], ids=["tol-negative", "tol-nan", "tol-inf", "tol-text", "env-nan",
+        "env-text", "env-negative"])
+def test_invalid_tolerance_is_usage_error(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("CHTG_TOL", env)
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error")
+
+
+def test_zero_tolerance_accepted(capsys):
+    code, out, _ = run(capsys, *_SCAN3, "--tol", "0")
+    assert code in (0, 2) and out.startswith("word,")
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--p", "4", "5", "6", "--t", "1", "--max-len", "0"),
+    ("scan", "--p", "4", "5", "6", "--t", "1", "--max-len", "-3"),
+    ("ring-check", "--p", "4", "4", "inf", "--n", "5", "--max-len", "0"),
+], ids=["scan-len0", "scan-len-3", "ring-check-len0"])
+def test_max_len_below_one_is_domain_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 65
     assert out == ""

@@ -86,6 +86,17 @@ def test_existence_boundary():
     realize(ok).verify(1e-10)
 
 
+@pytest.mark.parametrize("params", [
+    TriangleParams(1e200, 1.0, 1.0, alpha=1.0),
+    TriangleParams.from_lengths(1.0, 1.0, 1400.0).with_alpha(1.0),
+], ids=["r-1e200", "length-1400"])
+def test_overflowing_realization_raises(params):
+    # the existence margin is +inf, so only the finiteness check stops these
+    assert params.existence_margin() == math.inf
+    with pytest.raises(TriangleError, match="overflows"):
+        realize(params)
+
+
 def test_ideal_goldman_parker_parameter():
     p = TriangleParams(1, 1, 1, alpha=math.acos(61 / 64))
     realize(p).verify(1e-10)
