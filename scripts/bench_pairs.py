@@ -1,17 +1,16 @@
 """Paired before/after runs of the benchmark, written to one BENCH_*.json.
 
-    python3 scripts/bench_pairs.py --base ../parent --head . \
-        --base-label 3313f3f --head-label HEAD --out BENCH_x.json \
-        --workloads scan ring sweep --pairs 10 --seconds 40
+    python3 scripts/bench_pairs.py --base ../parent --head . --out BENCH_x.json
 
-``--base`` and ``--head`` are two checkouts of the repository.  For each
-workload, pair i runs ``bench/run.py --workload W --seed i+1 --seconds S
---trace 0`` once in each checkout, one after the other; the side that goes
-first alternates from pair to pair, so slow drift of the machine hits both
-sides alike.  The file records every run's end-to-end metrics and CLI stdout
-sha256, and per metric each side's median and quartiles, the median ratio
-head / base, and in how many pairs the head was better.  Standard library
-only.
+``--base`` and ``--head`` are two git checkouts of the repository; each is
+labelled by its ``git rev-parse --short HEAD``.  For each of the ``scan``,
+``ring`` and ``sweep`` workloads, pair i (i = 1..10) runs ``bench/run.py
+--workload W --seed i --seconds 40 --trace 0`` once in each checkout, one
+after the other; the side that goes first alternates from pair to pair, so
+slow drift of the machine hits both sides alike.  The file records every
+run's end-to-end metrics and CLI stdout sha256, and per metric each side's
+median and quartiles, the median ratio head / base, and in how many pairs
+the head was better.  Standard library only.
 """
 
 from __future__ import annotations
@@ -26,11 +25,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+WORKLOADS = ("scan", "ring", "sweep")
+PAIRS = 10
+SECONDS = 40
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1])
@@ -54,30 +57,28 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True)
     parser.add_argument("--head", type=Path, required=True)
-    parser.add_argument("--base-label", default="base")
-    parser.add_argument("--head-label", default="head")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads", nargs="+", default=["scan", "ring", "sweep"])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=40)
     args = parser.parse_args(argv)
     spec = json.loads((args.head / "BENCHMARK.json").read_text())
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
     sides = {"base": args.base.resolve(), "head": args.head.resolve()}
     report = {
-        "command": f"bench/run.py --workload W --seed i+1 --seconds "
-                   f"{args.seconds} --trace 0, {args.pairs} alternating pairs",
-        "labels": {"base": args.base_label, "head": args.head_label},
+        "command": f"bench/run.py --workload W --seed i --seconds {SECONDS} "
+                   f"--trace 0, {PAIRS} alternating pairs",
+        "labels": {s: subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], cwd=path,
+            capture_output=True, text=True, check=True).stdout.strip()
+            for s, path in sides.items()},
         "machine": {"platform": platform.platform(), "nproc": os.cpu_count()},
         "workloads": {},
     }
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         pairs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             pair = {"seed": i + 1, "first": order[0]}
             for side in order:
-                pair[side] = run_once(sides[side], workload, i + 1, args.seconds)
+                pair[side] = run_once(sides[side], workload, i + 1)
                 m = pair[side]["metrics"]
                 print(f"{workload} pair {i + 1} {side}: "
                       + ", ".join(f"{k}={v:.6g}" for k, v in m.items()),
