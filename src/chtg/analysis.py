@@ -16,8 +16,8 @@ R = r1 r2 r3.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -107,8 +107,12 @@ def thresholds(params: TriangleParams) -> Thresholds:
     if min(r1, r2, r3) <= 0.0:
         raise ValueError("thresholds need r_k > 0")
     big_r = r1 * r2 * r3
+    if big_r == 0.0:
+        raise ValueError("the radius product underflows")
     c_inf = (r1 * r1 + r2 * r2 + r3 * r3 - 1.0) / (2.0 * big_r)
     c_a = (4.0 * r1 * r1 * r2 * r2 + r3 * r3 - 1.0) / (4.0 * big_r)
+    if math.isnan(c_inf) or math.isnan(c_a):
+        raise ValueError("the threshold formulas overflow for these radii")
     member = family_membership(params.r)
     f_b = t_bm = t_bp = None
     if member:
@@ -304,12 +308,22 @@ def _alternation_index(word):
     return 6 - a - b
 
 
-def _scan_block(args):
-    params, lengths, skip_alternating, tol = args
+def scan_elliptic(params: TriangleParams, max_len: int,
+                  skip_alternating: bool = True, tol: float = 1e-9) -> ScanReport:
+    """Classify every cyclic class up to max_len; flag regular elliptic hits.
+
+    Rows come in enumeration order: by length, then lexicographic.  The
+    oracle traces of each length come from one ``oracle_traces`` call.
+    """
+    if max_len < 1:
+        raise ValueError("scan needs max_len >= 1")
+    if max_len > 24:
+        raise ValueError("scan capped at words of length 24")
     rz = realize(params)
     rows = []
-    for n in lengths:
-        ws = list(enumerate_words(n, cyclically_reduced=True, min_len=n))
+    for _, group in groupby(enumerate_words(max_len, cyclically_reduced=True),
+                            key=len):
+        ws = list(group)
         for w, tau in zip(ws, oracle_traces(ws, rz)):
             cls = classify(tau, tol=tol)
             filtered = False
@@ -318,29 +332,4 @@ def _scan_block(args):
                 # alternation powers are rotations of finite angle when r_k < 1
                 filtered = k is not None and params.r[k - 1] < 1.0 - 1e-12
             rows.append(ScanRow(w, tau, cls.rho, cls.verdict, filtered))
-    return rows
-
-
-def scan_elliptic(params: TriangleParams, max_len: int,
-                  skip_alternating: bool = True, tol: float = 1e-9,
-                  jobs: int = 1) -> ScanReport:
-    """Classify every cyclic class up to max_len; flag regular elliptic hits.
-
-    Deterministic order (length, then lexicographic) regardless of ``jobs``;
-    parallel runs partition the lengths across at most ``jobs`` processes,
-    and never more than there are lengths or CPUs.
-    """
-    if max_len < 1:
-        raise ValueError("scan needs max_len >= 1")
-    if max_len > 24:
-        raise ValueError("scan capped at words of length 24")
-    blocks = [(params, [n], skip_alternating, tol) for n in range(1, max_len + 1)]
-    workers = min(jobs, len(blocks), os.cpu_count() or 1)
-    if workers <= 1:
-        results = [_scan_block(b) for b in blocks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_block, blocks))
-    rows = tuple(row for block in results for row in block)
-    return ScanReport(rows)
+    return ScanReport(tuple(rows))

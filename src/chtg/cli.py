@@ -164,19 +164,22 @@ def _resolve(args, need_angle=True) -> RunConfig:
     return RunConfig(params, group, fmt)
 
 
-def _tol(args) -> float:
-    """--tol, else CHTG_TOL, else 1e-9; a finite value >= 0."""
-    if args.tol is not None:
-        raw, source = args.tol, "--tol"
-    else:
-        raw, source = os.environ.get("CHTG_TOL", "1e-9"), "CHTG_TOL"
+def _nonneg_float(raw: str, source: str) -> float:
+    """raw as a finite float >= 0; anything else is a usage error."""
     try:
-        tol = float(raw)
+        x = float(raw)
     except ValueError:
         raise UsageError(f"bad {source} {raw!r}") from None
-    if not (math.isfinite(tol) and tol >= 0.0):
+    if not (math.isfinite(x) and x >= 0.0):
         raise UsageError(f"{source} must be finite and >= 0, got {raw!r}")
-    return tol
+    return x
+
+
+def _tol(args) -> float:
+    """--tol, else CHTG_TOL, else 1e-9."""
+    if args.tol is not None:
+        return _nonneg_float(args.tol, "--tol")
+    return _nonneg_float(os.environ.get("CHTG_TOL", "1e-9"), "CHTG_TOL")
 
 
 def _emit(lines):
@@ -311,7 +314,7 @@ def cmd_scan(args) -> int:
     cfg = _resolve(args)
     report = analysis.scan_elliptic(cfg.params, args.max_len,
                                     skip_alternating=not args.include_alternating,
-                                    tol=tol, jobs=args.jobs)
+                                    tol=tol)
     cert = analysis.non_discreteness_certificate(cfg.params, tol=tol)
     if cfg.fmt == "json":
         payload = {"params": cfg.params.to_json_dict(), "max_len": args.max_len,
@@ -344,9 +347,10 @@ def cmd_scan(args) -> int:
 def cmd_ring_check(args) -> int:
     if args.p is None or args.n is None:
         raise UsageError("ring-check needs --p and --n")
+    ring_tol = _nonneg_float(args.ring_tol, "--ring-tol")
     cfg = _resolve(args)
     group = cfg.group
-    rows = [(w, arithmetic.group_ring_check(group, w, tol=args.ring_tol))
+    rows = [(w, arithmetic.group_ring_check(group, w, tol=ring_tol))
             for w in words.enumerate_words(args.max_len, cyclically_reduced=True)]
     any_fail = not all(v.ok for _, v in rows)
     if cfg.fmt == "json":
@@ -393,8 +397,6 @@ def build_parser() -> _Parser:
     p_scan = _add_common(subs.add_parser("scan",
                                          help="classify all short words"))
     p_scan.add_argument("--max-len", type=int, default=6)
-    p_scan.add_argument("--jobs", type=int, default=1,
-                        help="worker processes, capped at --max-len and the CPU count")
     p_scan.add_argument("--include-alternating", action="store_true",
                         help="also flag two-letter alternation powers")
     p_scan.set_defaults(func=cmd_scan)
@@ -406,7 +408,8 @@ def build_parser() -> _Parser:
     p_ring = _add_common(subs.add_parser("ring-check",
                                          help="integrality of trace data"))
     p_ring.add_argument("--max-len", type=int, default=6)
-    p_ring.add_argument("--ring-tol", type=float, default=1e-7)
+    p_ring.add_argument("--ring-tol", default="1e-7",
+                        help="integrality tolerance, a finite number >= 0")
     p_ring.set_defaults(func=cmd_ring_check)
     return parser
 

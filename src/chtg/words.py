@@ -179,8 +179,7 @@ def is_cyclically_reduced(word) -> bool:
     return all(word[m] != word[(m + 1) % n] for m in range(n))
 
 
-def enumerate_words(max_len: int, cyclically_reduced: bool = False,
-                    min_len: int = 1):
+def enumerate_words(max_len: int, cyclically_reduced: bool = False):
     """One representative per cyclic class, deduplicated against inverses.
 
     Deterministic order: by length, then lexicographic.  A canonical word w
@@ -188,7 +187,7 @@ def enumerate_words(max_len: int, cyclically_reduced: bool = False,
     """
     if max_len < 1:
         raise WordError("max_len must be >= 1")
-    for n in range(max(min_len, 1), max_len + 1):
+    for n in range(1, max_len + 1):
         for w in _necklaces(n, cyclically_reduced):
             # w is its own least rotation, so canonical(inverse(w)) < w iff
             # some rotation of the reversed word is smaller than w; only a

@@ -228,45 +228,6 @@ def test_scan_44inf_flags_w_a():
     assert alt.filtered and alt.verdict == REGULAR_ELLIPTIC
 
 
-def test_scan_parallel_deterministic():
-    p = TriangleParams(1, 1, 1).with_cos_alpha(0.9)
-    serial = scan_elliptic(p, 5)
-    parallel = scan_elliptic(p, 5, jobs=2)
-    assert [r.word for r in serial.rows] == [r.word for r in parallel.rows]
-    assert all(abs(a.tau - b.tau) < 1e-12
-               for a, b in zip(serial.rows, parallel.rows))
-
-
-def test_scan_jobs_capped(monkeypatch):
-    # the pool gets no more workers than lengths or CPUs; a fake executor
-    # records the count, so no process is started
-    import concurrent.futures
-    import os
-    seen = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    p = TriangleParams(1, 1, 1).with_cos_alpha(0.9)
-    serial = [r.word for r in scan_elliptic(p, 3).rows]
-    for cpus in (64, 2, None):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        rows = scan_elliptic(p, 3, jobs=10**6).rows
-        assert [r.word for r in rows] == serial
-    assert seen == [3, 2]
-
-
 def test_scan_length_cap():
     with pytest.raises(ValueError):
         scan_elliptic(TriangleParams(1, 1, 1, alpha=2.0), 25)

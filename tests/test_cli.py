@@ -247,20 +247,17 @@ def test_env_tolerance_override(capsys, monkeypatch):
     assert json.loads(out)["verdict"] == "Unipotent"
 
 
-def test_scan_jobs_flag(capsys):
-    args = ("scan", "--p", "inf", "inf", "inf", "--cos-alpha", "0.9",
-            "--max-len", "3", "--json")
-    _, out1, _ = run(capsys, *args)
-    _, out2, _ = run(capsys, *args, "--jobs", "2")
-    assert out1 == out2
+_UNUSED_FLAGS = {"jobs": ("--jobs", "2"), "tol": ("--tol", "1e-3")}
+_FLAG_CASES = [(name, command) for name in _UNUSED_FLAGS
+               for command in ("thresholds", "family", "invariants", "ring-check")]
+_FLAG_CASES.append(("jobs", "scan"))
 
 
-@pytest.mark.parametrize("command", ["thresholds", "family", "invariants",
-                                     "ring-check"])
-@pytest.mark.parametrize("flag", [("--jobs", "2"), ("--tol", "1e-3")],
-                         ids=["jobs", "tol"])
-def test_flags_rejected_where_unused(capsys, command, flag):
-    # only scan runs worker processes, and only trace and scan classify
+@pytest.mark.parametrize("name, command", _FLAG_CASES,
+                         ids=[f"{name}-{command}" for name, command in _FLAG_CASES])
+def test_flags_rejected_where_unused(capsys, name, command):
+    # no command takes --jobs, and only trace and scan classify
+    flag = _UNUSED_FLAGS[name]
     code, out, err = run(capsys, command, "--p", "4", "4", "inf",
                          "--n", "5", *flag)
     assert code == 64
@@ -299,9 +296,16 @@ def test_invalid_rotation_order_is_domain_error(capsys, argv):
     # finite radii whose realization overflows
     ("trace", "--word", "12", "--r", "1e200", "1", "1", "--alpha", "1"),
     ("trace", "--word", "12", "--lengths", "1", "1", "1400", "--alpha", "1"),
+    # finite radii whose threshold formulas overflow or underflow
+    ("thresholds", "--r", "1e150", "1e150", "1e150", "--json"),
+    ("thresholds", "--lengths", "700", "700", "700", "--json"),
+    ("family", "--lengths", "1400", "1400", "1400"),
+    ("thresholds", "--r", "1e-200", "1e-200", "1e-200", "--json"),
 ], ids=["t-nan", "r-nan", "r-inf", "alpha-inf", "alpha-nan", "cos-alpha-nan",
         "lengths-overflow", "lengths-nan", "r-realization-overflow",
-        "lengths-realization-overflow"])
+        "lengths-realization-overflow", "thresholds-r-c_a-nan",
+        "thresholds-lengths-c_a-nan", "family-c_inf-nan",
+        "thresholds-r-product-underflow"])
 def test_non_finite_parameters_are_domain_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 65
@@ -311,6 +315,8 @@ def test_non_finite_parameters_are_domain_errors(capsys, argv):
 
 _SCAN3 = ("scan", "--p", "4", "5", "6", "--t", "1", "--max-len", "3", "--csv")
 _TRACE12 = ("trace", "--word", "12", "--p", "4", "5", "6", "--t", "1")
+_RING3 = ("ring-check", "--p", "4", "4", "inf", "--n", "5", "--max-len", "3",
+          "--csv")
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -321,8 +327,13 @@ _TRACE12 = ("trace", "--word", "12", "--p", "4", "5", "6", "--t", "1")
     (_SCAN3, "nan"),
     (_TRACE12, "abc"),
     (_TRACE12, "-1e-9"),
+    ((*_RING3, "--ring-tol", "nan"), None),
+    ((*_RING3, "--ring-tol", "-1"), None),
+    ((*_RING3, "--ring-tol", "inf"), None),
+    ((*_RING3, "--ring-tol", "abc"), None),
 ], ids=["tol-negative", "tol-nan", "tol-inf", "tol-text", "env-nan",
-        "env-text", "env-negative"])
+        "env-text", "env-negative", "ring-tol-nan", "ring-tol-negative",
+        "ring-tol-inf", "ring-tol-text"])
 def test_invalid_tolerance_is_usage_error(capsys, monkeypatch, argv, env):
     if env is not None:
         monkeypatch.setenv("CHTG_TOL", env)
@@ -330,6 +341,15 @@ def test_invalid_tolerance_is_usage_error(capsys, monkeypatch, argv, env):
     assert code == 64
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("usage error")
+
+
+def test_threshold_overflow_to_inf_is_kept(capsys):
+    # c_a ~ 1e100 overflows to inf, and t_a = inf is its correct sentinel
+    code, out, _ = run(capsys, "thresholds", "--r", "1e100", "1e100", "1e100",
+                       "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["c_a"], data["t_a"]) == ("inf", "inf")
 
 
 def test_zero_tolerance_accepted(capsys):

@@ -1,11 +1,13 @@
-"""Every chtg invocation in the README runs and exits as documented."""
+"""Every chtg invocation in the README runs and exits as documented, and the
+README's command-line section names exactly the options the parser takes."""
 
+import argparse
 import pathlib
 import re
 
 import pytest
 
-from chtg.cli import main
+from chtg.cli import build_parser, main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +31,19 @@ def test_readme_cli_example(command, capsys):
 
 def test_readme_has_examples():
     assert len(readme_commands()) >= 8
+
+
+def _registered_options():
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {opt for sub in subs.choices.values() for action in sub._actions
+            for opt in action.option_strings} - {"-h", "--help"}
+
+
+def test_readme_names_every_option():
+    text = README.read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    registered = _registered_options()
+    assert registered - documented == set(), "undocumented options"
+    assert documented - registered == set(), "documented options the parser lacks"
