@@ -14,10 +14,13 @@ The environment variable CHTG_TOL overrides the classification tolerance.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import os
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import analysis, arithmetic, traces, triangle, words
 from .classify import REGULAR_ELLIPTIC, classify
@@ -192,12 +195,15 @@ def cmd_trace(args) -> int:
     word = words.parse_word(args.word)
     params = cfg.params
     rz = triangle.realize(params)
-    results = {"oracle": traces.trace_oracle(word, rz).value,
-               "combinatorial": traces.trace_combinatorial(word, params).value}
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        results = {"oracle": traces.trace_oracle(word, rz).value,
+                   "combinatorial": traces.trace_combinatorial(word, params).value}
     try:
         results["recursive"] = traces.trace_recursive(word, params).value
     except traces.ZeroRadiusUnsupported:
         pass
+    if not all(map(cmath.isfinite, results.values())):
+        raise ValueError("the trace overflows")
     tau = results["oracle"]
     cls = classify(tau, tol=tol)
     deltas = {name: abs(v - tau) for name, v in results.items() if name != "oracle"}
@@ -233,8 +239,9 @@ def cmd_trace(args) -> int:
             lines.append(f"  delta[{name}] = {d:.3g}")
         _emit(lines)
     bound = traces.agreement_bound(word, rz)
-    if deltas and max(deltas.values()) > bound:
-        sys.stderr.write(f"method disagreement {max(deltas.values()):.3g} "
+    worst = max(deltas.values())
+    if not worst <= bound:
+        sys.stderr.write(f"method disagreement {worst:.3g} "
                          f"above the rounding bound {bound:.3g}\n")
         return EXIT_DOMAIN
     return EXIT_OK

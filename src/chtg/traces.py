@@ -43,6 +43,7 @@ integer polynomial P_w in X_k = 4 r_k^2.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -370,56 +371,74 @@ _TAIL_EXPONENTS = {t: (*(v_count(k, t) for k in LETTERS), winding(t))
                    for t in itertools.product(LETTERS, repeat=3)}
 
 
-def trace_recursive(word, params, memo: dict | None = None) -> TraceValue:
-    """Deletion recursion, memoised on linear words.
+@functools.lru_cache(maxsize=1024)
+def _recursion_plan(word: tuple) -> tuple:
+    """The deletion recursion of a word, compiled once: no parameters in it.
 
-    The input is cyclically canonicalised once (traces are invariant under
-    rotation); below that the recursion works on reduced linear words,
-    cancelling adjacent equal letters as it goes.  It runs on an explicit
-    stack, so the word length is not bounded by Python's recursion limit.
-    A memo dict may be supplied to share work between words evaluated at
-    the same parameters; never reuse it across parameter sets.  A radius
-    below the unit roundoff, such as cos(pi/2), counts as zero.
+    One op per reduced linear word the recursion reaches, in post-order, so
+    an op's position is its value's slot and every kid precedes its parent;
+    the last op is the word itself.  A base op is an index into
+    (3, -1, 4 r1^2 - 1, 4 r2^2 - 1, 4 r3^2 - 1); a step op is the
+    _TAIL_EXPONENTS entry of the word's last three letters and the slots of
+    its seven _deletion_terms.  About 4n ops for a reduced word of length n.
     """
-    params._need_alpha()
-    r = params.r
-    if min(r) <= _EPS:
-        raise ZeroRadiusUnsupported(
-            "recursion undefined at r_k = 0; use the oracle or the expansion")
-    r1, r2, r3 = r
-    ei = cmath.exp(1j * params.alpha)
-    if memo is None:
-        memo = {}
-
-    top = _cancel_adjacent(canonical(tuple(word)))
+    top = _cancel_adjacent(canonical(word))
+    slots: dict = {}
+    plan = []
     stack = [(top, None)]
     while stack:
         a, kids = stack[-1]
         if kids is None:
-            if a in memo:
+            if a in slots:
                 stack.pop()
                 continue
             n = len(a)
             if n < 3:
                 stack.pop()
-                if n == 0:
-                    memo[a] = 3.0 + 0j
-                elif n == 1:
-                    memo[a] = -1.0 + 0j
-                else:
-                    rm = r[6 - a[0] - a[1] - 1]  # the letter completing {a0, a1}
-                    memo[a] = complex(4.0 * rm * rm - 1.0)
+                slots[a] = len(plan)
+                # (k, l) -> 1 + m, m = 6 - k - l the letter completing {k, l}
+                plan.append(n if n < 2 else 7 - a[0] - a[1])
                 continue
             kids = _deletion_terms(a)
             stack[-1] = (a, kids)
-            stack.extend((c, None) for c in kids if c not in memo)
+            stack.extend((c, None) for c in kids if c not in slots)
             continue
         stack.pop()
-        v1, v2, v3, w = _TAIL_EXPONENTS[a[-3:]]
+        slots[a] = len(plan)
+        plan.append((_TAIL_EXPONENTS[a[-3:]], *(slots[c] for c in kids)))
+    return tuple(plan)
+
+
+def trace_recursive(word, params) -> TraceValue:
+    """Deletion recursion: a cached plan per word, one numeric pass per call.
+
+    The input is cyclically canonicalised once (traces are invariant under
+    rotation); below that the recursion works on reduced linear words,
+    cancelling adjacent equal letters as it goes.  Which words it reaches
+    depends only on the word, so _recursion_plan walks them once, on an
+    explicit stack (the length is not bounded by Python's recursion limit),
+    and keeps the plan for the last 1024 words; each call then evaluates the
+    plan at its parameters in one loop.  A radius below the unit roundoff,
+    such as cos(pi/2), counts as zero.
+    """
+    params._need_alpha()
+    r1, r2, r3 = params.r
+    if min(r1, r2, r3) <= _EPS:
+        raise ZeroRadiusUnsupported(
+            "recursion undefined at r_k = 0; use the oracle or the expansion")
+    ei = cmath.exp(1j * params.alpha)
+    base = (3.0 + 0j, -1.0 + 0j, complex(4.0 * r1 * r1 - 1.0),
+            complex(4.0 * r2 * r2 - 1.0), complex(4.0 * r3 * r3 - 1.0))
+    vals = []
+    for op in _recursion_plan(tuple(word)):
+        if op.__class__ is not tuple:
+            vals.append(base[op])
+            continue
+        (v1, v2, v3, w), k0, k1, k2, k3, k4, k5, k6 = op
         beta = 2.0 * r1 ** v1 * r2 ** v2 * r3 ** v3 * ei ** w - 1.0
-        v = [memo[c] for c in kids]
-        memo[a] = -(v[0] + v[1] + v[2]) + beta * (v[3] + v[4] + v[5] + v[6])
-    return TraceValue(memo[top], "recursive")
+        vals.append(-(vals[k0] + vals[k1] + vals[k2])
+                    + beta * (vals[k3] + vals[k4] + vals[k5] + vals[k6]))
+    return TraceValue(vals[-1], "recursive")
 
 
 # --- closed forms for the short words -------------------------------------

@@ -1,11 +1,15 @@
-"""Shared draw helpers and reference polynomial arithmetic for the tests."""
+"""Shared draw helpers, reference polynomial arithmetic and the reference
+deletion recursion for the tests."""
 
+import cmath
 import math
 
 import numpy as np
 
-from chtg.traces import _fourier_terms
+from chtg.traces import (_EPS, _TAIL_EXPONENTS, ZeroRadiusUnsupported,
+                         _cancel_adjacent, _deletion_terms, _fourier_terms)
 from chtg.triangle import TriangleParams
+from chtg.words import canonical
 
 
 def draw_params(rng, lo=0.55, hi=1.1, margin=0.03, cos_floor=-0.98):
@@ -54,3 +58,45 @@ def trace_mu_polynomial(word, params, mus) -> dict:
     for w, (u1, u2, u3), c in _fourier_terms(word, factors):
         q[w] = q.get(w, 0.0 + 0j) + c * r1 ** u1 * r2 ** u2 * r3 ** u3
     return q
+
+
+def recursive_reference(word, params) -> complex:
+    """The deletion recursion memoised in a dict of reduced linear words,
+    walked on an explicit stack: the per-call form that trace_recursive
+    must equal bit for bit."""
+    params._need_alpha()
+    r = params.r
+    if min(r) <= _EPS:
+        raise ZeroRadiusUnsupported("recursion undefined at r_k = 0")
+    r1, r2, r3 = r
+    ei = cmath.exp(1j * params.alpha)
+    memo = {}
+    top = _cancel_adjacent(canonical(tuple(word)))
+    stack = [(top, None)]
+    while stack:
+        a, kids = stack[-1]
+        if kids is None:
+            if a in memo:
+                stack.pop()
+                continue
+            n = len(a)
+            if n < 3:
+                stack.pop()
+                if n == 0:
+                    memo[a] = 3.0 + 0j
+                elif n == 1:
+                    memo[a] = -1.0 + 0j
+                else:
+                    rm = r[6 - a[0] - a[1] - 1]  # the letter completing {a0, a1}
+                    memo[a] = complex(4.0 * rm * rm - 1.0)
+                continue
+            kids = _deletion_terms(a)
+            stack[-1] = (a, kids)
+            stack.extend((c, None) for c in kids if c not in memo)
+            continue
+        stack.pop()
+        v1, v2, v3, w = _TAIL_EXPONENTS[a[-3:]]
+        beta = 2.0 * r1 ** v1 * r2 ** v2 * r3 ** v3 * ei ** w - 1.0
+        v = [memo[c] for c in kids]
+        memo[a] = -(v[0] + v[1] + v[2]) + beta * (v[3] + v[4] + v[5] + v[6])
+    return memo[top]

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -180,6 +181,21 @@ def test_trace_very_long_word(capsys):
     assert "recursive" in json.loads(out)["methods"]
 
 
+@pytest.mark.parametrize("fmt", ["--csv", "--json"])
+def test_trace_overflow_is_domain_error(capsys, fmt):
+    # 600 letters give |tau| ~ 5e170; at 1,200 every route overflows to NaN
+    argv = ("trace", "--p", "4", "5", "6", "--t", "0.7", fmt, "--word")
+    code, out, err = run(capsys, *argv, "123" * 200)
+    assert code == 0, err
+    assert out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        code, out, err = run(capsys, *argv, "123" * 400)
+    assert code == 65
+    assert out == ""
+    assert err == "domain error: the trace overflows\n"
+
+
 @pytest.mark.parametrize("fmt", [None, "--csv"])
 def test_trace_fourier_only_in_json(capsys, monkeypatch, fmt):
     # the human and CSV formats print no Fourier data, so they compute none
@@ -228,7 +244,7 @@ def test_method_disagreement_exit(capsys, monkeypatch):
         method = "recursive"
 
     monkeypatch.setattr(cli_mod.traces, "trace_recursive",
-                        lambda w, p, memo=None: FakeTrace())
+                        lambda w, p: FakeTrace())
     code, _, err = run(capsys, "trace", "--word", "123", "--p", "4", "4", "4",
                        "--alpha", "1.0")
     assert code == 65

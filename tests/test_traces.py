@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chtg.traces import (EXACT_CAP, CapExceeded, ZeroRadiusUnsupported,
-                         poly_to_str, sigma_closed, sigma_word, tau_123_closed,
+                         _recursion_plan, poly_to_str, sigma_closed, sigma_word, tau_123_closed,
                          tau_2321_closed, trace_combinatorial, trace_mu,
                          trace_mu_combinatorial, trace_oracle, trace_polynomial,
                          trace_recursive)
@@ -15,7 +15,7 @@ from chtg.words import (canonical, n_count, power_word, reduce_straighten,
                         rotate, u_count, winding)
 
 from helpers import (draw_params, draw_word, poly_mul, poly_sub,
-                     trace_mu_polynomial)
+                     recursive_reference, trace_mu_polynomial)
 
 
 def test_oracle_base_cases(rng):
@@ -105,12 +105,11 @@ def test_methods_agree_random_words(rng):
     for _ in range(100):
         p = draw_params(rng)
         rz = realize(p)
-        memo = {}
         for _ in range(5):
             w = draw_word(rng, 12)
             t0 = trace_oracle(w, rz).value
             assert abs(trace_combinatorial(w, p).value - t0) < 1e-9
-            assert abs(trace_recursive(w, p, memo).value - t0) < 1e-9
+            assert abs(trace_recursive(w, p).value - t0) < 1e-9
 
 
 def test_methods_agree_longer_words(rng):
@@ -325,14 +324,55 @@ def test_mu_polynomial_consistency(rng):
     assert abs(total - trace_mu_combinatorial(w, p, mus).value) < 1e-10
 
 
-def test_recursion_memo_reuse(rng):
-    p = draw_params(rng)
-    memo = {}
-    w = (1, 2, 3, 1, 2, 3, 2, 1)
-    a = trace_recursive(w, p, memo).value
-    b = trace_recursive(w, p, memo).value
-    assert a == b
-    assert len(memo) > 0
+# a signature, a from_lengths triple and raw radii, as `chtg trace --r` takes them
+RECURSION_PARAMS = {
+    "456": TriangleParams.from_signature(4, 5, 6).with_t(0.7),
+    "lengths": TriangleParams.from_lengths(2.0, 2.5, 3.0).with_t(1.5),
+    "raw-r": TriangleParams(0.7, 1.1, 1.6, alpha=2.5),
+}
+
+
+def draw_reduced_word(rng, n):
+    """n letters with no two neighbours equal."""
+    w = [int(rng.integers(1, 4))] if n else []
+    while len(w) < n:
+        w.append((w[-1] + int(rng.integers(0, 2))) % 3 + 1)
+    return tuple(w)
+
+
+@pytest.mark.parametrize("name", sorted(RECURSION_PARAMS))
+def test_recursion_equals_reference(rng, name):
+    # bit for bit: the plan runs the reference's expressions on the same values
+    p = RECURSION_PARAMS[name]
+    for i in range(60):
+        w = draw_word(rng, 60) if i % 2 else draw_reduced_word(rng, i)
+        want = recursive_reference(w, p)
+        assert trace_recursive(w, p).value == want
+        assert trace_recursive(np.array(w, dtype=np.int64), p).value == want
+
+
+def test_recursion_plan_is_parameter_free():
+    # a cached plan evaluated at another parameter set must not leak into it
+    w = (1, 2, 3, 1, 3, 2, 1, 2, 3, 2, 3, 1, 1, 3)
+    p1, p2 = RECURSION_PARAMS["456"], RECURSION_PARAMS["raw-r"]
+    for p in (p1, p2, p1):
+        assert trace_recursive(w, p).value == recursive_reference(w, p)
+
+
+def test_recursion_plan_long_word_and_cache_bound(rng):
+    p = RECURSION_PARAMS["456"]
+    w = draw_reduced_word(rng, 1000)
+    assert trace_recursive(w, p).value == recursive_reference(w, p)
+    assert len(_recursion_plan(w)) < 5 * len(w)
+    assert _recursion_plan.cache_info().maxsize is not None
+
+
+def test_zero_radius_raises_before_planning():
+    _recursion_plan.cache_clear()
+    with pytest.raises(ZeroRadiusUnsupported):
+        trace_recursive((1, 2, 3, 1, 2), TriangleParams(0.0, 0.9, 0.9, alpha=2.9))
+    info = _recursion_plan.cache_info()
+    assert info.misses == 0 and info.currsize == 0
 
 
 def test_trace_value_tags(rng):
