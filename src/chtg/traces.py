@@ -15,7 +15,10 @@ iota_{a_n}:
   closed cyclically (the empty subset contributes 1);
 * ``trace_recursive`` peels off the last three letters with the deletion
   operators; base traces are tau() = 3, tau(k) = -1, tau(k,l) = 4 r_m^2 - 1
-  for the letter m completing {k, l}, and tau(k,k) = 3.
+  for the letter m completing {k, l}, and tau(k,k) = 3.  The words the
+  recursion reaches depend only on the word, so ``_recursion_plan`` lists
+  them once, with no parameters, in an LRU cache of 1024 words; each call
+  is one numeric pass over the plan.
 
 The subset sum is never enumerated.  In the balanced gauge the polar vectors
 have the Gram matrix G with G_kk = 1 and G_ab = r_m z^{chi(b - a)}, where
