@@ -11,9 +11,14 @@ When every entry of {p1, p2, p3, n} is 3, 4, 6 or inf, the quantities
 extra entry q, they land in Z[2 cos(2 pi / q)] and the membership test works
 over the Galois conjugates of 2 cos(2 pi / q).  A conjugate moves X_k =
 4 r_k^2 and the root Z = 8 R e^{i alpha} of Z^2 - S Z + Q = 0, S = 16 R
-cos(alpha) and Q = (8 R)^2; its trace is the O(n) transfer-matrix sum of
+cos(alpha) and Q = (8 R)^2; its trace is the O(n) transfer-matrix product of
 ``traces`` at the moved point, which equals the exact Fourier sum as a
-polynomial identity (see group_conjugate_traces), so no exact data is built.
+polynomial identity (see _conjugate_transfer), so no exact data is built.
+``ring_checks`` takes all words of one length at once: tau and tau-bar at
+every conjugate are one ``traces.stacked_traces`` product per letter
+position, and one pseudo-inverse product gives every word's power-basis
+coefficients.  The one-word functions (group_ring_check,
+group_conjugate_traces, basis_ring_check, integer_ring_check) call it.
 Floating-point ring membership is a heuristic; every verdict from the basis
 method carries experimental=True and is not a hard gate.
 """
@@ -27,14 +32,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# trace_polynomial and realize are unused here; the benchmark tracer
-# (bench/tracer.py) patches them under these names
-from .traces import (_gram_trace, trace_combinatorial,  # noqa: F401
-                     trace_mu_combinatorial, trace_polynomial)
+# trace_combinatorial, trace_polynomial and realize are unused here; the
+# benchmark tracer (bench/tracer.py) patches them under these names
+from .traces import (stacked_traces, trace_combinatorial,  # noqa: F401
+                     trace_mu_combinatorial, trace_polynomial,
+                     transfer_matrices)
 from .triangle import (TWO_PI, ExistenceViolation, TriangleParams,  # noqa: F401
                        realize)
 
 INTEGER_ENTRIES = (3, 4, 6, math.inf)
+# f_k in tr prod (I + f_k E_k G) for the reflections; the product is (-1)^n tau
+_REFLECTION_FACTORS = (-2.0, -2.0, -2.0)
 
 
 class IllConditionedBasis(RuntimeError):
@@ -107,15 +115,21 @@ class IntegralityVerdict:
                 "abs_sq_residual": self.abs_sq_residual}
 
 
+def _integer_verdicts(taus, tol) -> list:
+    """One IntegralityVerdict per trace in the complex array ``taus``."""
+    two_re = 2.0 * taus.real
+    abs_sq = np.abs(taus) ** 2
+    res1 = np.abs(two_re - np.rint(two_re))
+    res2 = np.abs(abs_sq - np.rint(abs_sq))
+    ok = (res1 <= tol) & (res2 <= tol)
+    return [IntegralityVerdict(*row) for row in zip(
+        ok.tolist(), two_re.tolist(), abs_sq.tolist(), res1.tolist(),
+        res2.tolist())]
+
+
 def integer_ring_check(tau, tol: float = 1e-7) -> IntegralityVerdict:
     """2 Re(tau) and |tau|^2 must be integers (all entries in {3,4,6,inf})."""
-    tau = complex(tau)
-    two_re = 2.0 * tau.real
-    abs_sq = abs(tau) ** 2
-    res1 = abs(two_re - round(two_re))
-    res2 = abs(abs_sq - round(abs_sq))
-    return IntegralityVerdict(res1 <= tol and res2 <= tol,
-                              two_re, abs_sq, res1, res2)
+    return _integer_verdicts(np.array([complex(tau)]), tol)[0]
 
 
 def _conjugate_points(q: int):
@@ -163,22 +177,35 @@ class BasisRingVerdict:
                            "residual": self.abs_sq.residual}}
 
 
-def _expand_in_power_basis(values, q, tol) -> BasisExpansion:
+def _expand_in_power_basis(values, q, tol) -> list:
     """Integer coefficients on {x^j : j < deg} from conjugate evaluations.
 
-    With all deg conjugates supplied the Vandermonde system is square and the
-    true integer coefficients are the rounded exact solution; with fewer rows
+    ``values`` has one row per conjugate (m = 1 first) and one column per
+    word; the result is one BasisExpansion per column.  With all deg
+    conjugates supplied the Vandermonde system is square and the true
+    integer coefficients are the rounded exact solution; with fewer rows
     this degrades to a minimal-norm heuristic.  Acceptance always means the
     rounded solution reproduces the m = 1 value within tol.
     """
     pts = _conjugate_points(q)
     rows = min(len(values), len(pts))
-    sol = _power_basis_pinv(q, rows) @ np.asarray(values[:rows], dtype=float)
-    coeffs = tuple(int(c) for c in np.rint(sol))
-    approx = sum(c * pts[0] ** j for j, c in enumerate(coeffs))
-    residual = abs(values[0] - approx)
-    return BasisExpansion(bool(residual <= tol), coeffs, residual,
-                          float(values[0]))
+    coeffs = np.rint(_power_basis_pinv(q, rows) @ values[:rows])
+    approx = np.zeros(values.shape[1])
+    for j, c in enumerate(coeffs):
+        approx += c * pts[0] ** j
+    residual = np.abs(values[0] - approx)
+    return [BasisExpansion(res <= tol, tuple(map(int, cs)), res, value)
+            for cs, res, value in zip(coeffs.T.tolist(), residual.tolist(),
+                                      values[0].tolist())]
+
+
+def _basis_verdicts(pairs, q, tol) -> list:
+    """One BasisRingVerdict per word from ``pairs`` of shape (rows, 2, words):
+    tau and tau-bar at each conjugate, m = 1 first."""
+    tau, tau_bar = pairs[:, 0], pairs[:, 1]
+    e1 = _expand_in_power_basis((tau + tau_bar).real, q, tol)
+    e2 = _expand_in_power_basis((tau * tau_bar).real, q, tol)
+    return [BasisRingVerdict(q, a.ok and b.ok, a, b) for a, b in zip(e1, e2)]
 
 
 def basis_ring_check(tau, q: int, tol: float = 1e-7,
@@ -195,15 +222,13 @@ def basis_ring_check(tau, q: int, tol: float = 1e-7,
     if conjugate_pairs is None:
         tau = complex(tau)
         conjugate_pairs = [(tau, tau.conjugate())]
-    two_re_vals = [(t + tb).real for t, tb in conjugate_pairs]
-    abs_vals = [(t * tb).real for t, tb in conjugate_pairs]
-    e1 = _expand_in_power_basis(two_re_vals, q, tol)
-    e2 = _expand_in_power_basis(abs_vals, q, tol)
-    return BasisRingVerdict(q, e1.ok and e2.ok, e1, e2)
+    pairs = np.array(conjugate_pairs, dtype=complex)[:, :, None]
+    return _basis_verdicts(pairs, q, tol)[0]
 
 
-def group_conjugate_traces(group: GroupWithRotation, word, q: int):
-    """Galois-conjugate (tau, tau-bar) pairs for a word in G(p1, p2, p3; n).
+def _conjugate_transfer(group: GroupWithRotation, q: int) -> np.ndarray:
+    """Transfer matrices at each Galois conjugate, shape (rows, 2, 3, 3, 3):
+    [i, 0] gives tau and [i, 1] tau-bar at the i-th conjugate, m = 1 first.
 
     Valid when every entry of {p1, p2, p3, n} lies in {3, 4, 6, inf, q}.
     Conjugation replaces 2 cos(2 pi / q) by 2 cos(2 pi m / q), moving X_k
@@ -217,8 +242,7 @@ def group_conjugate_traces(group: GroupWithRotation, word, q: int):
     for e in (*group.signature, group.n):
         if e not in INTEGER_ENTRIES and e != q:
             raise ValueError(f"entry {e} is neither in {{3,4,6,inf}} nor q={q}")
-    sign = (-1.0) ** len(word)
-    pairs = []
+    out = []
     for x in _conjugate_points(q):
         xs = [(2.0 + x) if p == q else 4.0 * math.cos(math.pi / p) ** 2
               for p in group.signature]
@@ -229,26 +253,51 @@ def group_conjugate_traces(group: GroupWithRotation, word, q: int):
         z = (s_val + cmath.sqrt(complex(s_val * s_val - 4.0 * q_val))) / 2.0
         r = [math.sqrt(xk) / 2.0 for xk in xs]
         zp = (z / math.sqrt(q_val)) ** (1.0 / 3.0)
-        pairs.append(tuple(sign * _gram_trace(word, (-2.0,) * 3, r, a, b)
-                           for a, b in ((zp, 1.0 / zp), (1.0 / zp, zp))))
-    return pairs
+        out.append([transfer_matrices(_REFLECTION_FACTORS, r, a, b)
+                    for a, b in ((zp, 1.0 / zp), (1.0 / zp, zp))])
+    return np.array(out)
 
 
-def group_ring_check(group: GroupWithRotation, word, tol: float = 1e-7):
-    """Dispatch: all-integer entries -> hard integrality; one extra entry q
-    -> conjugate basis method (experimental)."""
+def ring_checks(group: GroupWithRotation, words, tol: float = 1e-7) -> list:
+    """group_ring_check for each of a list of equal-length words, batched.
+
+    All-integer entries are the one-point case: the traces at the group's
+    own parameters come from one stacked product, and each word gets an
+    IntegralityVerdict.  With one extra entry q, one stacked product gives
+    tau and tau-bar of every word at all deg conjugates, one pseudo-inverse
+    product solves the power basis for all words, and each word gets an
+    (experimental) BasisRingVerdict.
+    """
     specials = sorted({*group.signature, group.n} - set(INTEGER_ENTRIES))
+    sign = (-1.0) ** len(words[0]) if words else 1.0
     if not specials:
-        return integer_ring_check(
-            trace_combinatorial(word, group.params).value, tol)
+        p = group.params
+        ez = cmath.exp(1j * p.alpha / 3.0)
+        mats = transfer_matrices(_REFLECTION_FACTORS, p.r, ez, ez.conjugate())
+        return _integer_verdicts(sign * stacked_traces(words, mats), tol)
     if len(specials) > 1:
         raise ValueError("only one entry outside {3,4,6,inf} is supported")
     q = specials[0]
     if q != int(q) or q < 3:
         raise ValueError(f"the extra entry must be an integer >= 3, got {q}")
     q = int(q)
-    pairs = group_conjugate_traces(group, word, q)
-    return basis_ring_check(pairs[0][0], q, tol, conjugate_pairs=pairs)
+    pairs = sign * stacked_traces(words, _conjugate_transfer(group, q))
+    return _basis_verdicts(pairs, q, tol)
+
+
+def group_conjugate_traces(group: GroupWithRotation, word, q: int):
+    """Galois-conjugate (tau, tau-bar) pairs for a word in G(p1, p2, p3; n),
+    m = 1 first (see _conjugate_transfer)."""
+    word = tuple(word)
+    pairs = (-1.0) ** len(word) * stacked_traces(
+        [word], _conjugate_transfer(group, q))
+    return [tuple(pair) for pair in pairs[:, :, 0].tolist()]
+
+
+def group_ring_check(group: GroupWithRotation, word, tol: float = 1e-7):
+    """Dispatch: all-integer entries -> hard integrality; one extra entry q
+    -> conjugate basis method (experimental).  ring_checks for one word."""
+    return ring_checks(group, [tuple(word)], tol)[0]
 
 
 @dataclass(frozen=True)

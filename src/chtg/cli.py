@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -205,8 +206,13 @@ def cmd_trace(args) -> int:
     if not all(map(cmath.isfinite, results.values())):
         raise ValueError("the trace overflows")
     tau = results["oracle"]
-    cls = classify(tau, tol=tol)
     deltas = {name: abs(v - tau) for name, v in results.items() if name != "oracle"}
+    bound = traces.agreement_bound(word, rz)
+    worst = max(deltas.values())
+    if not worst <= bound:
+        raise ValueError(f"method disagreement {worst:.3g} "
+                         f"above the rounding bound {bound:.3g}")
+    cls = classify(tau, tol=tol)
     payload = {
         "word": words.word_to_str(word),
         "tau": {"re": tau.real, "im": tau.imag},
@@ -238,12 +244,6 @@ def cmd_trace(args) -> int:
         for name, d in deltas.items():
             lines.append(f"  delta[{name}] = {d:.3g}")
         _emit(lines)
-    bound = traces.agreement_bound(word, rz)
-    worst = max(deltas.values())
-    if not worst <= bound:
-        sys.stderr.write(f"method disagreement {worst:.3g} "
-                         f"above the rounding bound {bound:.3g}\n")
-        return EXIT_DOMAIN
     return EXIT_OK
 
 
@@ -357,8 +357,12 @@ def cmd_ring_check(args) -> int:
     ring_tol = _nonneg_float(args.ring_tol, "--ring-tol")
     cfg = _resolve(args)
     group = cfg.group
-    rows = [(w, arithmetic.group_ring_check(group, w, tol=ring_tol))
-            for w in words.enumerate_words(args.max_len, cyclically_reduced=True)]
+    rows = []
+    for _, same_len in groupby(words.enumerate_words(args.max_len,
+                                                     cyclically_reduced=True),
+                               key=len):
+        ws = list(same_len)
+        rows += zip(ws, arithmetic.ring_checks(group, ws, tol=ring_tol))
     any_fail = not all(v.ok for _, v in rows)
     if cfg.fmt == "json":
         payload = {"params": group.params.to_json_dict(),

@@ -31,8 +31,11 @@ product, so
           = 3 + sum_{S nonempty} prod_{k in S} f_{a_k} r^{u(S)} e^{i alpha w(S)}.
 
 Each factor is a rank-one row update, so the sum costs O(n) matrix updates.
-With f = -2 the trace is (-1)^n tau_a; with f = mu_k - 1 it is the trace of
-the mu-reflection word,
+For many equal-length words at once, ``transfer_matrices`` builds the three
+factors T_a = I + f_a E_a G as 3x3 matrices and ``stacked_traces``
+multiplies them, one numpy product per letter position.  With f = -2 the
+trace is (-1)^n tau_a; with f = mu_k - 1 it is the trace of the
+mu-reflection word,
 
       tau_a = 2 + sum_S prod_k (mu_k - 1)^{n_k(S)} r_k^{u_k(S)}
                         e^{i alpha w(S)}.
@@ -119,19 +122,34 @@ def _expand(word, factors, gram, m):
     return tr
 
 
-def _gram_trace(word, factors, r, zp, zn) -> complex:
-    """_expand at G_ab = r_m z^{chi(b - a)} with z = zp, 1 / z = zn."""
+def _gram(r, zp, zn) -> list:
+    """G_ab = r_m z^{chi(b - a)} with z = zp, 1 / z = zn, as nested lists."""
     z = {-1: zn, 0: 1.0 + 0j, 1: zp}
-    gram = [[r[0] ** u1 * r[1] ** u2 * r[2] ** u3 * z[s]
+    return [[r[0] ** u1 * r[1] ** u2 * r[2] ** u3 * z[s]
              for u1, u2, u3, s in row] for row in _GRAM_KEYS]
-    return _expand(word, factors, gram, [[1.0 + 0j if i == j else 0j
-                                          for j in range(3)] for i in range(3)])
+
+
+def transfer_matrices(factors, r, zp, zn) -> np.ndarray:
+    """The three T_a = I + f_a E_a G at G = _gram(r, zp, zn), shape (3, 3, 3).
+
+    Row a of T_a is e_a + f_a G[a, :] and its other rows are the identity's,
+    so stacked_traces(words, T) is _expand's tr prod_k (I + f E G) for every
+    word at once, summed in matrix-product order.
+    """
+    gram = np.array(_gram(r, zp, zn), dtype=complex)
+    t = np.repeat(np.eye(3, dtype=complex)[None], 3, axis=0)
+    for a in range(3):
+        t[a, a] += factors[a] * gram[a]
+    return t
 
 
 def _numeric_trace(word, params, factors) -> complex:
+    """_expand at the Gram matrix of params, z = e^{i alpha / 3}."""
     params._need_alpha()
-    return _gram_trace(word, factors, params.r, cmath.exp(1j * params.alpha / 3.0),
-                       cmath.exp(-1j * params.alpha / 3.0))
+    gram = _gram(params.r, cmath.exp(1j * params.alpha / 3.0),
+                 cmath.exp(-1j * params.alpha / 3.0))
+    return _expand(word, factors, gram, [[1.0 + 0j if i == j else 0j
+                                          for j in range(3)] for i in range(3)])
 
 
 def _fourier_terms(word, factors):
@@ -282,26 +300,38 @@ def trace_oracle(word, realization) -> TraceValue:
     return TraceValue(complex(np.trace(word_matrix(realization, word))), "oracle")
 
 
-# words per stacked product in oracle_traces; bounds its extra memory
+# words times points per stacked product in stacked_traces; bounds its memory
 ORACLE_CHUNK = 4096
 
 
-def oracle_traces(words, realization) -> list:
-    """trace_oracle(w, realization).value for each of equal-length words.
+def stacked_traces(words, mats) -> np.ndarray:
+    """tr(M_{a_1} ... M_{a_n}) for each of equal-length words a.
 
-    Each chunk of words is one stack of matrices, multiplied one letter
-    position at a time from the identity, in word_matrix's order and with
-    its 3x3 products, so every trace equals trace_oracle's bit for bit.
+    ``mats`` holds M_1, M_2, M_3 on its third-to-last axis, shape
+    (..., 3, 3, 3); any leading axes are independent points, and the result
+    has shape (..., len(words)).  Each chunk of words is one stack of
+    matrices, multiplied one letter position at a time from the identity, in
+    word_matrix's order and with its 3x3 products, so at one point every
+    trace equals trace_oracle's bit for bit.
     """
-    mats = np.stack((np.eye(3, dtype=complex), *realization.iotas))
-    out = []
-    for start in range(0, len(words), ORACLE_CHUNK):
-        a = np.array(words[start:start + ORACLE_CHUNK], dtype=np.intp)
-        m = np.repeat(mats[:1], len(a), axis=0)
+    mats = np.asarray(mats, dtype=complex)
+    lead = mats.shape[:-3]
+    eye = np.broadcast_to(np.eye(3, dtype=complex), (*lead, 1, 3, 3))
+    mats = np.concatenate((eye, mats), axis=-3)
+    chunk = max(1, ORACLE_CHUNK // math.prod(lead))
+    out = [np.zeros((*lead, 0), dtype=complex)]
+    for start in range(0, len(words), chunk):
+        a = np.array(words[start:start + chunk], dtype=np.intp)
+        m = np.repeat(eye, len(a), axis=-3)
         for i in range(a.shape[1]):
-            m = m @ mats[a[:, i]]
-        out += np.trace(m, axis1=1, axis2=2).tolist()
-    return out
+            m = m @ mats[..., a[:, i], :, :]
+        out.append(np.trace(m, axis1=-2, axis2=-1))
+    return np.concatenate(out, axis=-1)
+
+
+def oracle_traces(words, realization) -> list:
+    """trace_oracle(w, realization).value for each of equal-length words."""
+    return stacked_traces(words, realization.iotas).tolist()
 
 
 def agreement_bound(word, realization) -> float:

@@ -1,13 +1,17 @@
-"""Shared draw helpers, reference polynomial arithmetic and the reference
-deletion recursion for the tests."""
+"""Shared draw helpers, reference polynomial arithmetic, the reference
+deletion recursion and the reference per-word ring check for the tests."""
 
 import cmath
 import math
 
 import numpy as np
 
+from chtg.arithmetic import (INTEGER_ENTRIES, BasisExpansion, BasisRingVerdict,
+                             IntegralityVerdict, _conjugate_points,
+                             _power_basis_pinv, cos_two_pi_over)
 from chtg.traces import (_EPS, _TAIL_EXPONENTS, ZeroRadiusUnsupported,
-                         _cancel_adjacent, _deletion_terms, _fourier_terms)
+                         _cancel_adjacent, _deletion_terms, _expand,
+                         _fourier_terms, _gram, trace_combinatorial)
 from chtg.triangle import TriangleParams
 from chtg.words import canonical
 
@@ -100,3 +104,56 @@ def recursive_reference(word, params) -> complex:
         v = [memo[c] for c in kids]
         memo[a] = -(v[0] + v[1] + v[2]) + beta * (v[3] + v[4] + v[5] + v[6])
     return memo[top]
+
+
+def conjugate_traces_reference(group, word, q):
+    """(tau, tau-bar) at each Galois conjugate, m = 1 first, one scalar
+    _expand run per pair member: the per-word loop that the stacked
+    group_conjugate_traces must match to rounding."""
+    sign = (-1.0) ** len(word)
+    pairs = []
+    for x in _conjugate_points(q):
+        xs = [(2.0 + x) if p == q else 4.0 * math.cos(math.pi / p) ** 2
+              for p in group.signature]
+        cn = x / 2.0 if group.n == q else cos_two_pi_over(group.n)
+        s_val = xs[0] * xs[1] + xs[2] - 2.0 - 2.0 * cn
+        q_val = xs[0] * xs[1] * xs[2]
+        z = (s_val + cmath.sqrt(complex(s_val * s_val - 4.0 * q_val))) / 2.0
+        r = [math.sqrt(xk) / 2.0 for xk in xs]
+        zp = (z / math.sqrt(q_val)) ** (1.0 / 3.0)
+        pairs.append(tuple(
+            sign * _expand(word, (-2.0,) * 3, _gram(r, a, b),
+                           [[1.0 + 0j if i == j else 0j for j in range(3)]
+                            for i in range(3)])
+            for a, b in ((zp, 1.0 / zp), (1.0 / zp, zp))))
+    return pairs
+
+
+def _expansion_reference(values, q, tol):
+    """One word's power-basis solve, rounding and m = 1 residual."""
+    pts = _conjugate_points(q)
+    rows = min(len(values), len(pts))
+    sol = _power_basis_pinv(q, rows) @ np.asarray(values[:rows], dtype=float)
+    coeffs = tuple(int(c) for c in np.rint(sol))
+    approx = sum(c * pts[0] ** j for j, c in enumerate(coeffs))
+    residual = abs(values[0] - approx)
+    return BasisExpansion(bool(residual <= tol), coeffs, residual,
+                          float(values[0]))
+
+
+def ring_check_reference(group, word, tol=1e-7):
+    """group_ring_check one word at a time: trace_combinatorial and Python
+    rounding for all-{3,4,6,inf} groups, else the scalar conjugate loop and
+    one solve per word."""
+    specials = sorted({*group.signature, group.n} - set(INTEGER_ENTRIES))
+    if not specials:
+        tau = trace_combinatorial(word, group.params).value
+        two_re, abs_sq = 2.0 * tau.real, abs(tau) ** 2
+        res1, res2 = abs(two_re - round(two_re)), abs(abs_sq - round(abs_sq))
+        return IntegralityVerdict(res1 <= tol and res2 <= tol,
+                                  two_re, abs_sq, res1, res2)
+    (q,) = map(int, specials)
+    pairs = conjugate_traces_reference(group, word, q)
+    e1 = _expansion_reference([(t + tb).real for t, tb in pairs], q, tol)
+    e2 = _expansion_reference([(t * tb).real for t, tb in pairs], q, tol)
+    return BasisRingVerdict(q, e1.ok and e2.ok, e1, e2)

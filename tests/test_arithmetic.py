@@ -1,15 +1,17 @@
 import cmath
 import functools
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
 
-from chtg.arithmetic import (IllConditionedBasis, basis_ring_check,
+from chtg.arithmetic import (BasisRingVerdict, IllConditionedBasis,
+                             IntegralityVerdict, basis_ring_check,
                              cos_two_pi_over, group_conjugate_traces,
                              group_ring_check, group_with_rotation,
                              integer_ring_check, mostow_group,
-                             mostow_trace_field_check, totient)
+                             mostow_trace_field_check, ring_checks, totient)
 from chtg.classify import REGULAR_ELLIPTIC, classify
 from chtg.traces import (sigma_closed, trace_combinatorial, trace_mu,
                          trace_mu_combinatorial, trace_oracle,
@@ -17,7 +19,8 @@ from chtg.traces import (sigma_closed, trace_combinatorial, trace_mu,
 from chtg.triangle import ExistenceViolation, realize
 from chtg.words import enumerate_words
 
-from helpers import trace_mu_polynomial
+from helpers import (conjugate_traces_reference, ring_check_reference,
+                     trace_mu_polynomial)
 
 
 def test_totient():
@@ -157,6 +160,39 @@ def test_conjugate_traces_match_exact_data(p1, p2, p3, n, q):
         assert v.abs_sq.coefficients == ref.abs_sq.coefficients, w
     # (4,4,4;7) and (6,6,inf;5) have conjugates with a real root Z
     assert real_root == ((p1, p2, p3, n) in {(4, 4, 4, 7), (6, 6, math.inf, 5)})
+
+
+def _close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("p1, p2, p3, n", [
+    (4, 4, math.inf, 5), (4, 4, math.inf, 8), (4, 4, math.inf, 10),
+    (4, 4, math.inf, 12), (4, 4, 4, 7), (6, 6, math.inf, 5),
+    (4, 4, math.inf, math.inf), (6, 6, math.inf, 4)])
+def test_ring_checks_match_per_word_reference(p1, p2, p3, n):
+    # the stacked products sum in another order than the scalar loop, so
+    # values agree to rounding; verdicts and coefficients agree exactly
+    g = group_with_rotation(p1, p2, p3, n)
+    for _, same_len in groupby(enumerate_words(10, cyclically_reduced=True),
+                               key=len):
+        ws = list(same_len)
+        for w, got in zip(ws, ring_checks(g, ws)):
+            want = ring_check_reference(g, w)
+            assert type(got) is type(want) and got.ok == want.ok, w
+            if isinstance(want, IntegralityVerdict):
+                assert _close(got.two_re, want.two_re), w
+                assert _close(got.abs_sq, want.abs_sq), w
+                continue
+            assert isinstance(got, BasisRingVerdict)
+            for e, f in ((got.two_re, want.two_re), (got.abs_sq, want.abs_sq)):
+                assert e.ok == f.ok and e.coefficients == f.coefficients, w
+                assert _close(e.value, f.value), w
+            pairs = group_conjugate_traces(g, w, got.q)
+            ref = conjugate_traces_reference(g, w, got.q)
+            assert all(_close(a, b) for pair, rp in zip(pairs, ref)
+                       for a, b in zip(pair, rp)), w
+    assert ring_checks(g, []) == []
 
 
 def test_ring_check_past_exact_cap():

@@ -6,7 +6,11 @@ import warnings
 
 import pytest
 
+from chtg.arithmetic import group_with_rotation
 from chtg.cli import dumps_stable, main
+from chtg.words import enumerate_words, word_to_str
+
+from helpers import ring_check_reference
 
 
 def run(capsys, *argv):
@@ -120,6 +124,26 @@ def test_ring_check(capsys):
     assert code == 0
     data = json.loads(out)
     assert all(row["ok"] for row in data["rows"])
+
+
+@pytest.mark.parametrize("n", [5, 8, 10, 12])
+def test_ring_check_csv_equals_per_word_reference(capsys, n):
+    group = group_with_rotation(4, 4, math.inf, n)
+    want = ["word,ok", *(f"{word_to_str(w)},{int(ring_check_reference(group, w).ok)}"
+                         for w in enumerate_words(12, cyclically_reduced=True))]
+    code, out, _ = run(capsys, "ring-check", "--p", "4", "4", "inf",
+                       "--n", str(n), "--max-len", "12", "--csv")
+    assert code == 0
+    assert out == "\n".join(want) + "\n"
+
+
+def test_ring_check_ill_conditioned_basis(capsys):
+    # q = 121 has a power basis of degree phi(121) / 2 = 55
+    code, out, err = run(capsys, "ring-check", "--p", "4", "4", "inf",
+                         "--n", "121", "--max-len", "3")
+    assert code == 65
+    assert out == ""
+    assert err == "domain error: power basis of degree 55 is unusable\n"
 
 
 def test_byte_identical_reruns(capsys):
@@ -245,10 +269,12 @@ def test_method_disagreement_exit(capsys, monkeypatch):
 
     monkeypatch.setattr(cli_mod.traces, "trace_recursive",
                         lambda w, p: FakeTrace())
-    code, _, err = run(capsys, "trace", "--word", "123", "--p", "4", "4", "4",
-                       "--alpha", "1.0")
+    code, out, err = run(capsys, "trace", "--word", "123", "--p", "4", "4", "4",
+                         "--alpha", "1.0")
     assert code == 65
-    assert "disagreement" in err
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("domain error: method disagreement")
 
 
 def test_env_tolerance_override(capsys, monkeypatch):
