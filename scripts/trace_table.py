@@ -22,13 +22,14 @@ def main():
     params = TriangleParams.from_signature(*ps).with_cos_alpha(args.cos_alpha)
     rz = realize(params)
     print(f"{'word':>10} {'tau':>28} {'rho':>12} verdict   max route delta")
-    for w in enumerate_words(args.max_len, cyclically_reduced=True):
-        t0 = trace_oracle(w, rz).value
-        d = max(abs(trace_combinatorial(w, params).value - t0),
-                abs(trace_recursive(w, params).value - t0))
-        cls = classify(t0)
-        print(f"{word_to_str(w):>10} {t0:28.12f} {cls.rho:12.4g} "
-              f"{cls.verdict:22s} {d:.2e}")
+    for ws in enumerate_words(args.max_len):
+        for w in map(tuple, ws.tolist()):
+            t0 = trace_oracle(w, rz).value
+            d = max(abs(trace_combinatorial(w, params).value - t0),
+                    abs(trace_recursive(w, params).value - t0))
+            cls = classify(t0)
+            print(f"{word_to_str(w):>10} {t0:28.12f} {cls.rho:12.4g} "
+                  f"{cls.verdict:22s} {d:.2e}")
 
 
 if __name__ == "__main__":

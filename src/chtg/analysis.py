@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -255,18 +254,22 @@ def non_discreteness_certificate(params: TriangleParams,
 
     The closed-form threshold decision is double-checked by classifying the
     matrix-product trace.  Absence of a certificate says nothing about
-    discreteness.
+    discreteness.  At R = r1 r2 r3 = 0 the trace of (3,2,3,1) is constant,
+    16 r1^2 r2^2 + 4 r3^2 - 1, and t_A is -inf or +inf as that is < 3 or not.
     """
-    th = thresholds(params)
-    t = params.t
-    if not abs(t) > th.t_a:
+    r1, r2, r3 = params.r
+    if r1 * r2 * r3 == 0.0:
+        t_a = -math.inf if 4.0 * r1 * r1 * r2 * r2 + r3 * r3 < 1.0 else math.inf
+    else:
+        t_a = thresholds(params).t_a
+    if not abs(params.t) > t_a:
         return None
     rz = realize(params)
     tau = trace_oracle(W_A, rz).value
     cls = classify(tau, tol=tol)
     if cls.verdict != REGULAR_ELLIPTIC:
         return None
-    return Certificate(W_A, tau, cls.rho, t, th.t_a)
+    return Certificate(W_A, tau, cls.rho, params.t, t_a)
 
 
 @dataclass(frozen=True)
@@ -312,19 +315,15 @@ def scan_elliptic(params: TriangleParams, max_len: int,
                   skip_alternating: bool = True, tol: float = 1e-9) -> ScanReport:
     """Classify every cyclic class up to max_len; flag regular elliptic hits.
 
-    Rows come in enumeration order: by length, then lexicographic.  The
-    oracle traces of each length come from one ``oracle_traces`` call.
+    Rows come in enumeration order: by length, then lexicographic.  Each
+    length's array of classes gets one ``oracle_traces`` call.
     """
-    if max_len < 1:
-        raise ValueError("scan needs max_len >= 1")
-    if max_len > 24:
-        raise ValueError("scan capped at words of length 24")
     rz = realize(params)
     rows = []
-    for _, group in groupby(enumerate_words(max_len, cyclically_reduced=True),
-                            key=len):
-        ws = list(group)
-        for w, tau in zip(ws, oracle_traces(ws, rz)):
+    for ws in enumerate_words(max_len):
+        # row by row: tolist() of a whole level would hold every row at once
+        for w, tau in zip(map(tuple, map(np.ndarray.tolist, ws)),
+                          oracle_traces(ws, rz)):
             cls = classify(tau, tol=tol)
             filtered = False
             if skip_alternating:

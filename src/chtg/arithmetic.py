@@ -259,7 +259,7 @@ def _conjugate_transfer(group: GroupWithRotation, q: int) -> np.ndarray:
 
 
 def ring_checks(group: GroupWithRotation, words, tol: float = 1e-7) -> list:
-    """group_ring_check for each of a list of equal-length words, batched.
+    """group_ring_check for each of equal-length words (a list or an array).
 
     All-integer entries are the one-point case: the traces at the group's
     own parameters come from one stacked product, and each word gets an
@@ -269,7 +269,7 @@ def ring_checks(group: GroupWithRotation, words, tol: float = 1e-7) -> list:
     (experimental) BasisRingVerdict.
     """
     specials = sorted({*group.signature, group.n} - set(INTEGER_ENTRIES))
-    sign = (-1.0) ** len(words[0]) if words else 1.0
+    sign = (-1.0) ** len(words[0]) if len(words) else 1.0
     if not specials:
         p = group.params
         ez = cmath.exp(1j * p.alpha / 3.0)

@@ -19,7 +19,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -358,11 +357,8 @@ def cmd_ring_check(args) -> int:
     cfg = _resolve(args)
     group = cfg.group
     rows = []
-    for _, same_len in groupby(words.enumerate_words(args.max_len,
-                                                     cyclically_reduced=True),
-                               key=len):
-        ws = list(same_len)
-        rows += zip(ws, arithmetic.ring_checks(group, ws, tol=ring_tol))
+    for ws in words.enumerate_words(args.max_len):
+        rows += zip(ws.tolist(), arithmetic.ring_checks(group, ws, tol=ring_tol))
     any_fail = not all(v.ok for _, v in rows)
     if cfg.fmt == "json":
         payload = {"params": group.params.to_json_dict(),

@@ -8,7 +8,11 @@ Words serialise as digit strings ("123123"); the empty word serialises as
 
 from __future__ import annotations
 
+import numpy as np
+
 LETTERS = (1, 2, 3)
+_LETTERS = np.array(LETTERS, dtype=np.int8)
+MAX_LEN = 24  # longest word any scan enumerates; packed words fit in int64
 
 
 class WordError(ValueError):
@@ -139,64 +143,64 @@ def reduce_straighten(word):
     return canonical(w), steps
 
 
-def _necklaces(n: int, reduced: bool):
-    """Length-n necklaces over {1,2,3} (lex-minimal rotations), in lex order.
+def enumerate_words(max_len: int):
+    """Every cyclically reduced class up to max_len, one array per length.
 
-    The FKM recursion (Fredricksen-Kessler-Maiorana; Ruskey-Savage-Wang,
-    J. Algorithms 13, 1992) extends prenecklaces one letter at a time.  With
-    ``reduced`` it never places a letter equal to its left neighbour, and a
-    leaf must also differ from the first letter across the wrap.  Every
-    prefix of a word without equal neighbours has none either, so this
-    yields exactly the cyclically reduced necklaces, in the same order,
-    without visiting the others (necklaces with a forbidden substring,
-    Ruskey-Sawada, COCOON 2000).
+    Yields, for n = 1..max_len, an int8 array (count_n, n) of the least
+    rotations, in lex order, of the words with no two cyclically adjacent
+    letters equal (single letters count), one per class up to inversion: a
+    necklace w is kept iff w <= the least rotation of reversed(w).  Raises
+    WordError for max_len outside 1..MAX_LEN when called, before any yield.
     """
-    a = [1] * (n + 1)
-
-    def gen(t, p):
-        if t > n:
-            if n % p == 0 and not (reduced and n > 1 and a[1] == a[n]):
-                yield tuple(a[1:])
-            return
-        left = a[t - 1] if reduced and t > 1 else 0
-        j = a[t - p]
-        if j != left:
-            a[t] = j
-            yield from gen(t + 1, p)
-        for j in range(j + 1, 4):
-            if j != left:
-                a[t] = j
-                yield from gen(t + 1, t)
-
-    yield from gen(1, 1)
+    if not 1 <= max_len <= MAX_LEN:
+        raise WordError(f"word length must be 1..{MAX_LEN}, got {max_len}")
+    return _levels(max_len)
 
 
-def is_cyclically_reduced(word) -> bool:
-    """No two cyclically adjacent letters equal; single letters count as reduced."""
-    n = len(word)
-    if n <= 1:
-        return True
-    return all(word[m] != word[(m + 1) % n] for m in range(n))
-
-
-def enumerate_words(max_len: int, cyclically_reduced: bool = False):
-    """One representative per cyclic class, deduplicated against inverses.
-
-    Deterministic order: by length, then lexicographic.  A canonical word w
-    is kept iff w <= canonical(inverse(w)).
-    """
-    if max_len < 1:
-        raise WordError("max_len must be >= 1")
+def _levels(max_len: int):
+    """Level t holds the prenecklaces of length t without equal neighbours,
+    in lex order, and their periods p.  A child appends j >= a[t-p] with
+    j != a[t-1] and keeps p iff j == a[t-p], else p = t+1 (the FKM rule,
+    Ruskey-Savage-Wang, J. Algorithms 13, 1992, with a forbidden substring
+    as in Ruskey-Sawada, COCOON 2000).  The necklaces of length n are the
+    rows with n % p == 0 whose first and last letters differ."""
+    words = _LETTERS[:, None]
+    period = np.ones(3, dtype=np.int8)
     for n in range(1, max_len + 1):
-        for w in _necklaces(n, cyclically_reduced):
-            # w is its own least rotation, so canonical(inverse(w)) < w iff
-            # some rotation of the reversed word is smaller than w; only a
-            # rotation that starts with w's first (least) letter can be
-            r = w[::-1] * 2
-            a0 = w[0]
-            if any(r[i] == a0 and r[i:i + n] < w for i in range(n)):
-                continue
-            yield w
+        if n > 1:
+            base = words[np.arange(len(words)), n - 1 - period]
+            # row-major nonzero keeps parents in order, then letters ascending
+            parent, j = np.nonzero((_LETTERS >= base[:, None])
+                                   & (_LETTERS != words[:, -1:]))
+            letter = _LETTERS[j]
+            period = np.where(letter == base[parent], period[parent], n)
+            words = np.concatenate((words[parent], letter[:, None]), axis=1)
+            del base, parent, j, letter  # no temporary outlives the yield
+        yield _kept(words[(n % period == 0)
+                          & ((words[:, 0] != words[:, -1]) | (n == 1))])
+
+
+def _packed(words) -> np.ndarray:
+    """Each row as a base-4 int64 (Horner), so lex order is numeric order."""
+    acc = np.zeros(len(words), dtype=np.int64)
+    for i in range(words.shape[1]):
+        acc *= 4
+        acc += words[:, i]
+    return acc
+
+
+def _kept(necklaces) -> np.ndarray:
+    """Rows w with packed(w) <= min rotation of packed(reversed w), in place."""
+    top = 4 ** (necklaces.shape[1] - 1)
+    rot = _packed(necklaces[:, ::-1])
+    least = rot.copy()
+    for _ in range(necklaces.shape[1] - 1):
+        lead = rot // top
+        rot %= top
+        rot *= 4
+        rot += lead
+        np.minimum(least, rot, out=least)
+    return necklaces[_packed(necklaces) <= least]
 
 
 def word_to_str(word) -> str:

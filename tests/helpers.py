@@ -1,7 +1,9 @@
-"""Shared draw helpers, reference polynomial arithmetic, the reference
-deletion recursion and the reference per-word ring check for the tests."""
+"""Shared draw helpers, the brute-force class list, reference polynomial
+arithmetic, the reference deletion recursion and the reference per-word ring
+check for the tests."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +15,7 @@ from chtg.traces import (_EPS, _TAIL_EXPONENTS, ZeroRadiusUnsupported,
                          _cancel_adjacent, _deletion_terms, _expand,
                          _fourier_terms, _gram, trace_combinatorial)
 from chtg.triangle import TriangleParams
-from chtg.words import canonical
+from chtg.words import canonical, enumerate_words, inverse
 
 
 def draw_params(rng, lo=0.55, hi=1.1, margin=0.03, cos_floor=-0.98):
@@ -35,6 +37,26 @@ def draw_params(rng, lo=0.55, hi=1.1, margin=0.03, cos_floor=-0.98):
 def draw_word(rng, max_len, min_len=0):
     n = int(rng.integers(min_len, max_len + 1))
     return tuple(int(x) for x in rng.integers(1, 4, n))
+
+
+def classes_up_to(max_len):
+    """enumerate_words(max_len) as one list of tuples, in its order."""
+    return [tuple(w) for ws in enumerate_words(max_len) for w in ws.tolist()]
+
+
+def brute_classes(n, cyclically_reduced=True):
+    """The classes of length n, sorted: min(canonical(w), canonical(inverse(w)))
+    over every word, or over the cyclically reduced ones (no two cyclically
+    adjacent letters equal; a single letter counts as reduced)."""
+    if cyclically_reduced:
+        # build the reduced words letter by letter rather than filter 3^n
+        ws = [(a,) for a in (1, 2, 3)]
+        for _ in range(n - 1):
+            ws = [w + (a,) for w in ws for a in (1, 2, 3) if a != w[-1]]
+        ws = [w for w in ws if n == 1 or w[0] != w[-1]]
+    else:
+        ws = itertools.product((1, 2, 3), repeat=n)
+    return sorted({min(canonical(w), canonical(inverse(w))) for w in ws})
 
 
 def poly_mul(a: dict, b: dict) -> dict:

@@ -24,10 +24,10 @@ from chtg.traces import (sigma_closed, sigma_word, tau_123_closed,
                          trace_polynomial, trace_recursive)
 from chtg.triangle import (ExistenceViolation, TriangleParams,
                            brehm_sigma, hakim_sandler_eta, realize)
-from chtg.words import (canonical, enumerate_words, power_word,
-                        reduce_straighten, u_count, v_count, winding)
+from chtg.words import (canonical, power_word, reduce_straighten, u_count,
+                        v_count, winding)
 
-from helpers import draw_params, draw_word
+from helpers import brute_classes, classes_up_to, draw_params, draw_word
 
 RNG_SEED = 90125
 
@@ -162,7 +162,10 @@ def test_criterion_07_exact_mode():
     params = [draw_params(rng) for _ in range(2)]
     checked = 0
     worst = 0.0
-    for w in enumerate_words(10):
+    # every class up to length 10, cyclically reduced or not
+    classes = [w for n in range(1, 11)
+               for w in brute_classes(n, cyclically_reduced=False)]
+    for w in classes:
         tp = trace_polynomial(w, mode="exact")
         for poly in tp.coeffs.values():
             assert all(isinstance(c, int) for c in poly.values())
@@ -207,7 +210,7 @@ def test_criterion_08_mu_suite():
 
 def test_criterion_09_arithmetic_integrality():
     entries = [3, 4, 6, math.inf]
-    words_ = list(enumerate_words(8, cyclically_reduced=True))
+    words_ = classes_up_to(8)
     groups = []
     for sig in itertools.combinations_with_replacement(entries, 3):
         for n in entries:
@@ -229,7 +232,7 @@ def test_criterion_09_arithmetic_integrality():
     broken = any(
         not integer_ring_check(trace_combinatorial(w, perturbed).value,
                                tol=1e-7).ok
-        for w in enumerate_words(5, cyclically_reduced=True))
+        for w in classes_up_to(5))
     ok = worst < 1e-7 and broken
     report(9, ok, f"{len(groups)} integer-entry groups x {len(words_)} words: "
                   f"max residual {worst:.2e}; negative control fails as expected")

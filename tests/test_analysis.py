@@ -15,9 +15,8 @@ from chtg.analysis import (OUT_OF_CRITERION, TYPE_B, TYPE_B_PRODUCT_BOUND,
 from chtg.classify import HYPERBOLIC, REGULAR_ELLIPTIC, classify
 from chtg.traces import oracle_traces, sigma_closed, trace_oracle
 from chtg.triangle import TriangleParams, realize
-from chtg.words import enumerate_words
 
-from helpers import draw_params, draw_word
+from helpers import classes_up_to, draw_params, draw_word
 
 
 def test_t_alpha_conversions():
@@ -201,6 +200,22 @@ def test_certificate_44inf_threshold():
     assert non_discreteness_certificate(base.with_cos_alpha(0.49)) is None
 
 
+@pytest.mark.parametrize("r, has_cert", [((0.0, 0.9, 0.9), True),
+                                         ((0.0, 1.0, 1.0), False),
+                                         ((0.9, 0.0, 1.2), False)])
+def test_certificate_at_zero_radius(r, has_cert):
+    # R = 0: tau(3231) = 16 r1^2 r2^2 + 4 r3^2 - 1 for every alpha, so t_A
+    # is -inf when 4 r1^2 r2^2 + r3^2 < 1 and +inf otherwise
+    p = TriangleParams(*r, alpha=1.0)
+    with pytest.raises(ValueError):
+        thresholds(p)
+    cert = non_discreteness_certificate(p)
+    assert (cert is not None) == has_cert
+    if has_cert:
+        assert cert.word == (3, 2, 3, 1) and cert.t_a == -math.inf
+        assert cert.tau == pytest.approx(4 * 0.81 - 1, abs=1e-12)
+
+
 def test_scan_ideal_below_threshold():
     p = TriangleParams(1, 1, 1).with_cos_alpha(17 / 18 - 1e-3)
     report = scan_elliptic(p, 4)
@@ -249,8 +264,7 @@ def test_scan_rows_equal_per_word_oracle(name):
     tol = 1e-9
     rz = realize(p)
     rows = scan_elliptic(p, 12, tol=tol).rows
-    assert [r.word for r in rows] == list(
-        enumerate_words(12, cyclically_reduced=True))
+    assert [r.word for r in rows] == classes_up_to(12)
     for row in rows:
         assert row.tau == trace_oracle(row.word, rz).value
         cls = classify(row.tau, tol=tol)

@@ -1,7 +1,6 @@
 import cmath
 import functools
 import math
-from itertools import groupby
 
 import numpy as np
 import pytest
@@ -19,8 +18,8 @@ from chtg.traces import (sigma_closed, trace_combinatorial, trace_mu,
 from chtg.triangle import ExistenceViolation, realize
 from chtg.words import enumerate_words
 
-from helpers import (conjugate_traces_reference, ring_check_reference,
-                     trace_mu_polynomial)
+from helpers import (classes_up_to, conjugate_traces_reference,
+                     ring_check_reference, trace_mu_polynomial)
 
 
 def test_totient():
@@ -65,7 +64,7 @@ def test_integer_ring_check_g44inf():
 
 def test_integer_ring_check_batch_g66inf4():
     g = group_with_rotation(6, 6, math.inf, 4)
-    for w in enumerate_words(6, cyclically_reduced=True):
+    for w in classes_up_to(6):
         tau = trace_combinatorial(w, g.params).value
         assert integer_ring_check(tau, tol=1e-7).ok
 
@@ -74,7 +73,7 @@ def test_integer_ring_check_negative_control():
     g = group_with_rotation(4, 4, math.inf, math.inf)
     perturbed = g.params.with_alpha(g.params.alpha + 1e-3)
     failed = False
-    for w in enumerate_words(5, cyclically_reduced=True):
+    for w in classes_up_to(5):
         tau = trace_combinatorial(w, perturbed).value
         if not integer_ring_check(tau, tol=1e-7).ok:
             failed = True
@@ -145,7 +144,7 @@ def _exact_conjugate_pairs(group, word, q):
 def test_conjugate_traces_match_exact_data(p1, p2, p3, n, q):
     g = group_with_rotation(p1, p2, p3, n)
     real_root = False
-    for w in enumerate_words(10, cyclically_reduced=True):
+    for w in classes_up_to(10):
         want, real = _exact_conjugate_pairs(g, w, q)
         real_root = real_root or real
         got = group_conjugate_traces(g, w, q)
@@ -174,10 +173,8 @@ def test_ring_checks_match_per_word_reference(p1, p2, p3, n):
     # the stacked products sum in another order than the scalar loop, so
     # values agree to rounding; verdicts and coefficients agree exactly
     g = group_with_rotation(p1, p2, p3, n)
-    for _, same_len in groupby(enumerate_words(10, cyclically_reduced=True),
-                               key=len):
-        ws = list(same_len)
-        for w, got in zip(ws, ring_checks(g, ws)):
+    for ws in enumerate_words(10):
+        for w, got in zip(map(tuple, ws.tolist()), ring_checks(g, ws)):
             want = ring_check_reference(g, w)
             assert type(got) is type(want) and got.ok == want.ok, w
             if isinstance(want, IntegralityVerdict):

@@ -7,10 +7,13 @@ import warnings
 import pytest
 
 from chtg.arithmetic import group_with_rotation
+from chtg.classify import classify
 from chtg.cli import dumps_stable, main
-from chtg.words import enumerate_words, word_to_str
+from chtg.traces import trace_oracle
+from chtg.triangle import TriangleParams, realize
+from chtg.words import MAX_LEN, word_to_str
 
-from helpers import ring_check_reference
+from helpers import brute_classes, ring_check_reference
 
 
 def run(capsys, *argv):
@@ -130,10 +133,28 @@ def test_ring_check(capsys):
 def test_ring_check_csv_equals_per_word_reference(capsys, n):
     group = group_with_rotation(4, 4, math.inf, n)
     want = ["word,ok", *(f"{word_to_str(w)},{int(ring_check_reference(group, w).ok)}"
-                         for w in enumerate_words(12, cyclically_reduced=True))]
+                         for n in range(1, 13) for w in brute_classes(n))]
     code, out, _ = run(capsys, "ring-check", "--p", "4", "4", "inf",
                        "--n", str(n), "--max-len", "12", "--csv")
     assert code == 0
+    assert out == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("sig, t", [("4 5 6", "1.0"), ("4 4 inf", "1.9")],
+                         ids=["456", "44inf"])
+def test_scan_csv_equals_per_word_reference(capsys, sig, t):
+    p = TriangleParams.from_signature(*map(float, sig.split())).with_t(float(t))
+    rz = realize(p)
+    want = ["word,re_tau,im_tau,rho,verdict"]
+    for n in range(1, 13):
+        for w in brute_classes(n):
+            tau = trace_oracle(w, rz).value
+            cls = classify(tau)
+            want.append(",".join([word_to_str(w), *(format(x, ".17g") for x in
+                                  (tau.real, tau.imag, cls.rho)), cls.verdict]))
+    code, out, _ = run(capsys, "scan", "--p", *sig.split(), "--t", t,
+                       "--max-len", "12", "--csv")
+    assert code == 2
     assert out == "\n".join(want) + "\n"
 
 
@@ -409,6 +430,38 @@ def test_max_len_below_one_is_domain_error(capsys, argv):
     assert code == 65
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("domain error")
+
+
+@pytest.mark.parametrize("command", [
+    ("scan", "--p", "4", "5", "6", "--t", "1"),
+    ("ring-check", "--p", "4", "4", "inf", "--n", "5"),
+], ids=["scan", "ring-check"])
+def test_max_len_past_cap_is_domain_error(capsys, command):
+    # one cap, words.MAX_LEN, checked before any class is enumerated
+    code, out, err = run(capsys, *command, "--max-len", str(MAX_LEN + 1),
+                         "--csv")
+    assert code == 65
+    assert out == ""
+    assert err == f"domain error: word length must be 1..{MAX_LEN}, " \
+                  f"got {MAX_LEN + 1}\n"
+
+
+def test_scan_zero_radius_certificate(capsys):
+    # at r1 = 0 the trace of 3231 is 16 r1^2 r2^2 + 4 r3^2 - 1 = 2.24
+    code, out, err = run(capsys, "scan", "--r", "0", "0.9", "0.9",
+                         "--alpha", "1", "--max-len", "4", "--json")
+    assert (code, err) == (2, "")
+    cert = json.loads(out)["certificate"]
+    assert cert["word"] == "3231" and cert["t_a"] == "-inf"
+    assert cert["tau"]["re"] == pytest.approx(2.24, abs=1e-12)
+
+
+def test_scan_zero_radius_no_certificate(capsys):
+    # 4 r1^2 r2^2 + r3^2 = 1, so the test word's trace is 3: t_A = +inf
+    code, out, err = run(capsys, "scan", "--r", "0", "1", "1", "--alpha", "1",
+                         "--max-len", "4", "--csv")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 13
 
 
 def test_subprocess_entry_point():

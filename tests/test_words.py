@@ -1,13 +1,12 @@
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
 from chtg.traces import _cancel_adjacent, _deletion_terms
-from chtg.words import (WordError, canonical, chi, enumerate_words, inverse,
-                        is_cyclically_reduced, n_count, parse_word, power_word,
-                        psi, reduce_straighten, rotate, u_count, v_count,
-                        winding, word_to_str)
+from chtg.words import (MAX_LEN, WordError, canonical, chi, enumerate_words,
+                        n_count, parse_word, power_word, psi, reduce_straighten,
+                        rotate, u_count, v_count, winding, word_to_str)
+
+from helpers import brute_classes
 
 letter = st.integers(1, 3)
 word_st = st.lists(letter, max_size=18).map(tuple)
@@ -161,32 +160,22 @@ def test_delete_to_empty():
 
 
 def test_enumerate_small():
-    assert list(enumerate_words(1)) == [(1,), (2,), (3,)]
-    got = list(enumerate_words(2, cyclically_reduced=True))
-    assert got == [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
+    got = [a.tolist() for a in enumerate_words(2)]
+    assert got == [[[1], [2], [3]], [[1, 2], [1, 3], [2, 3]]]
 
 
-def _brute_classes(n, cyclically_reduced):
-    if cyclically_reduced:
-        # build the reduced words letter by letter rather than filter 3^n
-        ws = [(a,) for a in (1, 2, 3)]
-        for _ in range(n - 1):
-            ws = [w + (a,) for w in ws for a in (1, 2, 3) if a != w[-1]]
-        ws = [w for w in ws if is_cyclically_reduced(w)]
-    else:
-        ws = itertools.product((1, 2, 3), repeat=n)
-    return {min(canonical(w), canonical(inverse(w))) for w in ws}
+def test_enumerate_matches_bruteforce():
+    # one int8 array per length, rows sorted and equal to the brute force
+    for n, got in enumerate(enumerate_words(12), start=1):
+        assert got.dtype == "int8" and got.shape[1] == n
+        assert list(map(tuple, got.tolist())) == brute_classes(n)
 
 
-@pytest.mark.parametrize("reduced", [False, True])
-def test_enumerate_matches_bruteforce(reduced):
-    # the reduced mode prunes the same recursion, so it is checked further
-    for n in range(1, 13 if reduced else 8):
-        got = [w for w in enumerate_words(n, cyclically_reduced=reduced)
-               if len(w) == n]
-        assert len(got) == len(set(got))
-        assert set(got) == _brute_classes(n, reduced)
-        assert got == sorted(got)
+@pytest.mark.parametrize("max_len", [0, -3, MAX_LEN + 1])
+def test_enumerate_rejects_length_at_call(max_len):
+    # the check runs when enumerate_words is called, not at the first next()
+    with pytest.raises(WordError):
+        enumerate_words(max_len)
 
 
 def test_serialisation():
