@@ -175,7 +175,7 @@ def _levels(max_len: int):
             letter = _LETTERS[j]
             period = np.where(letter == base[parent], period[parent], n)
             words = np.concatenate((words[parent], letter[:, None]), axis=1)
-            del base, parent, j, letter  # no temporary outlives the yield
+            del base, parent, j, letter  # not held while the caller runs
         yield _kept(words[(n % period == 0)
                           & ((words[:, 0] != words[:, -1]) | (n == 1))])
 
