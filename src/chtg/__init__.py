@@ -17,7 +17,7 @@ from .classify import (BOUNDARY_NON_UNIPOTENT, HYPERBOLIC, INDETERMINATE,
 from .linalg import ProjPoint, boxtimes, herm, in_u21, random_u21, rank_one
 from .traces import (CapExceeded, TracePolynomial, TraceValue,
                      ZeroRadiusUnsupported, sigma_closed, sigma_word,
-                     tau_123_closed, tau_2321_closed, trace_combinatorial,
+                     tau_123_closed, trace_combinatorial,
                      trace_mu, trace_mu_combinatorial, trace_oracle,
                      trace_polynomial, trace_recursive)
 from .triangle import (DegenerateNormalization, ExistenceViolation,

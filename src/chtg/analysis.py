@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import REGULAR_ELLIPTIC, classify, discriminant
-from .traces import oracle_traces, sigma_closed, tau_123_closed, trace_oracle
+from .traces import sigma_closed, stacked_traces, tau_123_closed, trace_oracle
 from .triangle import TWO_PI, TriangleParams, alpha_of_t, realize, t_of_alpha
 from .words import enumerate_words, word_to_str
 
@@ -272,7 +272,7 @@ def non_discreteness_certificate(params: TriangleParams,
     return Certificate(W_A, tau, cls.rho, params.t, t_a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanRow:
     word: tuple
     tau: complex
@@ -297,38 +297,24 @@ class ScanReport:
                      if r.verdict == REGULAR_ELLIPTIC and not r.filtered)
 
 
-def _alternation_index(word):
-    """k if the cyclic word is an alternating power of {k-1, k+1}, else None."""
-    n = len(word)
-    if n < 2 or n % 2:
-        return None
-    letters = set(word)
-    if len(letters) != 2:
-        return None
-    if any(word[m] != word[(m + 2) % n] for m in range(n)):
-        return None
-    a, b = letters
-    return 6 - a - b
-
-
 def scan_elliptic(params: TriangleParams, max_len: int,
                   skip_alternating: bool = True, tol: float = 1e-9) -> ScanReport:
     """Classify every cyclic class up to max_len; flag regular elliptic hits.
 
     Rows come in enumeration order: by length, then lexicographic.  Each
-    length's array of classes gets one ``oracle_traces`` call.
+    length's array of classes gets one ``stacked_traces`` call.
     """
     rz = realize(params)
     rows = []
     for ws in enumerate_words(max_len):
         # row by row: tolist() of a whole level would hold every row at once
         for w, tau in zip(map(tuple, map(np.ndarray.tolist, ws)),
-                          oracle_traces(ws, rz)):
+                          stacked_traces(ws, rz.iotas).tolist()):
             cls = classify(tau, tol=tol)
             filtered = False
-            if skip_alternating:
-                k = _alternation_index(w)
-                # alternation powers are rotations of finite angle when r_k < 1
-                filtered = k is not None and params.r[k - 1] < 1.0 - 1e-12
+            if skip_alternating and len(letters := set(w)) == 2:
+                # a reduced class on two letters a, b is a power of (a, b),
+                # a rotation of finite angle when r_k < 1 for k = 6 - a - b
+                filtered = params.r[5 - sum(letters)] < 1.0 - 1e-12
             rows.append(ScanRow(w, tau, cls.rho, cls.verdict, filtered))
     return ScanReport(tuple(rows))

@@ -45,7 +45,7 @@ INTEGER_ENTRIES = (3, 4, 6, math.inf)
 _REFLECTION_FACTORS = (-2.0, -2.0, -2.0)
 
 
-class IllConditionedBasis(RuntimeError):
+class IllConditionedBasis(ValueError):
     """The conjugate Vandermonde system is numerically unusable."""
 
 

@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -186,7 +187,8 @@ def _tol(args) -> float:
 
 
 def _emit(lines):
-    sys.stdout.write("\n".join(lines) + "\n")
+    """Write each line of any iterable of lines, one at a time."""
+    sys.stdout.writelines(f"{line}\n" for line in lines)
 
 
 def cmd_trace(args) -> int:
@@ -214,12 +216,11 @@ def cmd_trace(args) -> int:
     cls = classify(tau, tol=tol)
     payload = {
         "word": words.word_to_str(word),
-        "tau": {"re": tau.real, "im": tau.imag},
+        "tau": tau,
         "method": "oracle",
         "rho": cls.rho,
         "verdict": cls.verdict,
-        "methods": {name: {"re": v.real, "im": v.imag}
-                    for name, v in results.items()},
+        "methods": results,
         "deltas": deltas,
         "params": params.to_json_dict(),
     }
@@ -232,21 +233,20 @@ def cmd_trace(args) -> int:
     if cfg.fmt == "json":
         _emit([dumps_stable(payload)])
     elif cfg.fmt == "csv":
-        _emit(["method,re_tau,im_tau",
-               *(f"{name},{_num(v.real)},{_num(v.imag)}"
-                 for name, v in results.items())])
+        _emit(chain(["method,re_tau,im_tau"],
+                    (f"{name},{_num(v.real)},{_num(v.imag)}"
+                     for name, v in results.items())))
     else:
-        lines = [f"word {words.word_to_str(word)}: tau = {tau:.12g} "
-                 f"rho = {cls.rho:.6g} [{cls.verdict}]"]
-        for name, v in results.items():
-            lines.append(f"  {name:14s} {v:.15g}")
-        for name, d in deltas.items():
-            lines.append(f"  delta[{name}] = {d:.3g}")
-        _emit(lines)
+        _emit(chain([f"word {words.word_to_str(word)}: tau = {tau:.12g} "
+                     f"rho = {cls.rho:.6g} [{cls.verdict}]"],
+                    (f"  {name:14s} {v:.15g}" for name, v in results.items()),
+                    (f"  delta[{name}] = {d:.3g}" for name, d in deltas.items())))
     return EXIT_OK
 
 
-def _threshold_payload(params):
+def cmd_thresholds(args) -> int:
+    cfg = _resolve(args, need_angle=False)
+    params = cfg.params
     th = analysis.thresholds(params)
     payload = {
         "params": params.to_json_dict(),
@@ -262,16 +262,10 @@ def _threshold_payload(params):
         payload["t_b_plus"] = th.t_b_plus
     if params.n is not None:
         payload["n"] = params.n
-    return payload
-
-
-def cmd_thresholds(args) -> int:
-    cfg = _resolve(args, need_angle=False)
-    payload = _threshold_payload(cfg.params)
     if cfg.fmt == "json":
         _emit([dumps_stable(payload)])
     else:
-        lines = [f"r = ({cfg.params.r1:.12g}, {cfg.params.r2:.12g}, {cfg.params.r3:.12g})"]
+        lines = [f"r = ({params.r1:.12g}, {params.r2:.12g}, {params.r3:.12g})"]
         for key in ("c_inf", "t_inf", "c_a", "t_a", "r_product"):
             lines.append(f"  {key:10s} = {payload[key]:.12g}")
         lines.append(f"  family     = {payload['family_member']}")
@@ -297,21 +291,19 @@ def cmd_invariants(args) -> int:
     except TriangleError:
         payload["sigma"] = None
     try:
-        eta = triangle.hakim_sandler_eta(rz)
-        payload["eta"] = {"re": eta.real, "im": eta.imag}
+        payload["eta"] = triangle.hakim_sandler_eta(rz)
     except TriangleError:
         payload["eta"] = None
     if cfg.fmt == "json":
         _emit([dumps_stable(payload)])
     else:
-        lines = [f"alpha  = {params.alpha:.12g}",
-                 f"t      = {params.t:.12g}",
-                 f"cartan = {payload['cartan']:.12g}"]
-        lines.append("sigma  = " + ("undefined" if payload["sigma"] is None
-                                    else f"{payload['sigma']:.12g}"))
-        lines.append("eta    = " + ("undefined" if payload["eta"] is None
-                                    else f"{complex(payload['eta']['re'], payload['eta']['im']):.12g}"))
-        _emit(lines)
+        _emit([f"alpha  = {params.alpha:.12g}",
+               f"t      = {params.t:.12g}",
+               f"cartan = {payload['cartan']:.12g}",
+               "sigma  = " + ("undefined" if payload["sigma"] is None
+                              else f"{payload['sigma']:.12g}"),
+               "eta    = " + ("undefined" if payload["eta"] is None
+                              else f"{payload['eta']:.12g}")])
     return EXIT_OK
 
 
@@ -322,32 +314,29 @@ def cmd_scan(args) -> int:
                                     skip_alternating=not args.include_alternating,
                                     tol=tol)
     cert = analysis.non_discreteness_certificate(cfg.params, tol=tol)
+    hits = report.hits
     if cfg.fmt == "json":
         payload = {"params": cfg.params.to_json_dict(), "max_len": args.max_len,
                    "rows": [r.to_json_dict() for r in report.rows],
-                   "hits": [words.word_to_str(r.word) for r in report.hits],
+                   "hits": [words.word_to_str(r.word) for r in hits],
                    "certificate": None if cert is None else {
                        "word": words.word_to_str(cert.word),
-                       "tau": {"re": cert.tau.real, "im": cert.tau.imag},
+                       "tau": cert.tau,
                        "rho": cert.rho, "t": cert.t, "t_a": cert.t_a}}
         _emit([dumps_stable(payload)])
     elif cfg.fmt == "csv":
-        lines = ["word,re_tau,im_tau,rho,verdict"]
-        for r in report.rows:
-            lines.append(",".join([words.word_to_str(r.word),
-                                   _num(r.tau.real), _num(r.tau.imag),
-                                   _num(r.rho), r.verdict]))
-        _emit(lines)
+        _emit(chain(["word,re_tau,im_tau,rho,verdict"],
+                    (f"{words.word_to_str(r.word)},{_num(r.tau.real)},"
+                     f"{_num(r.tau.imag)},{_num(r.rho)},{r.verdict}"
+                     for r in report.rows)))
     else:
-        lines = []
-        for r in report.rows:
-            mark = " *" if (r.verdict == REGULAR_ELLIPTIC
-                            and not r.filtered) else ""
-            lines.append(f"{words.word_to_str(r.word):12s} tau = {r.tau:.8g} "
-                         f"rho = {r.rho:.6g} {r.verdict}{mark}")
-        lines.append(f"hits: {len(report.hits)}")
-        _emit(lines)
-    return EXIT_FOUND if (report.hits or cert is not None) else EXIT_OK
+        _emit(chain((f"{words.word_to_str(r.word):12s} tau = {r.tau:.8g} "
+                     f"rho = {r.rho:.6g} {r.verdict}"
+                     + (" *" if r.verdict == REGULAR_ELLIPTIC and not r.filtered
+                        else "")
+                     for r in report.rows),
+                    [f"hits: {len(hits)}"]))
+    return EXIT_FOUND if (hits or cert is not None) else EXIT_OK
 
 
 def cmd_ring_check(args) -> int:
@@ -367,11 +356,11 @@ def cmd_ring_check(args) -> int:
                              **v.to_json_dict()} for w, v in rows]}
         _emit([dumps_stable(payload)])
     elif cfg.fmt == "csv":
-        _emit(["word,ok", *(f"{words.word_to_str(w)},{int(v.ok)}" for w, v in rows)])
+        _emit(chain(["word,ok"],
+                    (f"{words.word_to_str(w)},{int(v.ok)}" for w, v in rows)))
     else:
-        lines = [f"{words.word_to_str(w):10s} ok={v.ok}" for w, v in rows]
-        lines.append(f"all passed: {not any_fail}")
-        _emit(lines)
+        _emit(chain((f"{words.word_to_str(w):10s} ok={v.ok}" for w, v in rows),
+                    [f"all passed: {not any_fail}"]))
     return EXIT_FOUND if any_fail else EXIT_OK
 
 
@@ -429,7 +418,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except (ValueError, arithmetic.IllConditionedBasis) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN
 

@@ -329,11 +329,6 @@ def stacked_traces(words, mats) -> np.ndarray:
     return np.concatenate(out, axis=-1)
 
 
-def oracle_traces(words, realization) -> list:
-    """trace_oracle(w, realization).value for each of equal-length words."""
-    return stacked_traces(words, realization.iotas).tolist()
-
-
 def agreement_bound(word, realization) -> float:
     """How far the trace routes may disagree on a word from rounding alone.
 
@@ -499,8 +494,3 @@ def sigma_closed(params, k: int) -> float:
     rk = r[k - 1]
     return (16.0 * rm * rm * rp * rp + 4.0 * rk * rk - 1.0) \
         - 16.0 * params.r_product * params.cos_alpha
-
-
-def tau_2321_closed(params) -> float:
-    """Trace of (2, 3, 2, 1): (16 r1^2 r3^2 + 4 r2^2 - 1) - 16 r1 r2 r3 cos(alpha)."""
-    return sigma_closed(params, 2)

@@ -49,19 +49,6 @@ def psi(k: int, a: int, b: int) -> int:
     return 1 if {a, b} == {wrap(k - 1), wrap(k + 1)} else 0
 
 
-def u_count(k: int, word) -> int:
-    """Number of cyclically adjacent pairs of the word equal to {k-1, k+1}."""
-    n = len(word)
-    if n == 0:
-        return 0
-    return sum(psi(k, word[m], word[(m + 1) % n]) for m in range(n))
-
-
-def n_count(k: int, word) -> int:
-    """Number of occurrences of the letter k."""
-    return sum(1 for a in word if a == k)
-
-
 def v_count(k: int, triple) -> int:
     """psi_k(a,b) + psi_k(b,c) - psi_k(a,c) for a triple (a, b, c)."""
     a, b, c = triple
@@ -85,13 +72,6 @@ def canonical(word):
 def inverse(word):
     """Word of the inverse element (the generators are involutions)."""
     return tuple(reversed(word))
-
-
-def power_word(base, w: int):
-    """base^w; negative powers reverse the word."""
-    if w >= 0:
-        return tuple(base) * w
-    return tuple(reversed(base)) * (-w)
 
 
 def reduce_straighten(word):

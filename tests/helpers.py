@@ -1,6 +1,6 @@
-"""Shared draw helpers, the brute-force class list, reference polynomial
-arithmetic, the reference deletion recursion and the reference per-word ring
-check for the tests."""
+"""Shared draw helpers, word counts, the brute-force class list, the
+reference alternation test, reference polynomial arithmetic, the reference
+deletion recursion and the reference per-word ring check for the tests."""
 
 import cmath
 import itertools
@@ -15,7 +15,7 @@ from chtg.traces import (_EPS, _TAIL_EXPONENTS, ZeroRadiusUnsupported,
                          _cancel_adjacent, _deletion_terms, _expand,
                          _fourier_terms, _gram, trace_combinatorial)
 from chtg.triangle import TriangleParams
-from chtg.words import canonical, enumerate_words, inverse
+from chtg.words import canonical, enumerate_words, inverse, psi
 
 
 def draw_params(rng, lo=0.55, hi=1.1, margin=0.03, cos_floor=-0.98):
@@ -39,6 +39,26 @@ def draw_word(rng, max_len, min_len=0):
     return tuple(int(x) for x in rng.integers(1, 4, n))
 
 
+def u_count(k: int, word) -> int:
+    """Number of cyclically adjacent pairs of the word equal to {k-1, k+1}."""
+    n = len(word)
+    if n == 0:
+        return 0
+    return sum(psi(k, word[m], word[(m + 1) % n]) for m in range(n))
+
+
+def n_count(k: int, word) -> int:
+    """Number of occurrences of the letter k."""
+    return sum(1 for a in word if a == k)
+
+
+def power_word(base, w: int):
+    """base^w; negative powers reverse the word."""
+    if w >= 0:
+        return tuple(base) * w
+    return tuple(reversed(base)) * (-w)
+
+
 def classes_up_to(max_len):
     """enumerate_words(max_len) as one list of tuples, in its order."""
     return [tuple(w) for ws in enumerate_words(max_len) for w in ws.tolist()]
@@ -57,6 +77,22 @@ def brute_classes(n, cyclically_reduced=True):
     else:
         ws = itertools.product((1, 2, 3), repeat=n)
     return sorted({min(canonical(w), canonical(inverse(w))) for w in ws})
+
+
+def _alternation_index(word):
+    """k if the cyclic word is an alternating power of {k-1, k+1}, else None.
+
+    The reference for scan_elliptic's alternation filter, for any word."""
+    n = len(word)
+    if n < 2 or n % 2:
+        return None
+    letters = set(word)
+    if len(letters) != 2:
+        return None
+    if any(word[m] != word[(m + 2) % n] for m in range(n)):
+        return None
+    a, b = letters
+    return 6 - a - b
 
 
 def poly_mul(a: dict, b: dict) -> dict:

@@ -19,15 +19,15 @@ from chtg.analysis import (OUT_OF_CRITERION, TYPE_B, alpha_of_t, bisect,
 from chtg.arithmetic import group_with_rotation, integer_ring_check
 from chtg.linalg import boxtimes, herm, random_u21
 from chtg.traces import (sigma_closed, sigma_word, tau_123_closed,
-                         tau_2321_closed, trace_combinatorial, trace_mu,
+                         trace_combinatorial, trace_mu,
                          trace_mu_combinatorial, trace_oracle,
                          trace_polynomial, trace_recursive)
 from chtg.triangle import (ExistenceViolation, TriangleParams,
                            brehm_sigma, hakim_sandler_eta, realize)
-from chtg.words import (canonical, power_word, reduce_straighten, u_count,
-                        v_count, winding)
+from chtg.words import canonical, reduce_straighten, v_count, winding
 
-from helpers import brute_classes, classes_up_to, draw_params, draw_word
+from helpers import (brute_classes, classes_up_to, draw_params, draw_word,
+                     power_word, u_count)
 
 RNG_SEED = 90125
 
@@ -68,7 +68,7 @@ def test_criterion_02_closed_form_fixtures():
         fixtures += [((a, b), 4.0 * p.r[k - 1] ** 2 - 1.0)
                      for (a, b), k in pair_index.items()]
         fixtures += [((1, 2, 3), tau_123_closed(p)),
-                     ((2, 3, 2, 1), tau_2321_closed(p))]
+                     ((2, 3, 2, 1), sigma_closed(p, 2))]
         fixtures += [(sigma_word(k), sigma_closed(p, k)) for k in (1, 2, 3)]
         for w, want in fixtures:
             for got in (trace_oracle(w, rz).value,

@@ -5,18 +5,17 @@ import pytest
 
 from chtg import traces
 from chtg.analysis import (OUT_OF_CRITERION, TYPE_B, TYPE_B_PRODUCT_BOUND,
-                           Certificate, NotInFamily, _alternation_index,
-                           alpha_of_t, bisect,
+                           Certificate, NotInFamily, alpha_of_t, bisect,
                            cos_of_t, family_c_a_printed, family_c_a_report,
                            family_membership, family_quartic, family_type,
                            non_discreteness_certificate, rho_123_weighted,
                            scan_elliptic, sigma_lower_bound_check, t_of_alpha,
                            t_of_cos, thresholds)
 from chtg.classify import HYPERBOLIC, REGULAR_ELLIPTIC, classify
-from chtg.traces import oracle_traces, sigma_closed, trace_oracle
+from chtg.traces import sigma_closed, stacked_traces, trace_oracle
 from chtg.triangle import TriangleParams, realize
 
-from helpers import classes_up_to, draw_params, draw_word
+from helpers import _alternation_index, classes_up_to, draw_params, draw_word
 
 
 def test_t_alpha_conversions():
@@ -286,15 +285,16 @@ def test_scan_rows_independent_of_chunk_size(monkeypatch):
 
 
 def test_oracle_traces_match_trace_oracle(rng):
+    # scan's stacked products at the reflections are trace_oracle bit for bit
     for name, p in sorted(_SCAN_CASES.items()):
         rz = realize(p)
         for n in range(0, 61):
             w = draw_word(rng, n, min_len=n)
-            assert oracle_traces([w], rz)[0] == trace_oracle(w, rz).value
+            assert stacked_traces([w], rz.iotas)[0] == trace_oracle(w, rz).value
         same_len = [draw_word(rng, 9, min_len=9) for _ in range(20)]
-        assert oracle_traces(same_len, rz) == [trace_oracle(w, rz).value
-                                               for w in same_len]
-    assert oracle_traces([], rz) == []
+        assert stacked_traces(same_len, rz.iotas).tolist() == \
+            [trace_oracle(w, rz).value for w in same_len]
+    assert stacked_traces([], rz.iotas).tolist() == []
 
 
 @pytest.mark.parametrize("max_len", [0, -3])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -172,6 +173,43 @@ def test_byte_identical_reruns(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+# sha256 of stdout for the JSON, CSV and human forms of each subcommand that
+# writes rows or payloads, recorded before scan and ring-check streamed their
+# rows and before the payloads carried complex values as such
+_S = "scan --p 4 5 6 --t 1.0 --max-len 10"
+_R = "ring-check --p 4 4 inf --max-len 8 --n"
+_T = "trace --word 2321 --p 4 5 6 --t 0.8"
+GOLDEN_STDOUT = {
+    f"{_S} --json": (2, "dd80ea6ee16257e39d120c08ca690f0dd80bdf8d814d02d13c515f4aea646b5d"),
+    f"{_S} --csv": (2, "e564c8aa188c776739e09825d1e75a0e0467b63c18ad542f8bc6bdc38f52a152"),
+    _S: (2, "df85345e1050c2a7e07a87d371bf2072491df4973d0504fe82a96711321a46e0"),
+    f"{_R} 5 --json": (0, "7774f7e7fda9e0591beac031720ea11dfaf0c59e6e1fb38ef332e5a643777e28"),
+    f"{_R} 5 --csv": (0, "2a056b489d545df984b93480ab14de5974cbb0757e5fb04cd5fd81669015f0f2"),
+    f"{_R} 5": (0, "058aec931f1a04b27eb65c031128ee1e872515dcf6e3bb14d9d546cd101574d9"),
+    f"{_R} inf --json": (0, "88462e12c473f28c23af59638462682adde160f0c90910dee9863999e8be8477"),
+    f"{_R} inf --csv": (0, "2a056b489d545df984b93480ab14de5974cbb0757e5fb04cd5fd81669015f0f2"),
+    f"{_R} inf": (0, "058aec931f1a04b27eb65c031128ee1e872515dcf6e3bb14d9d546cd101574d9"),
+    f"{_T} --json --fourier": (0, "cdf6812879f77f09d7cb0ad5690be5a2e582a203c1e9269f5d620cec053bc550"),
+    f"{_T} --csv": (0, "ffa6e688e72f9abebf2bd5c56656f5332fd9604645a5453b642355df7cc2dcf4"),
+    _T: (0, "523a844553eacdce69a5ff146c282d91b1f930a81d591dedfd9e101514cabea2"),
+    "invariants --p 4 5 6 --t 0.8 --json":
+        (0, "ccecff51d9f29f98f717caff3602fc161eee82b455255bf48baabf0d9e181057"),
+    "invariants --p 4 5 6 --t 0.8":
+        (0, "2f64ef53f0468633b66fde34419c245e542ecbe2e83309c3adca13b46ea9289f"),
+    "thresholds --p 4 4 inf --json":
+        (0, "765f22ffd21e1a055f19da915f4e41673392b3f68838bf5ee1935d8a31a8455b"),
+    "thresholds --p 4 4 inf":
+        (0, "037c79536f1a2101cb6215545e78408ea1f21e05a8d5d65998518d85b647e0ae"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_stdout_golden_digest(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_STDOUT[command]
+    assert err == ""
 
 
 def test_usage_errors(capsys):

@@ -7,15 +7,15 @@ import pytest
 
 from chtg.traces import (EXACT_CAP, CapExceeded, ZeroRadiusUnsupported,
                          _recursion_plan, poly_to_str, sigma_closed, sigma_word, tau_123_closed,
-                         tau_2321_closed, trace_combinatorial, trace_mu,
+                         trace_combinatorial, trace_mu,
                          trace_mu_combinatorial, trace_oracle, trace_polynomial,
                          trace_recursive)
 from chtg.triangle import TriangleParams, realize
-from chtg.words import (canonical, n_count, power_word, reduce_straighten,
-                        rotate, u_count, winding)
+from chtg.words import canonical, reduce_straighten, rotate, winding
 
-from helpers import (draw_params, draw_word, poly_mul, poly_sub,
-                     recursive_reference, trace_mu_polynomial)
+from helpers import (draw_params, draw_word, n_count, poly_mul, poly_sub,
+                     power_word, recursive_reference, trace_mu_polynomial,
+                     u_count)
 
 
 def test_oracle_base_cases(rng):
@@ -76,7 +76,7 @@ def test_closed_forms_three_methods(rng):
         rz = realize(p)
         fixtures = [
             ((1, 2, 3), tau_123_closed(p)),
-            ((2, 3, 2, 1), tau_2321_closed(p)),
+            ((2, 3, 2, 1), sigma_closed(p, 2)),
             (sigma_word(1), sigma_closed(p, 1)),
             (sigma_word(2), sigma_closed(p, 2)),
             (sigma_word(3), sigma_closed(p, 3)),

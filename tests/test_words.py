@@ -3,10 +3,10 @@ from hypothesis import given, strategies as st
 
 from chtg.traces import _cancel_adjacent, _deletion_terms
 from chtg.words import (MAX_LEN, WordError, canonical, chi, enumerate_words,
-                        n_count, parse_word, power_word, psi, reduce_straighten,
-                        rotate, u_count, v_count, winding, word_to_str)
+                        parse_word, psi, reduce_straighten, rotate, v_count,
+                        winding, word_to_str)
 
-from helpers import brute_classes
+from helpers import brute_classes, n_count, power_word, u_count
 
 letter = st.integers(1, 3)
 word_st = st.lists(letter, max_size=18).map(tuple)
