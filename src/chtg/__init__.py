@@ -1,7 +1,7 @@
 """Complex hyperbolic triangle groups: traces, classification, thresholds."""
 
-from .analysis import (Certificate, NotInFamily, ScanReport, ScanRow,
-                       Thresholds, alpha_of_t, bisect, family_membership,
+from .analysis import (Certificate, NotInFamily, ScanRow, Thresholds,
+                       alpha_of_t, bisect, family_membership,
                        family_quartic, family_type,
                        non_discreteness_certificate, rho_123_weighted,
                        scan_elliptic, sigma_lower_bound_check, t_of_alpha,

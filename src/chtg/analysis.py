@@ -287,26 +287,20 @@ class ScanRow:
                 "filtered": self.filtered}
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    rows: tuple
-
-    @property
-    def hits(self):
-        return tuple(r for r in self.rows
-                     if r.verdict == REGULAR_ELLIPTIC and not r.filtered)
-
-
 def scan_elliptic(params: TriangleParams, max_len: int,
-                  skip_alternating: bool = True, tol: float = 1e-9) -> ScanReport:
-    """Classify every cyclic class up to max_len; flag regular elliptic hits.
+                  skip_alternating: bool = True, tol: float = 1e-9):
+    """Classify every cyclic class up to max_len, one ScanRow at a time.
 
-    Rows come in enumeration order: by length, then lexicographic.  Each
-    length's array of classes gets one ``stacked_traces`` call.
+    Bad input raises at the call, before the first row; rows are made as the
+    iterator is read, in enumeration order: by length, then lexicographic.
+    Each length's array of classes gets one ``stacked_traces`` call.
     """
     rz = realize(params)
-    rows = []
-    for ws in enumerate_words(max_len):
+    return _rows(params, rz, enumerate_words(max_len), skip_alternating, tol)
+
+
+def _rows(params, rz, levels, skip_alternating, tol):
+    for ws in levels:
         # row by row: tolist() of a whole level would hold every row at once
         for w, tau in zip(map(tuple, map(np.ndarray.tolist, ws)),
                           stacked_traces(ws, rz.iotas).tolist()):
@@ -316,5 +310,4 @@ def scan_elliptic(params: TriangleParams, max_len: int,
                 # a reduced class on two letters a, b is a power of (a, b),
                 # a rotation of finite angle when r_k < 1 for k = 6 - a - b
                 filtered = params.r[5 - sum(letters)] < 1.0 - 1e-12
-            rows.append(ScanRow(w, tau, cls.rho, cls.verdict, filtered))
-    return ScanReport(tuple(rows))
+            yield ScanRow(w, tau, cls.rho, cls.verdict, filtered)

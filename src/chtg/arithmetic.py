@@ -253,7 +253,7 @@ def _conjugate_transfer(group: GroupWithRotation, q: int) -> np.ndarray:
         z = (s_val + cmath.sqrt(complex(s_val * s_val - 4.0 * q_val))) / 2.0
         r = [math.sqrt(xk) / 2.0 for xk in xs]
         zp = (z / math.sqrt(q_val)) ** (1.0 / 3.0)
-        out.append([transfer_matrices(_REFLECTION_FACTORS, r, a, b)
+        out.append([-transfer_matrices(_REFLECTION_FACTORS, r, a, b)
                     for a, b in ((zp, 1.0 / zp), (1.0 / zp, zp))])
     return np.array(out)
 
@@ -269,28 +269,25 @@ def ring_checks(group: GroupWithRotation, words, tol: float = 1e-7) -> list:
     (experimental) BasisRingVerdict.
     """
     specials = sorted({*group.signature, group.n} - set(INTEGER_ENTRIES))
-    sign = (-1.0) ** len(words[0]) if len(words) else 1.0
     if not specials:
         p = group.params
         ez = cmath.exp(1j * p.alpha / 3.0)
-        mats = transfer_matrices(_REFLECTION_FACTORS, p.r, ez, ez.conjugate())
-        return _integer_verdicts(sign * stacked_traces(words, mats), tol)
+        mats = -transfer_matrices(_REFLECTION_FACTORS, p.r, ez, ez.conjugate())
+        return _integer_verdicts(stacked_traces(words, mats), tol)
     if len(specials) > 1:
         raise ValueError("only one entry outside {3,4,6,inf} is supported")
     q = specials[0]
     if q != int(q) or q < 3:
         raise ValueError(f"the extra entry must be an integer >= 3, got {q}")
     q = int(q)
-    pairs = sign * stacked_traces(words, _conjugate_transfer(group, q))
+    pairs = stacked_traces(words, _conjugate_transfer(group, q))
     return _basis_verdicts(pairs, q, tol)
 
 
 def group_conjugate_traces(group: GroupWithRotation, word, q: int):
     """Galois-conjugate (tau, tau-bar) pairs for a word in G(p1, p2, p3; n),
     m = 1 first (see _conjugate_transfer)."""
-    word = tuple(word)
-    pairs = (-1.0) ** len(word) * stacked_traces(
-        [word], _conjugate_transfer(group, q))
+    pairs = stacked_traces([tuple(word)], _conjugate_transfer(group, q))
     return [tuple(pair) for pair in pairs[:, :, 0].tolist()]
 
 

@@ -20,6 +20,7 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import chain
+from types import GeneratorType
 
 import numpy as np
 
@@ -52,12 +53,12 @@ def _fmt_float(x: float) -> str:
 
 def dumps_stable(obj) -> str:
     """Deterministic JSON: insertion order kept, floats at 17 significant
-    digits, infinities as strings."""
+    digits, infinities as strings.  A generator is a list, read once."""
     if isinstance(obj, dict):
         inner = ",".join(f"{dumps_stable(str(k))}:{dumps_stable(v)}"
                          for k, v in obj.items())
         return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, GeneratorType)):
         return "[" + ",".join(dumps_stable(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -310,15 +311,25 @@ def cmd_invariants(args) -> int:
 def cmd_scan(args) -> int:
     tol = _tol(args)
     cfg = _resolve(args)
-    report = analysis.scan_elliptic(cfg.params, args.max_len,
-                                    skip_alternating=not args.include_alternating,
-                                    tol=tol)
+    hits = []
+
+    def marked(rows):
+        """Each row with its hit flag; records the word of every hit."""
+        for r in rows:
+            hit = r.verdict == REGULAR_ELLIPTIC and not r.filtered
+            if hit:
+                hits.append(words.word_to_str(r.word))
+            yield r, hit
+
+    rows = marked(analysis.scan_elliptic(
+        cfg.params, args.max_len, skip_alternating=not args.include_alternating,
+        tol=tol))
     cert = analysis.non_discreteness_certificate(cfg.params, tol=tol)
-    hits = report.hits
     if cfg.fmt == "json":
+        # "rows" is serialised before "hits", so hits is complete when read
         payload = {"params": cfg.params.to_json_dict(), "max_len": args.max_len,
-                   "rows": [r.to_json_dict() for r in report.rows],
-                   "hits": [words.word_to_str(r.word) for r in hits],
+                   "rows": (r.to_json_dict() for r, _ in rows),
+                   "hits": hits,
                    "certificate": None if cert is None else {
                        "word": words.word_to_str(cert.word),
                        "tau": cert.tau,
@@ -328,14 +339,12 @@ def cmd_scan(args) -> int:
         _emit(chain(["word,re_tau,im_tau,rho,verdict"],
                     (f"{words.word_to_str(r.word)},{_num(r.tau.real)},"
                      f"{_num(r.tau.imag)},{_num(r.rho)},{r.verdict}"
-                     for r in report.rows)))
+                     for r, _ in rows)))
     else:
-        _emit(chain((f"{words.word_to_str(r.word):12s} tau = {r.tau:.8g} "
-                     f"rho = {r.rho:.6g} {r.verdict}"
-                     + (" *" if r.verdict == REGULAR_ELLIPTIC and not r.filtered
-                        else "")
-                     for r in report.rows),
-                    [f"hits: {len(hits)}"]))
+        _emit(f"{words.word_to_str(r.word):12s} tau = {r.tau:.8g} "
+              f"rho = {r.rho:.6g} {r.verdict}" + (" *" if hit else "")
+              for r, hit in rows)
+        _emit([f"hits: {len(hits)}"])
     return EXIT_FOUND if (hits or cert is not None) else EXIT_OK
 
 

@@ -12,6 +12,7 @@ import numpy as np
 
 LETTERS = (1, 2, 3)
 _LETTERS = np.array(LETTERS, dtype=np.int8)
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 MAX_LEN = 24  # longest word any scan enumerates; packed words fit in int64
 
 
@@ -184,7 +185,7 @@ def _kept(necklaces) -> np.ndarray:
 
 
 def word_to_str(word) -> str:
-    return "".join(str(a) for a in word) if word else "e"
+    return bytes(word).translate(_DIGITS).decode() if word else "e"
 
 
 def parse_word(s: str):

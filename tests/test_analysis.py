@@ -118,6 +118,23 @@ def test_goldman_parker_root_by_bisection():
     assert abs(t_star ** 2 - 125 / 3) < 1e-8
 
 
+@pytest.mark.parametrize("f, root", [(lambda x: x, 0.0),
+                                     (lambda x: x - 1.0, 1.0)],
+                         ids=["lo", "hi"])
+def test_bisect_root_at_endpoint(f, root):
+    assert bisect(f, 0.0, 1.0) == root
+
+
+def test_bisect_needs_sign_change():
+    with pytest.raises(ValueError):
+        bisect(lambda x: x + 1.0, 0.0, 1.0)
+
+
+def test_bisect_midpoint_after_max_iter():
+    # brackets [0, 1] -> [0, .5] -> [.25, .5] -> [.25, .375], then the midpoint
+    assert bisect(lambda x: x - 0.3, 0.0, 1.0, tol=0.0, max_iter=3) == 0.3125
+
+
 def test_type_b_proof_identity():
     # f_B at the degenerate threshold point t_A° = sqrt((1+R)/(1-R))
     for big_r in np.linspace(0.88, 0.999, 25):
@@ -215,30 +232,34 @@ def test_certificate_at_zero_radius(r, has_cert):
         assert cert.tau == pytest.approx(4 * 0.81 - 1, abs=1e-12)
 
 
+def _hits(rows):
+    """The rows chtg scan flags: regular elliptic and not filtered."""
+    return [r for r in rows if r.verdict == REGULAR_ELLIPTIC and not r.filtered]
+
+
 def test_scan_ideal_below_threshold():
     p = TriangleParams(1, 1, 1).with_cos_alpha(17 / 18 - 1e-3)
-    report = scan_elliptic(p, 4)
-    by_word = {r.word: r for r in report.rows}
+    rows = list(scan_elliptic(p, 4))
+    by_word = {r.word: r for r in rows}
     assert by_word[(1, 2, 3)].verdict != REGULAR_ELLIPTIC
     assert by_word[(1, 3, 2, 3)].verdict != REGULAR_ELLIPTIC
-    assert not report.hits
+    assert not _hits(rows)
 
 
 def test_scan_ideal_t_zero_hyperbolic():
     p = TriangleParams(1, 1, 1, alpha=math.pi)
-    report = scan_elliptic(p, 3)
-    by_word = {r.word: r for r in report.rows}
+    by_word = {r.word: r for r in scan_elliptic(p, 3)}
     assert by_word[(1, 2, 3)].verdict == HYPERBOLIC
     assert family_quartic(1.0, 0.0) == pytest.approx(1024.0 * 125.0)
 
 
 def test_scan_44inf_flags_w_a():
     p = TriangleParams.from_signature(4, 4, math.inf).with_cos_alpha(0.6)
-    report = scan_elliptic(p, 4)
-    hits = {r.word for r in report.hits}
+    rows = list(scan_elliptic(p, 4))
+    hits = {r.word for r in _hits(rows)}
     assert (1, 3, 2, 3) in hits  # the canonical rotation of (3, 2, 3, 1)
     # alternation powers of finite-order pairs are listed but filtered
-    alt = {r.word: r for r in report.rows}[(1, 3)]
+    alt = {r.word: r for r in rows}[(1, 3)]
     assert alt.filtered and alt.verdict == REGULAR_ELLIPTIC
 
 
@@ -262,7 +283,7 @@ def test_scan_rows_equal_per_word_oracle(name):
     p = _SCAN_CASES[name]
     tol = 1e-9
     rz = realize(p)
-    rows = scan_elliptic(p, 12, tol=tol).rows
+    rows = list(scan_elliptic(p, 12, tol=tol))
     assert [r.word for r in rows] == classes_up_to(12)
     for row in rows:
         assert row.tau == trace_oracle(row.word, rz).value
@@ -272,16 +293,16 @@ def test_scan_rows_equal_per_word_oracle(name):
         assert row.filtered == (k is not None and p.r[k - 1] < 1.0 - 1e-12)
     if name == "44inf":
         assert any(r.filtered for r in rows)
-        assert {r.word for r in scan_elliptic(p, 12, skip_alternating=False,
-                                              tol=tol).hits} \
-            > {r.word for r in scan_elliptic(p, 12, tol=tol).hits}
+        assert {r.word for r in _hits(scan_elliptic(p, 12, skip_alternating=False,
+                                                    tol=tol))} \
+            > {r.word for r in _hits(rows)}
 
 
 def test_scan_rows_independent_of_chunk_size(monkeypatch):
     p = _SCAN_CASES["456"]
-    rows = scan_elliptic(p, 10).rows
+    rows = list(scan_elliptic(p, 10))
     monkeypatch.setattr(traces, "ORACLE_CHUNK", 7)
-    assert scan_elliptic(p, 10).rows == rows
+    assert list(scan_elliptic(p, 10)) == rows
 
 
 def test_oracle_traces_match_trace_oracle(rng):

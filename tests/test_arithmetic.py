@@ -248,6 +248,12 @@ def test_mostow_field_check_identity_word():
     assert v.coefficients[0] == 3
 
 
+def test_mostow_field_check_least_squares():
+    # tau(123) is not a plain integer here, so the lstsq branch decides
+    v = mostow_trace_field_check(mostow_group(3, 6), (1, 2, 3))
+    assert v.ok and v.coefficients == (0, 0, 1, 0)
+
+
 def test_mostow_coefficient_prefactor():
     # Fourier coefficients divided by (i e^{i pi / p})^{3 |w|} land in Z[mu]
     g = mostow_group(3, 2)

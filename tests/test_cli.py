@@ -29,6 +29,7 @@ def test_dumps_stable():
     assert s == '{"a":1.5,"b":["inf","-inf"],"c":null,"d":true,"e":"x\\"y"}'
     assert json.loads(s) == {"a": 1.5, "b": ["inf", "-inf"], "c": None,
                              "d": True, "e": 'x"y'}
+    assert dumps_stable({"g": (x for x in (1, 2.5))}) == '{"g":[1,2.5]}'
 
 
 def test_trace_ideal_near_pi(capsys):
@@ -220,6 +221,32 @@ def test_usage_errors(capsys):
     assert code == 64
     code, _, _ = run(capsys, "thresholds")
     assert code == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ("thresholds", "--p", "4", "x", "6"),
+    ("thresholds", "--p", "4", "4", "inf", "--alpha", "foo"),
+    ("thresholds", "--p", "4", "4", "inf", "--cos-alpha", "1/0"),
+    ("thresholds", "--p", "4", "4", "inf", "--cos-alpha", "a/b"),
+    ("thresholds", "--p", "4", "4", "inf", "--cos-alpha", "abc"),
+    ("trace", "--word", "12", "--r", "1", "1", "1", "--n", "5"),
+    ("ring-check", "--p", "4", "4", "inf", "--t", "1"),
+], ids=["p-entry", "alpha-text", "cos-alpha-zero-denominator",
+        "cos-alpha-text-fraction", "cos-alpha-text", "n-without-p",
+        "ring-check-without-n"])
+def test_bad_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
+
+
+def test_thresholds_json_carries_rotation_order(capsys):
+    code, out, _ = run(capsys, "thresholds", "--p", "4", "4", "inf", "--n", "5",
+                       "--json")
+    assert code == 0
+    assert json.loads(out)["n"] == 5
+    assert ',"n":5}' in out  # top level, after the params object
 
 
 @pytest.mark.parametrize("command", ["thresholds", "family", "invariants"])
