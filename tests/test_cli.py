@@ -182,6 +182,7 @@ def test_byte_identical_reruns(capsys):
 _S = "scan --p 4 5 6 --t 1.0 --max-len 10"
 _R = "ring-check --p 4 4 inf --max-len 8 --n"
 _T = "trace --word 2321 --p 4 5 6 --t 0.8"
+_S4 = "scan --p 4 5 6 --t 1.0 --max-len 14"
 GOLDEN_STDOUT = {
     f"{_S} --json": (2, "dd80ea6ee16257e39d120c08ca690f0dd80bdf8d814d02d13c515f4aea646b5d"),
     f"{_S} --csv": (2, "e564c8aa188c776739e09825d1e75a0e0467b63c18ad542f8bc6bdc38f52a152"),
@@ -203,6 +204,15 @@ GOLDEN_STDOUT = {
         (0, "765f22ffd21e1a055f19da915f4e41673392b3f68838bf5ee1935d8a31a8455b"),
     "thresholds --p 4 4 inf":
         (0, "037c79536f1a2101cb6215545e78408ea1f21e05a8d5d65998518d85b647e0ae"),
+    # recorded before scan and ring-check ran on the level-wise prefix pass;
+    # the (10,10,inf) scan has rows in the |rho| <= tol band
+    f"{_S4} --csv": (2, "aec36eaa8801ed49855cedfecf8ae6aa404e3a938b34202dc8d2fe10ff766678"),
+    f"{_S4} --json": (2, "6e2670d953bd05fa5f9fe2e2f07902fcceb1ea14abf0327cc3dacda75da7b722"),
+    _S4: (2, "bb754570172727a3e4a55f6dac6fd081d79ef4dba16df56e01bf2e87788410ea"),
+    "scan --p 10 10 inf --t 0.5 --max-len 10 --include-alternating --csv":
+        (2, "f3019c289d62d67f03728aad50ad56e5b09014c462c81f1f745a8e9b480e46bc"),
+    "ring-check --p 4 4 inf --n 5 --max-len 12 --csv":
+        (0, "4dcbf9166c4661927b64ee74042223a31018420b12a2cbf9989ac6978dce1edf"),
 }
 
 
