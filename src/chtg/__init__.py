@@ -1,6 +1,6 @@
 """Complex hyperbolic triangle groups: traces, classification, thresholds."""
 
-from .analysis import (Certificate, NotInFamily, ScanRow, Thresholds,
+from .analysis import (Certificate, NotInFamily, ScanBlock, Thresholds,
                        alpha_of_t, bisect, family_membership,
                        family_quartic, family_type,
                        non_discreteness_certificate, rho_123_weighted,

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .classify import REGULAR_ELLIPTIC, classify, discriminant
-from .traces import sigma_closed, stacked_traces, tau_123_closed, trace_oracle
+from .classify import HYPERBOLIC, REGULAR_ELLIPTIC, classify, discriminant
+from .traces import sigma_closed, tau_123_closed, trace_oracle
 from .triangle import TWO_PI, TriangleParams, alpha_of_t, realize, t_of_alpha
-from .words import enumerate_words, word_to_str
+from .words import enumerate_words
 
 TYPE_B = "TypeB"
 OUT_OF_CRITERION = "OutOfCriterion"
@@ -272,42 +273,46 @@ def non_discreteness_certificate(params: TriangleParams,
     return Certificate(W_A, tau, cls.rho, params.t, t_a)
 
 
-@dataclass(frozen=True, slots=True)
-class ScanRow:
-    word: tuple
-    tau: complex
-    rho: float
-    verdict: str
-    filtered: bool
+class ScanBlock(NamedTuple):
+    """One length's classes: int8 words (count, n), traces, discriminants,
+    verdict names (an object array) and the alternation filter."""
 
-    def to_json_dict(self) -> dict:
-        return {"word": word_to_str(self.word),
-                "tau": {"re": self.tau.real, "im": self.tau.imag},
-                "rho": self.rho, "verdict": self.verdict,
-                "filtered": self.filtered}
+    words: np.ndarray
+    tau: np.ndarray
+    rho: np.ndarray
+    verdict: np.ndarray
+    filtered: np.ndarray
 
 
 def scan_elliptic(params: TriangleParams, max_len: int,
                   skip_alternating: bool = True, tol: float = 1e-9):
-    """Classify every cyclic class up to max_len, one ScanRow at a time.
+    """Classify every cyclic class up to max_len, one ScanBlock per length.
 
-    Bad input raises at the call, before the first row; rows are made as the
-    iterator is read, in enumeration order: by length, then lexicographic.
-    Each length's array of classes gets one ``stacked_traces`` call.
+    Bad input raises at the call, before the first block; blocks are made,
+    from the prefix products of ``enumerate_words``, as they are read.
     """
     rz = realize(params)
-    return _rows(params, rz, enumerate_words(max_len), skip_alternating, tol)
+    # a reduced class on two letters a, b is a power of (a, b), a rotation of
+    # finite angle when r_k < 1 for the missing letter k; ``alt`` is indexed
+    # by the letter set, 2^a + 2^b = 14 - 2^k
+    alt = np.zeros(16, dtype=bool)
+    if skip_alternating:
+        alt[14 - (2 << np.flatnonzero(np.array(params.r) < 1.0 - 1e-12))] = True
+    return (_block(ws, tau, alt, tol)
+            for ws, tau in enumerate_words(max_len, rz.iotas))
 
 
-def _rows(params, rz, levels, skip_alternating, tol):
-    for ws in levels:
-        # row by row: tolist() of a whole level would hold every row at once
-        for w, tau in zip(map(tuple, map(np.ndarray.tolist, ws)),
-                          stacked_traces(ws, rz.iotas).tolist()):
-            cls = classify(tau, tol=tol)
-            filtered = False
-            if skip_alternating and len(letters := set(w)) == 2:
-                # a reduced class on two letters a, b is a power of (a, b),
-                # a rotation of finite angle when r_k < 1 for k = 6 - a - b
-                filtered = params.r[5 - sum(letters)] < 1.0 - 1e-12
-            yield ScanRow(w, tau, cls.rho, cls.verdict, filtered)
+def _block(ws, tau, alt, tol) -> ScanBlock:
+    """rho as classify.discriminant computes it, bit for bit; classify runs
+    only where |rho| <= tol, rho is NaN or tau is not finite."""
+    with np.errstate(all="ignore"):
+        a2 = tau.real * tau.real + tau.imag * tau.imag
+        rho = a2 * a2 - 8.0 * (tau ** 3).real + 18.0 * a2 - 27.0
+        band = ~(np.abs(rho) > tol) | ~np.isfinite(tau)
+    verdict = np.full(len(rho), HYPERBOLIC, dtype=object)
+    verdict[rho < 0.0] = REGULAR_ELLIPTIC
+    for i in np.flatnonzero(band):
+        cls = classify(tau[i], tol=tol)
+        rho[i], verdict[i] = cls.rho, cls.verdict
+    filtered = alt[np.bitwise_or.reduce(np.left_shift(1, ws), axis=1)]
+    return ScanBlock(ws, tau, rho, verdict, filtered)

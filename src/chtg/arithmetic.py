@@ -14,11 +14,11 @@ over the Galois conjugates of 2 cos(2 pi / q).  A conjugate moves X_k =
 cos(alpha) and Q = (8 R)^2; its trace is the O(n) transfer-matrix product of
 ``traces`` at the moved point, which equals the exact Fourier sum as a
 polynomial identity (see _conjugate_transfer), so no exact data is built.
-``ring_checks`` takes all words of one length at once: tau and tau-bar at
-every conjugate are one ``traces.stacked_traces`` product per letter
-position, and one pseudo-inverse product gives every word's power-basis
-coefficients.  The one-word functions (group_ring_check,
-group_conjugate_traces, basis_ring_check, integer_ring_check) call it.
+``ring_transfer`` gives the matrices of tau and tau-bar at every conjugate
+and the function that judges all words' traces at once; ``chtg ring-check``
+multiplies them in the prefix-product pass of ``words.enumerate_words``.
+The one-word functions (group_ring_check, group_conjugate_traces,
+basis_ring_check, integer_ring_check) multiply with ``traces.word_matrix``.
 Floating-point ring membership is a heuristic; every verdict from the basis
 method carries experimental=True and is not a hard gate.
 """
@@ -34,9 +34,8 @@ import numpy as np
 
 # trace_combinatorial, trace_polynomial and realize are unused here; the
 # benchmark tracer (bench/tracer.py) patches them under these names
-from .traces import (stacked_traces, trace_combinatorial,  # noqa: F401
-                     trace_mu_combinatorial, trace_polynomial,
-                     transfer_matrices)
+from .traces import (trace_combinatorial, trace_mu_combinatorial,  # noqa: F401
+                     trace_polynomial, transfer_matrices, word_matrix)
 from .triangle import (TWO_PI, ExistenceViolation, TriangleParams,  # noqa: F401
                        realize)
 
@@ -258,43 +257,45 @@ def _conjugate_transfer(group: GroupWithRotation, q: int) -> np.ndarray:
     return np.array(out)
 
 
-def ring_checks(group: GroupWithRotation, words, tol: float = 1e-7) -> list:
-    """group_ring_check for each of equal-length words (a list or an array).
-
-    All-integer entries are the one-point case: the traces at the group's
-    own parameters come from one stacked product, and each word gets an
-    IntegralityVerdict.  With one extra entry q, one stacked product gives
-    tau and tau-bar of every word at all deg conjugates, one pseudo-inverse
-    product solves the power basis for all words, and each word gets an
-    (experimental) BasisRingVerdict.
-    """
+def ring_transfer(group: GroupWithRotation):
+    """(mats, verdicts): products of ``mats`` give a word's traces, and
+    ``verdicts(traces, tol)`` judges every word's at once.  All-integer
+    entries give tau at the group's own parameters, mats (3, 3, 3), and an
+    IntegralityVerdict.  One extra entry q gives _conjugate_transfer's mats
+    and an (experimental) BasisRingVerdict, all power bases in one product."""
     specials = sorted({*group.signature, group.n} - set(INTEGER_ENTRIES))
     if not specials:
         p = group.params
         ez = cmath.exp(1j * p.alpha / 3.0)
-        mats = -transfer_matrices(_REFLECTION_FACTORS, p.r, ez, ez.conjugate())
-        return _integer_verdicts(stacked_traces(words, mats), tol)
+        return (-transfer_matrices(_REFLECTION_FACTORS, p.r, ez, ez.conjugate()),
+                _integer_verdicts)
     if len(specials) > 1:
         raise ValueError("only one entry outside {3,4,6,inf} is supported")
     q = specials[0]
     if q != int(q) or q < 3:
         raise ValueError(f"the extra entry must be an integer >= 3, got {q}")
-    q = int(q)
-    pairs = stacked_traces(words, _conjugate_transfer(group, q))
-    return _basis_verdicts(pairs, q, tol)
+    return (_conjugate_transfer(group, int(q)),
+            lambda pairs, tol: _basis_verdicts(pairs, int(q), tol))
+
+
+def _word_traces(word, mats) -> np.ndarray:
+    """The word's trace at each point of ring_transfer's mats."""
+    m = word_matrix(None, tuple(word), np.moveaxis(mats, -3, 0))
+    return np.trace(m, axis1=-2, axis2=-1)
 
 
 def group_conjugate_traces(group: GroupWithRotation, word, q: int):
     """Galois-conjugate (tau, tau-bar) pairs for a word in G(p1, p2, p3; n),
     m = 1 first (see _conjugate_transfer)."""
-    pairs = stacked_traces([tuple(word)], _conjugate_transfer(group, q))
-    return [tuple(pair) for pair in pairs[:, :, 0].tolist()]
+    pairs = _word_traces(word, _conjugate_transfer(group, q))
+    return [tuple(pair) for pair in pairs.tolist()]
 
 
 def group_ring_check(group: GroupWithRotation, word, tol: float = 1e-7):
     """Dispatch: all-integer entries -> hard integrality; one extra entry q
-    -> conjugate basis method (experimental).  ring_checks for one word."""
-    return ring_checks(group, [tuple(word)], tol)[0]
+    -> conjugate basis method (experimental).  ring_transfer for one word."""
+    mats, verdicts = ring_transfer(group)
+    return verdicts(_word_traces(word, mats)[..., None], tol)[0]
 
 
 @dataclass(frozen=True)

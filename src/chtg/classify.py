@@ -20,7 +20,11 @@ def discriminant(z) -> float:
     """
     z = complex(z)
     a2 = z.real * z.real + z.imag * z.imag
-    return a2 * a2 - 8.0 * (z ** 3).real + 18.0 * a2 - 27.0
+    try:
+        cube = (z ** 3).real
+    except OverflowError:  # |z| > 5e102, where |z|^4 dominates and overflows
+        return math.inf
+    return a2 * a2 - 8.0 * cube + 18.0 * a2 - 27.0
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from types import GeneratorType
 
 import numpy as np
@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_FOUND = 2
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
+ROW_SLICE = 4096  # scan rows made into Python objects at a time
 
 
 class UsageError(Exception):
@@ -43,23 +44,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(x, ".17g")
-
-
-def dumps_stable(obj) -> str:
-    """Deterministic JSON: insertion order kept, floats at 17 significant
-    digits, infinities as strings.  A generator is a list, read once."""
+def _pieces(obj):
+    """Deterministic JSON, made piece by piece as it is read: insertion
+    order kept, floats at 17 significant digits, infinities as strings.  A
+    generator is a list, read once."""
     if isinstance(obj, dict):
-        inner = ",".join(f"{dumps_stable(str(k))}:{dumps_stable(v)}"
-                         for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple, GeneratorType)):
-        return "[" + ",".join(dumps_stable(v) for v in obj) + "]"
+        ends, items = "{}", ((f"{_scalar(str(k))}:", v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple, GeneratorType)):
+        ends, items = "[]", (("", v) for v in obj)
+    else:
+        yield _scalar(obj)
+        return
+    sep = ends[0]
+    for key, v in items:
+        if isinstance(v, (dict, list, tuple, GeneratorType)):
+            yield sep + key
+            yield from _pieces(v)
+        else:
+            yield sep + key + _scalar(v)
+        sep = ","
+    yield ends if sep == ends[0] else ends[1]
+
+
+def _scalar(obj) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, str):
@@ -68,15 +75,16 @@ def dumps_stable(obj) -> str:
         return "null"
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
+    if isinstance(obj, float):  # nan and the infinities as strings
+        return format(obj, ".17g") if math.isfinite(obj) else f'"{obj}"'
     if isinstance(obj, complex):
-        return dumps_stable({"re": obj.real, "im": obj.imag})
+        return f'{{"re":{_scalar(obj.real)},"im":{_scalar(obj.imag)}}}'
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
-def _num(x: float) -> str:
-    return format(x, ".17g")
+def dumps_stable(obj) -> str:
+    """_pieces joined into one string."""
+    return "".join(_pieces(obj))
 
 
 def _parse_p(token: str):
@@ -235,7 +243,7 @@ def cmd_trace(args) -> int:
         _emit([dumps_stable(payload)])
     elif cfg.fmt == "csv":
         _emit(chain(["method,re_tau,im_tau"],
-                    (f"{name},{_num(v.real)},{_num(v.imag)}"
+                    (f"{name},{v.real:.17g},{v.imag:.17g}"
                      for name, v in results.items())))
     else:
         _emit(chain([f"word {words.word_to_str(word)}: tau = {tau:.12g} "
@@ -311,39 +319,45 @@ def cmd_invariants(args) -> int:
 def cmd_scan(args) -> int:
     tol = _tol(args)
     cfg = _resolve(args)
+    blocks = analysis.scan_elliptic(
+        cfg.params, args.max_len, skip_alternating=not args.include_alternating,
+        tol=tol)
+    cert = analysis.non_discreteness_certificate(cfg.params, tol=tol)
     hits = []
 
-    def marked(rows):
-        """Each row with its hit flag; records the word of every hit."""
-        for r in rows:
-            hit = r.verdict == REGULAR_ELLIPTIC and not r.filtered
-            if hit:
-                hits.append(words.word_to_str(r.word))
-            yield r, hit
+    def slices():
+        """Each length's rows, ROW_SLICE at a time, as lists (word, tau, rho,
+        verdict, filtered, hit); records the word of every hit."""
+        for block in blocks:
+            for s in range(0, len(block.words), ROW_SLICE):
+                b = block._make(x[s:s + ROW_SLICE] for x in block)
+                hit = (b.verdict == REGULAR_ELLIPTIC) & ~b.filtered
+                ws = words.word_strs(b.words)
+                hits.extend(compress(ws, hit))
+                yield ws, *(x.tolist() for x in (*b[1:], hit))
 
-    rows = marked(analysis.scan_elliptic(
-        cfg.params, args.max_len, skip_alternating=not args.include_alternating,
-        tol=tol))
-    cert = analysis.non_discreteness_certificate(cfg.params, tol=tol)
+    out = sys.stdout
     if cfg.fmt == "json":
-        # "rows" is serialised before "hits", so hits is complete when read
+        # "rows" is written before "hits", so hits is complete when read
+        keys = ("word", "tau", "rho", "verdict", "filtered")
         payload = {"params": cfg.params.to_json_dict(), "max_len": args.max_len,
-                   "rows": (r.to_json_dict() for r, _ in rows),
+                   "rows": (dict(zip(keys, row)) for part in slices()
+                            for row in zip(*part)),
                    "hits": hits,
                    "certificate": None if cert is None else {
                        "word": words.word_to_str(cert.word),
                        "tau": cert.tau,
                        "rho": cert.rho, "t": cert.t, "t_a": cert.t_a}}
-        _emit([dumps_stable(payload)])
+        out.writelines(chain(_pieces(payload), ["\n"]))
     elif cfg.fmt == "csv":
-        _emit(chain(["word,re_tau,im_tau,rho,verdict"],
-                    (f"{words.word_to_str(r.word)},{_num(r.tau.real)},"
-                     f"{_num(r.tau.imag)},{_num(r.rho)},{r.verdict}"
-                     for r, _ in rows)))
+        out.write("word,re_tau,im_tau,rho,verdict\n")
+        for ws, tau, rho, verdict, *_ in slices():
+            out.write("".join(map("%s,%.17g,%.17g,%.17g,%s\n".__mod__, zip(
+                ws, [t.real for t in tau], [t.imag for t in tau], rho, verdict))))
     else:
-        _emit(f"{words.word_to_str(r.word):12s} tau = {r.tau:.8g} "
-              f"rho = {r.rho:.6g} {r.verdict}" + (" *" if hit else "")
-              for r, hit in rows)
+        for part in slices():
+            out.write("".join(f"{w:12s} tau = {t:.8g} rho = {r:.6g} {v}{' *' * h}\n"
+                              for w, t, r, v, _, h in zip(*part)))
         _emit([f"hits: {len(hits)}"])
     return EXIT_FOUND if (hits or cert is not None) else EXIT_OK
 
@@ -354,9 +368,10 @@ def cmd_ring_check(args) -> int:
     ring_tol = _nonneg_float(args.ring_tol, "--ring-tol")
     cfg = _resolve(args)
     group = cfg.group
+    mats, verdicts = arithmetic.ring_transfer(group)
     rows = []
-    for ws in words.enumerate_words(args.max_len):
-        rows += zip(ws.tolist(), arithmetic.ring_checks(group, ws, tol=ring_tol))
+    for ws, taus in words.enumerate_words(args.max_len, mats):
+        rows += zip(ws.tolist(), verdicts(taus, ring_tol))
     any_fail = not all(v.ok for _, v in rows)
     if cfg.fmt == "json":
         payload = {"params": group.params.to_json_dict(),

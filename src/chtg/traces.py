@@ -31,9 +31,9 @@ product, so
           = 3 + sum_{S nonempty} prod_{k in S} f_{a_k} r^{u(S)} e^{i alpha w(S)}.
 
 Each factor is a rank-one row update, so the sum costs O(n) matrix updates.
-For many equal-length words at once, ``transfer_matrices`` builds the three
-factors T_a = I + f_a E_a G as 3x3 matrices and ``stacked_traces``
-multiplies them, one numpy product per letter position.  With f = -2 the
+For many words at once, ``transfer_matrices`` builds the three factors
+T_a = I + f_a E_a G as 3x3 matrices, and the prefix-product pass of
+``words.enumerate_words`` multiplies them.  With f = -2 the
 trace is (-1)^n tau_a; with f = mu_k - 1 it is the trace of the
 mu-reflection word,
 
@@ -133,8 +133,8 @@ def transfer_matrices(factors, r, zp, zn) -> np.ndarray:
     """The three T_a = I + f_a E_a G at G = _gram(r, zp, zn), shape (3, 3, 3).
 
     Row a of T_a is e_a + f_a G[a, :] and its other rows are the identity's,
-    so stacked_traces(words, T) is _expand's tr prod_k (I + f E G) for every
-    word at once, summed in matrix-product order.
+    so the trace of a word's product of T's is _expand's
+    tr prod_k (I + f E G), summed in matrix-product order.
     """
     gram = np.array(_gram(r, zp, zn), dtype=complex)
     t = np.repeat(np.eye(3, dtype=complex)[None], 3, axis=0)
@@ -287,7 +287,8 @@ def trace_polynomial(word, mode: str = "exact") -> TracePolynomial:
 
 
 def word_matrix(realization, word, matrices=None) -> np.ndarray:
-    """Matrix of iota_a in the given realization."""
+    """Matrix of iota_a in the given realization, or of the word in
+    ``matrices`` (M_1, M_2, M_3 on the first axis, any trailing points)."""
     mats = realization.iotas if matrices is None else matrices
     m = np.eye(3, dtype=complex)
     for a in word:
@@ -298,35 +299,6 @@ def word_matrix(realization, word, matrices=None) -> np.ndarray:
 def trace_oracle(word, realization) -> TraceValue:
     """Trace of the literal matrix product; no length cap."""
     return TraceValue(complex(np.trace(word_matrix(realization, word))), "oracle")
-
-
-# words times points per stacked product in stacked_traces; bounds its memory
-ORACLE_CHUNK = 4096
-
-
-def stacked_traces(words, mats) -> np.ndarray:
-    """tr(M_{a_1} ... M_{a_n}) for each of equal-length words a.
-
-    ``mats`` holds M_1, M_2, M_3 on its third-to-last axis, shape
-    (..., 3, 3, 3); any leading axes are independent points, and the result
-    has shape (..., len(words)).  Each chunk of words is one stack of
-    matrices, multiplied one letter position at a time from the identity, in
-    word_matrix's order and with its 3x3 products, so at one point every
-    trace equals trace_oracle's bit for bit.
-    """
-    mats = np.asarray(mats, dtype=complex)
-    lead = mats.shape[:-3]
-    eye = np.broadcast_to(np.eye(3, dtype=complex), (*lead, 1, 3, 3))
-    mats = np.concatenate((eye, mats), axis=-3)
-    chunk = max(1, ORACLE_CHUNK // math.prod(lead))
-    out = [np.zeros((*lead, 0), dtype=complex)]
-    for start in range(0, len(words), chunk):
-        a = np.array(words[start:start + chunk], dtype=np.intp)
-        m = np.repeat(eye, len(a), axis=-3)
-        for i in range(a.shape[1]):
-            m = m @ mats[..., a[:, i], :, :]
-        out.append(np.trace(m, axis1=-2, axis2=-1))
-    return np.concatenate(out, axis=-1)
 
 
 def agreement_bound(word, realization) -> float:
@@ -397,6 +369,8 @@ def _deletion_terms(a):
 # (v1, v2, v3, winding) of each three-letter tail, for the recursion's beta
 _TAIL_EXPONENTS = {t: (*(v_count(k, t) for k in LETTERS), winding(t))
                    for t in itertools.product(LETTERS, repeat=3)}
+# the 12 tails of reduced words, which the plan's step ops index
+_TAILS = tuple(t for t in _TAIL_EXPONENTS if t[0] != t[1] != t[2])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -406,9 +380,9 @@ def _recursion_plan(word: tuple) -> tuple:
     One op per reduced linear word the recursion reaches, in post-order, so
     an op's position is its value's slot and every kid precedes its parent;
     the last op is the word itself.  A base op is an index into
-    (3, -1, 4 r1^2 - 1, 4 r2^2 - 1, 4 r3^2 - 1); a step op is the
-    _TAIL_EXPONENTS entry of the word's last three letters and the slots of
-    its seven _deletion_terms.  About 4n ops for a reduced word of length n.
+    (3, -1, 4 r1^2 - 1, 4 r2^2 - 1, 4 r3^2 - 1); a step op is the _TAILS
+    index of the word's last three letters and the slots of its seven
+    _deletion_terms.  About 4n ops for a reduced word of length n.
     """
     top = _cancel_adjacent(canonical(word))
     slots: dict = {}
@@ -433,7 +407,7 @@ def _recursion_plan(word: tuple) -> tuple:
             continue
         stack.pop()
         slots[a] = len(plan)
-        plan.append((_TAIL_EXPONENTS[a[-3:]], *(slots[c] for c in kids)))
+        plan.append((_TAILS.index(a[-3:]), *(slots[c] for c in kids)))
     return tuple(plan)
 
 
@@ -457,15 +431,16 @@ def trace_recursive(word, params) -> TraceValue:
     ei = cmath.exp(1j * params.alpha)
     base = (3.0 + 0j, -1.0 + 0j, complex(4.0 * r1 * r1 - 1.0),
             complex(4.0 * r2 * r2 - 1.0), complex(4.0 * r3 * r3 - 1.0))
+    betas = [2.0 * r1 ** v1 * r2 ** v2 * r3 ** v3 * ei ** w - 1.0
+             for v1, v2, v3, w in map(_TAIL_EXPONENTS.get, _TAILS)]
     vals = []
     for op in _recursion_plan(tuple(word)):
         if op.__class__ is not tuple:
             vals.append(base[op])
             continue
-        (v1, v2, v3, w), k0, k1, k2, k3, k4, k5, k6 = op
-        beta = 2.0 * r1 ** v1 * r2 ** v2 * r3 ** v3 * ei ** w - 1.0
+        t, k0, k1, k2, k3, k4, k5, k6 = op
         vals.append(-(vals[k0] + vals[k1] + vals[k2])
-                    + beta * (vals[k3] + vals[k4] + vals[k5] + vals[k6]))
+                    + betas[t] * (vals[k3] + vals[k4] + vals[k5] + vals[k6]))
     return TraceValue(vals[-1], "recursive")
 
 

@@ -14,6 +14,10 @@ LETTERS = (1, 2, 3)
 _LETTERS = np.array(LETTERS, dtype=np.int8)
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 MAX_LEN = 24  # longest word any scan enumerates; packed words fit in int64
+# levels past CHUNK_LEVEL grow from slices of CHUNK of its rows (over the
+# number of points), so level 24's 1.46M prefix products are never all held
+CHUNK_LEVEL = 18
+CHUNK = 1024
 
 
 class WordError(ValueError):
@@ -124,68 +128,100 @@ def reduce_straighten(word):
     return canonical(w), steps
 
 
-def enumerate_words(max_len: int):
+def enumerate_words(max_len: int, mats=None):
     """Every cyclically reduced class up to max_len, one array per length.
 
     Yields, for n = 1..max_len, an int8 array (count_n, n) of the least
     rotations, in lex order, of the words with no two cyclically adjacent
     letters equal (single letters count), one per class up to inversion: a
-    necklace w is kept iff w <= the least rotation of reversed(w).  Raises
-    WordError for max_len outside 1..MAX_LEN when called, before any yield.
+    necklace w is kept iff w <= the least rotation of reversed(w).  With
+    ``mats`` (M_1, M_2, M_3 on the third-to-last axis, any leading axes
+    independent points) it yields (words, traces): tr(M_{a_1} ... M_{a_n})
+    of shape (..., count_n), multiplied from the identity in word order with
+    trace_oracle's 3x3 products, so bit for bit.  Raises WordError for
+    max_len outside 1..MAX_LEN when called, before any yield.
     """
     if not 1 <= max_len <= MAX_LEN:
         raise WordError(f"word length must be 1..{MAX_LEN}, got {max_len}")
-    return _levels(max_len)
+    if mats is None:  # at no points, so every product is empty
+        return (ws for ws, _ in _levels(max_len, np.empty((0, 3, 3, 3))))
+    return _levels(max_len, np.asarray(mats, dtype=complex))
 
 
-def _levels(max_len: int):
+def _levels(max_len: int, mats):
     """Level t holds the prenecklaces of length t without equal neighbours,
-    in lex order, and their periods p.  A child appends j >= a[t-p] with
-    j != a[t-1] and keeps p iff j == a[t-p], else p = t+1 (the FKM rule,
-    Ruskey-Savage-Wang, J. Algorithms 13, 1992, with a forbidden substring
-    as in Ruskey-Sawada, COCOON 2000).  The necklaces of length n are the
-    rows with n % p == 0 whose first and last letters differ."""
-    words = _LETTERS[:, None]
-    period = np.ones(3, dtype=np.int8)
-    for n in range(1, max_len + 1):
-        if n > 1:
-            base = words[np.arange(len(words)), n - 1 - period]
-            # row-major nonzero keeps parents in order, then letters ascending
-            parent, j = np.nonzero((_LETTERS >= base[:, None])
-                                   & (_LETTERS != words[:, -1:]))
-            letter = _LETTERS[j]
-            period = np.where(letter == base[parent], period[parent], n)
-            words = np.concatenate((words[parent], letter[:, None]), axis=1)
-            del base, parent, j, letter  # not held while the caller runs
-        yield _kept(words[(n % period == 0)
-                          & ((words[:, 0] != words[:, -1]) | (n == 1))])
+    in lex order, their periods p and their prefix products.  A child
+    appends j >= a[t-p] with j != a[t-1] and keeps p iff j == a[t-p], else
+    p = t+1 (the FKM rule, Ruskey-Savage-Wang, J. Algorithms 13, 1992, with
+    a forbidden substring as in Ruskey-Sawada, COCOON 2000); its product is
+    its parent's times M_j.  The necklaces of length n are the rows with
+    n % p == 0 whose first and last letters differ.  Past CHUNK_LEVEL each
+    lex-ordered slice of that level is descended alone, and the kept rows
+    of the slices are concatenated, which keeps lex order."""
+    level = (_LETTERS[:, None], np.ones(3, dtype=np.int8),
+             np.eye(3, dtype=complex) @ mats)
+    yield level[0], np.trace(level[2], axis1=-2, axis2=-1)
+    top = min(max_len, CHUNK_LEVEL)
+    for n in range(2, top + 1):
+        level, out = _grow(*level, mats, n, n == max_len)
+        yield out
+    step = max(1, CHUNK // max(1, mats.size // 27))
+    parts = [[] for _ in range(top, max_len)]
+    for s in range(0, len(level[0]), step):
+        sub = (level[0][s:s + step], level[1][s:s + step],
+               level[2][..., s:s + step, :, :])
+        for n, part in enumerate(parts, start=top + 1):
+            sub, out = _grow(*sub, mats, n, n == max_len)
+            part.append(out)
+    del level, sub
+    while parts:  # each length's slices are freed before it is read
+        ws, trs = zip(*parts.pop(0))
+        ws, trs = np.concatenate(ws), np.concatenate(trs, axis=-1)
+        yield ws, trs
+
+
+def _grow(words, period, prod, mats, n, last):
+    """Level n from level n - 1, and its kept necklaces with their traces;
+    on the last level only the kept rows are multiplied."""
+    base = words[np.arange(len(words)), n - 1 - period]
+    # row-major nonzero keeps parents in order, then letters ascending
+    parent, j = np.nonzero((_LETTERS >= base[:, None])
+                           & (_LETTERS != words[:, -1:]))
+    period = np.where(_LETTERS[j] == base[parent], period[parent], n)
+    words = np.concatenate((words[parent], _LETTERS[j, None]), axis=1)
+    keep = _kept(words, period, n)
+    if last:
+        parent, j = parent[keep], j[keep]
+    prod = prod[..., parent, :, :] @ mats[..., j, :, :]
+    tr = np.trace(prod, axis1=-2, axis2=-1)
+    return (words, period, prod), (words[keep], tr if last else tr[..., keep])
 
 
 def _packed(words) -> np.ndarray:
-    """Each row as a base-4 int64 (Horner), so lex order is numeric order."""
-    acc = np.zeros(len(words), dtype=np.int64)
-    for i in range(words.shape[1]):
-        acc *= 4
-        acc += words[:, i]
-    return acc
+    """Each row as a base-4 int64, so lex order is numeric order."""
+    return words @ 4 ** np.arange(words.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
-def _kept(necklaces) -> np.ndarray:
-    """Rows w with packed(w) <= min rotation of packed(reversed w), in place."""
-    top = 4 ** (necklaces.shape[1] - 1)
-    rot = _packed(necklaces[:, ::-1])
-    least = rot.copy()
-    for _ in range(necklaces.shape[1] - 1):
-        lead = rot // top
-        rot %= top
-        rot *= 4
-        rot += lead
-        np.minimum(least, rot, out=least)
-    return necklaces[_packed(necklaces) <= least]
+def _kept(words, period, n) -> np.ndarray:
+    """Indices of the necklaces w of length n among the rows with
+    packed(w) <= min rotation of packed(reversed w)."""
+    idx = np.flatnonzero((n % period == 0) & (words[:, 0] != words[:, -1]))
+    necklaces = words[idx]
+    least = rot = _packed(necklaces[:, ::-1])
+    for _ in range(n - 1):
+        rot = rot % 4 ** (n - 1) * 4 + rot // 4 ** (n - 1)
+        least = np.minimum(least, rot)
+    return idx[_packed(necklaces) <= least]
 
 
 def word_to_str(word) -> str:
     return bytes(word).translate(_DIGITS).decode() if word else "e"
+
+
+def word_strs(ws) -> list:
+    """word_to_str of each row of an int8 word array (count, n), n >= 1."""
+    digits = (ws + ord("0")).astype(np.uint8)
+    return digits.view(f"S{ws.shape[1]}").ravel().astype(str).tolist()
 
 
 def parse_word(s: str):

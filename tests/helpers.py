@@ -1,10 +1,12 @@
-"""Shared draw helpers, word counts, the brute-force class list, the
-reference alternation test, reference polynomial arithmetic, the reference
-deletion recursion and the reference per-word ring check for the tests."""
+"""Shared draw helpers, word counts, the brute-force class list, scan rows,
+the stacked-product and alternation references, reference polynomial
+arithmetic, the reference deletion recursion and the reference per-word ring
+check for the tests."""
 
 import cmath
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,6 +64,37 @@ def power_word(base, w: int):
 def classes_up_to(max_len):
     """enumerate_words(max_len) as one list of tuples, in its order."""
     return [tuple(w) for ws in enumerate_words(max_len) for w in ws.tolist()]
+
+
+@dataclass(frozen=True)
+class ScanRow:
+    """One class of a scan block, to look rows up by word."""
+
+    word: tuple
+    tau: complex
+    rho: float
+    verdict: str
+    filtered: bool
+
+
+def scan_rows(blocks):
+    """The rows of scan_elliptic's per-length blocks, in order."""
+    return [ScanRow(*row) for b in blocks for row in zip(
+        map(tuple, b.words.tolist()), b.tau.tolist(), b.rho.tolist(),
+        b.verdict.tolist(), b.filtered.tolist())]
+
+
+def stacked_traces(words, mats):
+    """tr(M_{a_1} ... M_{a_n}) for each of equal-length words, with M_1, M_2,
+    M_3 on the third-to-last axis of mats and any leading points: one stack
+    multiplied one letter position at a time from the identity, as
+    trace_oracle multiplies one word.  The reference for the prefix pass."""
+    mats = np.asarray(mats, dtype=complex)
+    a = np.array(words, dtype=np.intp).reshape(len(words), -1 if len(words) else 0)
+    m = np.broadcast_to(np.eye(3, dtype=complex), (*mats.shape[:-3], len(a), 3, 3))
+    for i in range(a.shape[1]):
+        m = m @ mats[..., a[:, i] - 1, :, :]
+    return np.trace(m, axis1=-2, axis2=-1)
 
 
 def brute_classes(n, cyclically_reduced=True):

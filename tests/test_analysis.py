@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from chtg import traces
+from chtg import analysis, words
 from chtg.analysis import (OUT_OF_CRITERION, TYPE_B, TYPE_B_PRODUCT_BOUND,
                            Certificate, NotInFamily, alpha_of_t, bisect,
                            cos_of_t, family_c_a_printed, family_c_a_report,
@@ -11,11 +12,12 @@ from chtg.analysis import (OUT_OF_CRITERION, TYPE_B, TYPE_B_PRODUCT_BOUND,
                            non_discreteness_certificate, rho_123_weighted,
                            scan_elliptic, sigma_lower_bound_check, t_of_alpha,
                            t_of_cos, thresholds)
-from chtg.classify import HYPERBOLIC, REGULAR_ELLIPTIC, classify
-from chtg.traces import sigma_closed, stacked_traces, trace_oracle
+from chtg.classify import HYPERBOLIC, INDETERMINATE, REGULAR_ELLIPTIC, classify
+from chtg.traces import sigma_closed, trace_oracle
 from chtg.triangle import TriangleParams, realize
 
-from helpers import _alternation_index, classes_up_to, draw_params, draw_word
+from helpers import (_alternation_index, classes_up_to, draw_params, draw_word,
+                     scan_rows, stacked_traces)
 
 
 def test_t_alpha_conversions():
@@ -239,7 +241,7 @@ def _hits(rows):
 
 def test_scan_ideal_below_threshold():
     p = TriangleParams(1, 1, 1).with_cos_alpha(17 / 18 - 1e-3)
-    rows = list(scan_elliptic(p, 4))
+    rows = scan_rows(scan_elliptic(p, 4))
     by_word = {r.word: r for r in rows}
     assert by_word[(1, 2, 3)].verdict != REGULAR_ELLIPTIC
     assert by_word[(1, 3, 2, 3)].verdict != REGULAR_ELLIPTIC
@@ -248,14 +250,14 @@ def test_scan_ideal_below_threshold():
 
 def test_scan_ideal_t_zero_hyperbolic():
     p = TriangleParams(1, 1, 1, alpha=math.pi)
-    by_word = {r.word: r for r in scan_elliptic(p, 3)}
+    by_word = {r.word: r for r in scan_rows(scan_elliptic(p, 3))}
     assert by_word[(1, 2, 3)].verdict == HYPERBOLIC
     assert family_quartic(1.0, 0.0) == pytest.approx(1024.0 * 125.0)
 
 
 def test_scan_44inf_flags_w_a():
     p = TriangleParams.from_signature(4, 4, math.inf).with_cos_alpha(0.6)
-    rows = list(scan_elliptic(p, 4))
+    rows = scan_rows(scan_elliptic(p, 4))
     hits = {r.word for r in _hits(rows)}
     assert (1, 3, 2, 3) in hits  # the canonical rotation of (3, 2, 3, 1)
     # alternation powers of finite-order pairs are listed but filtered
@@ -283,7 +285,7 @@ def test_scan_rows_equal_per_word_oracle(name):
     p = _SCAN_CASES[name]
     tol = 1e-9
     rz = realize(p)
-    rows = list(scan_elliptic(p, 12, tol=tol))
+    rows = scan_rows(scan_elliptic(p, 12, tol=tol))
     assert [r.word for r in rows] == classes_up_to(12)
     for row in rows:
         assert row.tau == trace_oracle(row.word, rz).value
@@ -293,15 +295,58 @@ def test_scan_rows_equal_per_word_oracle(name):
         assert row.filtered == (k is not None and p.r[k - 1] < 1.0 - 1e-12)
     if name == "44inf":
         assert any(r.filtered for r in rows)
-        flagged = _hits(scan_elliptic(p, 12, skip_alternating=False, tol=tol))
+        flagged = _hits(scan_rows(
+            scan_elliptic(p, 12, skip_alternating=False, tol=tol)))
         assert {r.word for r in flagged} > {r.word for r in _hits(rows)}
 
 
 def test_scan_rows_independent_of_chunk_size(monkeypatch):
+    # max_len 10 is four levels past a chunk level of 6, and 5 prefixes per
+    # chunk leave a short last chunk
     p = _SCAN_CASES["456"]
-    rows = list(scan_elliptic(p, 10))
-    monkeypatch.setattr(traces, "ORACLE_CHUNK", 7)
-    assert list(scan_elliptic(p, 10)) == rows
+    rows = scan_rows(scan_elliptic(p, 10))
+    monkeypatch.setattr(words, "CHUNK_LEVEL", 6)
+    monkeypatch.setattr(words, "CHUNK", 5)
+    assert scan_rows(scan_elliptic(p, 10)) == rows
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e3])
+def test_scan_blocks_equal_classify(tol):
+    # (10,10,inf) at t = 0.5 has rows in the |rho| <= 1e-9 band, and at
+    # tol = 1e3 most rows are in it
+    p = TriangleParams.from_signature(10, 10, math.inf).with_t(0.5)
+    band = 0
+    for n, b in enumerate(scan_elliptic(p, 10, tol=tol), start=1):
+        assert b.words.shape[1] == n
+        assert len({len(x) for x in b}) == 1
+        for tau, rho, verdict in zip(b.tau.tolist(), b.rho.tolist(),
+                                     b.verdict.tolist()):
+            cls = classify(tau, tol=tol)
+            assert (rho, verdict) == (cls.rho, cls.verdict)
+            band += abs(rho) <= tol
+    assert band > 0 or tol == 0.0
+
+
+def test_scan_block_non_finite_and_overflowing_traces(monkeypatch):
+    # classify decides the non-finite traces and those whose rho overflows
+    # to NaN in numpy; no numpy warning is raised
+    taus = np.array([math.inf, -math.inf, complex(math.nan, 0.0),
+                     complex(math.inf, 1.0), complex(1.0, math.nan), 1e80,
+                     1e103, 1e103j, complex(-1e103, 1e103), -1.0, 3.0,
+                     complex(2.0, 1e-6)])
+    ws = np.ones((len(taus), 1), dtype=np.int8)
+    monkeypatch.setattr(analysis, "enumerate_words",
+                        lambda max_len, mats: iter([(ws, taus)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (b,) = scan_elliptic(_SCAN_CASES["456"], 1)
+    for tau, rho, verdict in zip(taus.tolist(), b.rho.tolist(),
+                                 b.verdict.tolist()):
+        cls = classify(tau)
+        assert verdict == cls.verdict
+        assert rho == cls.rho or (math.isnan(rho) and math.isnan(cls.rho))
+    assert b.verdict.tolist()[:5] == [INDETERMINATE] * 5
+    assert b.verdict.tolist()[5:9] == [HYPERBOLIC] * 4
 
 
 def test_oracle_traces_match_trace_oracle(rng):

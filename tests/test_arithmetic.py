@@ -10,7 +10,7 @@ from chtg.arithmetic import (IllConditionedBasis, IntegralityVerdict,
                              group_conjugate_traces, group_ring_check,
                              group_with_rotation, integer_ring_check,
                              mostow_group, mostow_trace_field_check,
-                             ring_checks, totient)
+                             ring_transfer, totient)
 from chtg.classify import REGULAR_ELLIPTIC, classify
 from chtg.traces import (sigma_closed, trace_combinatorial, trace_mu,
                          trace_mu_combinatorial, trace_oracle,
@@ -19,7 +19,7 @@ from chtg.triangle import ExistenceViolation, realize
 from chtg.words import enumerate_words
 
 from helpers import (classes_up_to, conjugate_traces_reference,
-                     ring_check_reference, trace_mu_polynomial)
+                     ring_check_reference, stacked_traces, trace_mu_polynomial)
 
 
 def test_totient():
@@ -170,11 +170,12 @@ def _close(a, b, rel=1e-12):
     (4, 4, math.inf, 12), (4, 4, 4, 7), (6, 6, math.inf, 5),
     (4, 4, math.inf, math.inf), (6, 6, math.inf, 4)])
 def test_ring_checks_match_per_word_reference(p1, p2, p3, n):
-    # the stacked products sum in another order than the scalar loop, so
-    # values agree to rounding; verdicts and coefficients agree exactly
+    # ring-check's prefix products sum in another order than the scalar
+    # loop, so values agree to rounding; verdicts and coefficients exactly
     g = group_with_rotation(p1, p2, p3, n)
-    for ws in enumerate_words(10):
-        for w, got in zip(map(tuple, ws.tolist()), ring_checks(g, ws)):
+    mats, verdicts = ring_transfer(g)
+    for ws, taus in enumerate_words(10, mats):
+        for w, got in zip(map(tuple, ws.tolist()), verdicts(taus, 1e-7)):
             want = ring_check_reference(g, w)
             assert type(got) is type(want) and got.ok == want.ok, w
             if isinstance(want, IntegralityVerdict):
@@ -188,7 +189,7 @@ def test_ring_checks_match_per_word_reference(p1, p2, p3, n):
             ref = conjugate_traces_reference(g, w, got.q)
             assert all(_close(a, b) for pair, rp in zip(pairs, ref)
                        for a, b in zip(pair, rp)), w
-    assert ring_checks(g, []) == []
+    assert verdicts(stacked_traces([], mats), 1e-7) == []
 
 
 def test_ring_check_past_exact_cap():

@@ -83,3 +83,11 @@ def test_json_shape():
     d = classify(1.0 + 2.0j).to_json_dict()
     assert set(d) == {"verdict", "rho", "tau"}
     assert set(d["tau"]) == {"re", "im"}
+
+
+def test_discriminant_overflow_is_inf():
+    # |tau|^3 past the float range: Python's complex power raises, and rho,
+    # which |tau|^4 dominates, is +inf
+    for tau in (1e103, 1e103j, complex(-1e103, 1e103)):
+        cls = classify(tau)
+        assert (cls.verdict, cls.rho) == (HYPERBOLIC, math.inf)

@@ -14,7 +14,7 @@ from chtg.traces import trace_oracle
 from chtg.triangle import TriangleParams, realize
 from chtg.words import MAX_LEN, word_to_str
 
-from helpers import brute_classes, ring_check_reference
+from helpers import brute_classes, classes_up_to, ring_check_reference
 
 
 def run(capsys, *argv):
@@ -314,6 +314,39 @@ def test_trace_overflow_is_domain_error(capsys, fmt):
     assert code == 65
     assert out == ""
     assert err == "domain error: the trace overflows\n"
+
+
+def test_overflowing_scan_writes_no_stderr(capsys):
+    # at r = 1e7, |tau| passes 1e77 by 12 letters, where rho overflows to
+    # inf, and 5e102 by 14, where Re tau^3 does too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        code, out, err = run(capsys, "scan", "--r", "1e7", "1e7", "1e7",
+                             "--cos-alpha", "-0.5", "--max-len", "14", "--csv")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == len(brute_classes(14)) + sum(
+        len(brute_classes(n)) for n in range(1, 14))
+    assert ["inf", "Hyperbolic"] in [r[3:] for r in rows if len(r[0]) == 14]
+
+
+def test_scan_json_is_written_in_pieces(monkeypatch):
+    writes = []
+
+    class Out:
+        def write(self, s):
+            writes.append(s)
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+    monkeypatch.setattr(sys, "stdout", Out())
+    code = main(["scan", "--p", "4", "5", "6", "--t", "1.0", "--max-len", "10",
+                 "--json"])
+    data = json.loads("".join(writes))
+    assert code == 2 and len(data["rows"]) == len(classes_up_to(10))
+    assert len(writes) > len(data["rows"]) and max(map(len, writes)) < 200
 
 
 @pytest.mark.parametrize("fmt", [None, "--csv"])

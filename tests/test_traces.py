@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chtg.traces import (EXACT_CAP, CapExceeded, ZeroRadiusUnsupported,
+from chtg.traces import (_TAILS, EXACT_CAP, CapExceeded, ZeroRadiusUnsupported,
                          _recursion_plan, poly_to_str, sigma_closed, sigma_word, tau_123_closed,
                          trace_combinatorial, trace_mu,
                          trace_mu_combinatorial, trace_oracle, trace_polynomial,
@@ -357,6 +357,14 @@ def test_recursion_plan_is_parameter_free():
     p1, p2 = RECURSION_PARAMS["456"], RECURSION_PARAMS["raw-r"]
     for p in (p1, p2, p1):
         assert trace_recursive(w, p).value == recursive_reference(w, p)
+
+
+def test_recursion_plan_indexes_reduced_tails():
+    # each step op starts with the _TAILS index of its word's last letters
+    assert len(_TAILS) == 12 and all(a != b != c for a, b, c in _TAILS)
+    w = (1, 2, 3, 1, 3, 2, 1, 2, 3, 2)
+    steps = [op for op in _recursion_plan(w) if isinstance(op, tuple)]
+    assert steps and {op[0] for op in steps} <= set(range(12))
 
 
 def test_recursion_plan_long_word_and_cache_bound(rng):

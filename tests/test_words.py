@@ -1,12 +1,19 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chtg.traces import _cancel_adjacent, _deletion_terms
+from chtg import words
+from chtg.arithmetic import group_with_rotation, ring_transfer
+from chtg.traces import _cancel_adjacent, _deletion_terms, trace_oracle
+from chtg.triangle import TriangleParams, realize
 from chtg.words import (MAX_LEN, WordError, canonical, chi, enumerate_words,
                         parse_word, psi, reduce_straighten, rotate, v_count,
-                        winding, word_to_str)
+                        winding, word_strs, word_to_str)
 
-from helpers import brute_classes, n_count, power_word, u_count
+from helpers import (brute_classes, n_count, power_word, stacked_traces,
+                     u_count)
 
 letter = st.integers(1, 3)
 word_st = st.lists(letter, max_size=18).map(tuple)
@@ -169,6 +176,57 @@ def test_enumerate_matches_bruteforce():
     for n, got in enumerate(enumerate_words(12), start=1):
         assert got.dtype == "int8" and got.shape[1] == n
         assert list(map(tuple, got.tolist())) == brute_classes(n)
+
+
+_PASS_POINTS = {
+    "finite": TriangleParams.from_signature(4, 5, 6).with_t(1.0),
+    "ideal": TriangleParams(1, 1, 1).with_cos_alpha(61 / 64),
+    "ultra": TriangleParams.from_lengths(2.0, 2.5, 3.0).with_t(1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PASS_POINTS))
+def test_level_traces_equal_trace_oracle(name):
+    # the prefix products give trace_oracle's traces bit for bit, for every
+    # class up to length 12, on the words enumerate_words yields alone
+    rz = realize(_PASS_POINTS[name])
+    for (ws, taus), plain in zip(enumerate_words(12, rz.iotas),
+                                 enumerate_words(12), strict=True):
+        assert ws.tobytes() == plain.tobytes() and ws.shape == plain.shape
+        want = np.array([trace_oracle(w, rz).value for w in ws.tolist()])
+        assert taus.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 8, math.inf])
+def test_level_traces_with_ring_matrices_equal_stacked_traces(n):
+    # leading (rows, 2) axes at q = 5 and 8; one point at n = inf
+    mats, _ = ring_transfer(group_with_rotation(4, 4, math.inf, n))
+    for ws, taus in enumerate_words(10, mats):
+        assert taus.shape == (*mats.shape[:-3], len(ws))
+        assert taus.tobytes() == stacked_traces(ws, mats).tobytes()
+
+
+def test_chunked_levels_equal_unchunked(monkeypatch):
+    # max_len 9 is four levels past a chunk level of 5; 3 prefixes per chunk
+    # leave a short last chunk, and at 4 ring points each chunk is 1 prefix
+    mats = [None, realize(_PASS_POINTS["finite"]).iotas,
+            ring_transfer(group_with_rotation(4, 4, math.inf, 5))[0]]
+    whole = [list(enumerate_words(9, m)) for m in mats]
+    monkeypatch.setattr(words, "CHUNK_LEVEL", 5)
+    monkeypatch.setattr(words, "CHUNK", 3)
+    for m, want in zip(mats, whole):
+        got = list(enumerate_words(9, m))
+        assert len(got) == len(want) == 9
+        if m is None:  # words alone, not (words, traces) pairs
+            got, want = [(a,) for a in got], [(b,) for b in want]
+        for a, b in zip(got, want):
+            for x, y in zip(a, b, strict=True):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_word_strs():
+    ws = next(w for w in enumerate_words(5) if len(w[0]) == 5)
+    assert word_strs(ws) == [word_to_str(w) for w in ws.tolist()]
 
 
 @pytest.mark.parametrize("max_len", [0, -3, MAX_LEN + 1])
