@@ -371,19 +371,17 @@ def cmd_ring_check(args) -> int:
     mats, verdicts = arithmetic.ring_transfer(group)
     rows = []
     for ws, taus in words.enumerate_words(args.max_len, mats):
-        rows += zip(ws.tolist(), verdicts(taus, ring_tol))
+        rows += zip(words.word_strs(ws), verdicts(taus, ring_tol))
     any_fail = not all(v.ok for _, v in rows)
     if cfg.fmt == "json":
         payload = {"params": group.params.to_json_dict(),
                    "n": group.n, "max_len": args.max_len,
-                   "rows": [{"word": words.word_to_str(w),
-                             **v.to_json_dict()} for w, v in rows]}
+                   "rows": [{"word": w, **v.to_json_dict()} for w, v in rows]}
         _emit([dumps_stable(payload)])
     elif cfg.fmt == "csv":
-        _emit(chain(["word,ok"],
-                    (f"{words.word_to_str(w)},{int(v.ok)}" for w, v in rows)))
+        _emit(chain(["word,ok"], (f"{w},{int(v.ok)}" for w, v in rows)))
     else:
-        _emit(chain((f"{words.word_to_str(w):10s} ok={v.ok}" for w, v in rows),
+        _emit(chain((f"{w:10s} ok={v.ok}" for w, v in rows),
                     [f"all passed: {not any_fail}"]))
     return EXIT_FOUND if any_fail else EXIT_OK
 

@@ -198,19 +198,28 @@ def _grow(words, period, prod, mats, n, last):
 
 
 def _packed(words) -> np.ndarray:
-    """Each row as a base-4 int64, so lex order is numeric order."""
-    return words @ 4 ** np.arange(words.shape[1] - 1, -1, -1, dtype=np.int64)
+    """Each row as a base-4 int64 (Horner), so lex order is numeric order."""
+    acc = np.zeros(len(words), dtype=np.int64)
+    for i in range(words.shape[1]):
+        acc *= 4
+        acc += words[:, i]
+    return acc
 
 
 def _kept(words, period, n) -> np.ndarray:
-    """Indices of the necklaces w of length n among the rows with
+    """Indices of the necklaces w of length n among the rows, those with
     packed(w) <= min rotation of packed(reversed w)."""
     idx = np.flatnonzero((n % period == 0) & (words[:, 0] != words[:, -1]))
     necklaces = words[idx]
-    least = rot = _packed(necklaces[:, ::-1])
+    top = 4 ** (n - 1)
+    rot = _packed(necklaces[:, ::-1])
+    least = rot.copy()
     for _ in range(n - 1):
-        rot = rot % 4 ** (n - 1) * 4 + rot // 4 ** (n - 1)
-        least = np.minimum(least, rot)
+        lead = rot // top
+        rot %= top
+        rot *= 4
+        rot += lead
+        np.minimum(least, rot, out=least)
     return idx[_packed(necklaces) <= least]
 
 

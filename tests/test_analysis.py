@@ -350,7 +350,8 @@ def test_scan_block_non_finite_and_overflowing_traces(monkeypatch):
 
 
 def test_oracle_traces_match_trace_oracle(rng):
-    # scan's stacked products at the reflections are trace_oracle bit for bit
+    # the stacked reference products at the reflections are trace_oracle
+    # bit for bit
     for name, p in sorted(_SCAN_CASES.items()):
         rz = realize(p)
         for n in range(0, 61):

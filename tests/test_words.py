@@ -225,7 +225,7 @@ def test_chunked_levels_equal_unchunked(monkeypatch):
 
 
 def test_word_strs():
-    ws = next(w for w in enumerate_words(5) if len(w[0]) == 5)
+    ws = list(enumerate_words(5))[-1]
     assert word_strs(ws) == [word_to_str(w) for w in ws.tolist()]
 
 
