@@ -183,6 +183,7 @@ _S = "scan --p 4 5 6 --t 1.0 --max-len 10"
 _R = "ring-check --p 4 4 inf --max-len 8 --n"
 _T = "trace --word 2321 --p 4 5 6 --t 0.8"
 _S4 = "scan --p 4 5 6 --t 1.0 --max-len 14"
+_T16 = "trace --word 1213121323123212"
 GOLDEN_STDOUT = {
     f"{_S} --json": (2, "dd80ea6ee16257e39d120c08ca690f0dd80bdf8d814d02d13c515f4aea646b5d"),
     f"{_S} --csv": (2, "e564c8aa188c776739e09825d1e75a0e0467b63c18ad542f8bc6bdc38f52a152"),
@@ -213,6 +214,16 @@ GOLDEN_STDOUT = {
         (2, "f3019c289d62d67f03728aad50ad56e5b09014c462c81f1f745a8e9b480e46bc"),
     "ring-check --p 4 4 inf --n 5 --max-len 12 --csv":
         (0, "4dcbf9166c4661927b64ee74042223a31018420b12a2cbf9989ac6978dce1edf"),
+    # recorded before the trace routes cached their per-parameter constants;
+    # the CSV prints every route at 17 digits, so any changed bit shows
+    f"{_T16} --p 4 5 6 --t 0.8 --csv":
+        (0, "14bec3a5e309f7aab9614947f03ba98c502038dcc01dbff79cabd81422627652"),
+    f"{_T16} --p inf inf inf --t 0.8 --csv":
+        (0, "8915f7e91f125ce239b5342adec2a270a9ad7c418194bf89f9cafc911129fc60"),
+    f"{_T16} --lengths 1 1.5 2 --t 0.8 --csv":
+        (0, "fc8a1d912d22d1edb856e074c8b22b77eff6f785a9db7d527afe60bf90ab2429"),
+    "trace --word 123121321323 --p 4 5 6 --t 0.8 --json --fourier":
+        (0, "fcceae80698563be40fcff0050a9613c0e0b2cd97120f754306d80f2c5fff89b"),
 }
 
 
