@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from types import GeneratorType
 
 import numpy as np
@@ -33,6 +33,9 @@ EXIT_FOUND = 2
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
 ROW_SLICE = 4096  # scan rows made into Python objects at a time
+_JSON_ROW = ('%s{"word":"%s","tau":{"re":%s,"im":%s},"rho":%s,"verdict":"%s",'
+             '"filtered":%s}')
+_NON_FINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 
 
 class UsageError(Exception):
@@ -44,26 +47,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _pieces(obj):
-    """Deterministic JSON, made piece by piece as it is read: insertion
-    order kept, floats at 17 significant digits, infinities as strings.  A
-    generator is a list, read once."""
+def dumps_stable(obj) -> str:
+    """Deterministic JSON: insertion order kept, floats at 17 significant
+    digits, infinities as strings.  A generator is a list."""
     if isinstance(obj, dict):
-        ends, items = "{}", ((f"{_scalar(str(k))}:", v) for k, v in obj.items())
-    elif isinstance(obj, (list, tuple, GeneratorType)):
-        ends, items = "[]", (("", v) for v in obj)
-    else:
-        yield _scalar(obj)
-        return
-    sep = ends[0]
-    for key, v in items:
-        if isinstance(v, (dict, list, tuple, GeneratorType)):
-            yield sep + key
-            yield from _pieces(v)
-        else:
-            yield sep + key + _scalar(v)
-        sep = ","
-    yield ends if sep == ends[0] else ends[1]
+        return "{" + ",".join(f"{_scalar(str(k))}:{dumps_stable(v)}"
+                              for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple, GeneratorType)):
+        return "[" + ",".join(map(dumps_stable, obj)) + "]"
+    return _scalar(obj)
 
 
 def _scalar(obj) -> str:
@@ -82,9 +74,10 @@ def _scalar(obj) -> str:
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
-def dumps_stable(obj) -> str:
-    """_pieces joined into one string."""
-    return "".join(_pieces(obj))
+def _floats(xs):
+    """Each float of xs as _scalar writes it, by C-level maps."""
+    strs = list(map(format, xs, repeat(".17g")))
+    return map(_NON_FINITE.get, strs, strs)
 
 
 def _parse_p(token: str):
@@ -280,10 +273,8 @@ def cmd_thresholds(args) -> int:
         lines.append(f"  family     = {payload['family_member']}")
         if payload["family_member"]:
             lines.append(f"  type       = {payload['family_type']}")
-            if payload["t_b_minus"] is not None:
-                lines.append(f"  t_b_minus  = {payload['t_b_minus']:.12g}")
-            if payload["t_b_plus"] is not None:
-                lines.append(f"  t_b_plus   = {payload['t_b_plus']:.12g}")
+            lines += [f"  {key:10s} = {payload[key]:.12g}" for key in
+                      ("t_b_minus", "t_b_plus") if payload[key] is not None]
         _emit(lines)
     return EXIT_OK
 
@@ -295,14 +286,12 @@ def cmd_invariants(args) -> int:
     payload = {"params": params.to_json_dict(),
                "alpha": params.alpha, "t": params.t,
                "cartan": triangle.cartan_invariant(*rz.vertices)}
-    try:
-        payload["sigma"] = triangle.brehm_sigma(rz)
-    except TriangleError:
-        payload["sigma"] = None
-    try:
-        payload["eta"] = triangle.hakim_sandler_eta(rz)
-    except TriangleError:
-        payload["eta"] = None
+    for key, invariant in (("sigma", triangle.brehm_sigma),
+                           ("eta", triangle.hakim_sandler_eta)):
+        try:
+            payload[key] = invariant(rz)
+        except TriangleError:
+            payload[key] = None
     if cfg.fmt == "json":
         _emit([dumps_stable(payload)])
     else:
@@ -338,17 +327,20 @@ def cmd_scan(args) -> int:
 
     out = sys.stdout
     if cfg.fmt == "json":
-        # "rows" is written before "hits", so hits is complete when read
-        keys = ("word", "tau", "rho", "verdict", "filtered")
-        payload = {"params": cfg.params.to_json_dict(), "max_len": args.max_len,
-                   "rows": (dict(zip(keys, row)) for part in slices()
-                            for row in zip(*part)),
-                   "hits": hits,
-                   "certificate": None if cert is None else {
-                       "word": words.word_to_str(cert.word),
-                       "tau": cert.tau,
-                       "rho": cert.rho, "t": cert.t, "t_a": cert.t_a}}
-        out.writelines(chain(_pieces(payload), ["\n"]))
+        head = {"params": cfg.params.to_json_dict(), "max_len": args.max_len}
+        out.write(dumps_stable(head)[:-1] + ',"rows":[')
+        sep = ""  # one row a write, each after its separator
+        for ws, tau, rho, verdict, filtered, _ in slices():
+            out.writelines(map(_JSON_ROW.__mod__, zip(
+                chain([sep], repeat(",")), ws, _floats(t.real for t in tau),
+                _floats(t.imag for t in tau), _floats(rho), verdict,
+                map(("false", "true").__getitem__, filtered))))
+            sep = ","
+        # written after the rows, when hits is complete
+        tail = {"hits": hits, "certificate": None if cert is None else {
+            "word": words.word_to_str(cert.word), "tau": cert.tau,
+            "rho": cert.rho, "t": cert.t, "t_a": cert.t_a}}
+        out.write("]," + dumps_stable(tail)[1:] + "\n")
     elif cfg.fmt == "csv":
         out.write("word,re_tau,im_tau,rho,verdict\n")
         for ws, tau, rho, verdict, *_ in slices():
@@ -397,20 +389,11 @@ def build_parser() -> _Parser:
                          help="include the exact Fourier data (--json only)")
     p_trace.set_defaults(func=cmd_trace)
 
-    p_thr = _add_common(subs.add_parser("thresholds",
-                                        help="existence/ellipticity thresholds"),
-                        csv=False)
-    p_thr.set_defaults(func=cmd_thresholds)
-
-    p_fam = _add_common(subs.add_parser("family",
-                                        help="distinguished family membership and type"),
-                        csv=False)
-    p_fam.set_defaults(func=cmd_thresholds)
-
-    p_inv = _add_common(subs.add_parser("invariants",
-                                        help="angular and vertex invariants"),
-                        csv=False)
-    p_inv.set_defaults(func=cmd_invariants)
+    for name, text, func in (
+            ("thresholds", "existence/ellipticity thresholds", cmd_thresholds),
+            ("family", "distinguished family membership and type", cmd_thresholds),
+            ("invariants", "angular and vertex invariants", cmd_invariants)):
+        _add_common(subs.add_parser(name, help=text), csv=False).set_defaults(func=func)
 
     p_scan = _add_common(subs.add_parser("scan",
                                          help="classify all short words"))

@@ -20,6 +20,10 @@ iota_{a_n}:
   them once, with no parameters, in an LRU cache of 1024 words; each call
   is one numeric pass over the plan.
 
+The parameter-only constants, the Gram entries below and the recursion's
+base values and betas, are computed once per (r1, r2, r3, alpha), in LRU
+caches keyed by the bytes of those floats (-0.0 is not 0.0 there).
+
 The subset sum is never enumerated.  In the balanced gauge the polar vectors
 have the Gram matrix G with G_kk = 1 and G_ab = r_m z^{chi(b - a)}, where
 z = e^{i alpha / 3} and m is the letter completing {a, b}; the product of G
@@ -43,7 +47,9 @@ mu-reflection word,
 Run over sparse polynomials in (r1, r2, r3, z) instead of numbers, the same
 updates give the Fourier data tau_a = (-1)^n (2 + sum_w q_w e^{i alpha w}).
 ``trace_polynomial`` stores each q_w exactly as (8 r1 r2 r3)^{|w|} times an
-integer polynomial P_w in X_k = 4 r_k^2.
+integer polynomial P_w in X_k = 4 r_k^2.  ``TracePolynomial.evaluate``
+compiles the float coefficients and exponents once per polynomial; a call
+builds power tables of the X_k and sums the terms in ``coeffs`` order.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ import cmath
 import functools
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +71,7 @@ EXACT_CAP = 48
 # to the bound without it, over signatures, side lengths and raw radii, was 3.6
 _AGREEMENT_C = 64.0
 _EPS = float(np.finfo(float).eps)
+_PARAMS = struct.Struct("4d")  # (r1, r2, r3, alpha)
 
 
 class CapExceeded(ValueError):
@@ -111,11 +119,12 @@ def _expand(word, factors, gram, m):
     """
     for a in word:
         f = factors[a - 1]
-        g = gram[a - 1]
+        g0, g1, g2 = gram[a - 1]
         for row in m:
             t = row[a - 1] * f
-            for j in range(3):
-                row[j] += t * g[j]
+            row[0] += t * g0
+            row[1] += t * g1
+            row[2] += t * g2
     tr = m[0][0]
     tr += m[1][1]
     tr += m[2][2]
@@ -143,13 +152,25 @@ def transfer_matrices(factors, r, zp, zn) -> np.ndarray:
     return t
 
 
+def _key(params) -> bytes:
+    """The bytes of (r1, r2, r3, alpha), which key the per-parameter caches:
+    a radius of -0.0 == 0.0, but the two can give differently signed zeros."""
+    params._need_alpha()
+    return _PARAMS.pack(*params.r, params.alpha)
+
+
+@functools.lru_cache(maxsize=256)
+def _param_gram(key: bytes) -> tuple:
+    """_gram at z = e^{i alpha / 3}, once per parameter set, as tuples."""
+    *r, alpha = _PARAMS.unpack(key)
+    return tuple(map(tuple, _gram(r, cmath.exp(1j * alpha / 3.0),
+                                  cmath.exp(-1j * alpha / 3.0))))
+
+
 def _numeric_trace(word, params, factors) -> complex:
     """_expand at the Gram matrix of params, z = e^{i alpha / 3}."""
-    params._need_alpha()
-    gram = _gram(params.r, cmath.exp(1j * params.alpha / 3.0),
-                 cmath.exp(-1j * params.alpha / 3.0))
-    return _expand(word, factors, gram, [[1.0 + 0j if i == j else 0j
-                                          for j in range(3)] for i in range(3)])
+    return _expand(word, factors, _param_gram(_key(params)),
+                   [[1.0 + 0j, 0j, 0j], [0j, 1.0 + 0j, 0j], [0j, 0j, 1.0 + 0j]])
 
 
 def _fourier_terms(word, factors):
@@ -186,32 +207,21 @@ def trace_mu_combinatorial(word, params, mus) -> TraceValue:
                       "mu-combinatorial")
 
 
-def _monomial_sort_key(mono):
-    return (-(mono[0] + mono[1] + mono[2]), tuple(-e for e in mono))
-
-
 def poly_to_str(poly: dict) -> str:
-    """Canonical text form of an integer polynomial in X1, X2, X3."""
-    if not poly:
-        return "0"
+    """Canonical text form of an integer polynomial in X1, X2, X3: total
+    degree down, then each exponent down."""
     parts = []
-    for mono in sorted(poly, key=_monomial_sort_key):
+    for mono in sorted(poly, key=lambda m: (-sum(m), tuple(-e for e in m))):
         coeff = poly[mono]
         if coeff == 0:
             continue
-        body = "*".join(
-            f"X{i + 1}" + (f"^{e}" if e > 1 else "")
-            for i, e in enumerate(mono) if e > 0)
+        body = "*".join(f"X{i + 1}" + (f"^{e}" if e > 1 else "")
+                        for i, e in enumerate(mono) if e > 0)
         mag = abs(coeff)
-        if body:
-            term = body if mag == 1 else f"{mag}*{body}"
-        else:
-            term = str(mag)
-        if not parts:
-            parts.append(term if coeff > 0 else f"-{term}")
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + term)
-    return " ".join(parts) if parts else "0"
+        term = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
+        sign = ("+ " if parts else "") if coeff > 0 else ("- " if parts else "-")
+        parts.append(sign + term)
+    return " ".join(parts) or "0"
 
 
 @dataclass(frozen=True)
@@ -230,29 +240,26 @@ class TracePolynomial:
     def support(self):
         return sorted(self.coeffs)
 
-    def substituted(self, xs, zp, zn) -> dict:
-        """w -> P_w(xs) zp^w for w >= 0 and P_w(xs) zn^{-w} for w < 0.
-
-        With X_k = 4 r_k^2 and (zp, zn) = 8 R e^{+-i alpha} the values are
-        the terms q_w e^{i alpha w}; integer arguments keep it exact.
-        """
-        x1, x2, x3 = xs
-        return {w: sum(c * x1 ** j1 * x2 ** j2 * x3 ** j3
-                       for (j1, j2, j3), c in poly.items())
-                * (zp ** w if w >= 0 else zn ** -w)
-                for w, poly in self.coeffs.items()}
+    @functools.cached_property
+    def _compiled(self) -> tuple:
+        """coeffs as (w, ((float(c), j1, j2, j3), ...)) in coeffs order, and
+        one past the largest exponent."""
+        terms = tuple((w, tuple((float(c), *mono) for mono, c in poly.items()))
+                      for w, poly in self.coeffs.items())
+        return terms, 1 + max((max(t[1:]) for _, ts in terms for t in ts), default=0)
 
     def evaluate(self, params) -> complex:
-        """Reassemble tau at the given parameters."""
+        """Reassemble tau at the given parameters: q_w e^{i alpha w} is P_w(X)
+        z^w, or P_w(X) conj(z)^{-w} for w < 0, with z = 8 R e^{i alpha}."""
         params._need_alpha()
         z = 8.0 * params.r_product * cmath.exp(1j * params.alpha)
-        xs = tuple(4.0 * r * r for r in params.r)
-        total = sum(self.substituted(xs, z, z.conjugate()).values())
+        zn = z.conjugate()
+        terms, top = self._compiled
+        p1, p2, p3 = ([x ** j for j in range(top)]
+                      for x in [4.0 * r * r for r in params.r])
+        total = sum(sum(c * p1[j1] * p2[j2] * p3[j3] for c, j1, j2, j3 in ts)
+                    * (z ** w if w >= 0 else zn ** -w) for w, ts in terms)
         return (-1.0) ** self.n * (2.0 + total)
-
-    def ideal_sum(self) -> int:
-        """Exact integer value of sum_w q_w at r1 = r2 = r3 = 1."""
-        return sum(self.substituted((4, 4, 4), 8, 8).values())
 
     def to_json_dict(self) -> dict:
         rows = [{"w": w, "poly": poly_to_str(self.coeffs[w])}
@@ -298,7 +305,9 @@ def word_matrix(realization, word, matrices=None) -> np.ndarray:
 
 def trace_oracle(word, realization) -> TraceValue:
     """Trace of the literal matrix product; no length cap."""
-    return TraceValue(complex(np.trace(word_matrix(realization, word))), "oracle")
+    m = word_matrix(realization, word)
+    # np.trace's sum, from 0j: a -0.0 diagonal gives +0j
+    return TraceValue(0j + m.item(0) + m.item(4) + m.item(8), "oracle")
 
 
 def agreement_bound(word, realization) -> float:
@@ -411,6 +420,18 @@ def _recursion_plan(word: tuple) -> tuple:
     return tuple(plan)
 
 
+@functools.lru_cache(maxsize=256)
+def _recursion_constants(key: bytes) -> tuple:
+    """The base values and the 12 _TAILS betas, once per parameter set."""
+    r1, r2, r3, alpha = _PARAMS.unpack(key)
+    ei = cmath.exp(1j * alpha)
+    base = (3.0 + 0j, -1.0 + 0j, complex(4.0 * r1 * r1 - 1.0),
+            complex(4.0 * r2 * r2 - 1.0), complex(4.0 * r3 * r3 - 1.0))
+    betas = tuple(2.0 * r1 ** v1 * r2 ** v2 * r3 ** v3 * ei ** w - 1.0
+                  for v1, v2, v3, w in map(_TAIL_EXPONENTS.get, _TAILS))
+    return base, betas
+
+
 def trace_recursive(word, params) -> TraceValue:
     """Deletion recursion: a cached plan per word, one numeric pass per call.
 
@@ -423,16 +444,11 @@ def trace_recursive(word, params) -> TraceValue:
     plan at its parameters in one loop.  A radius below the unit roundoff,
     such as cos(pi/2), counts as zero.
     """
-    params._need_alpha()
-    r1, r2, r3 = params.r
-    if min(r1, r2, r3) <= _EPS:
+    key = _key(params)
+    if min(params.r) <= _EPS:
         raise ZeroRadiusUnsupported(
             "recursion undefined at r_k = 0; use the oracle or the expansion")
-    ei = cmath.exp(1j * params.alpha)
-    base = (3.0 + 0j, -1.0 + 0j, complex(4.0 * r1 * r1 - 1.0),
-            complex(4.0 * r2 * r2 - 1.0), complex(4.0 * r3 * r3 - 1.0))
-    betas = [2.0 * r1 ** v1 * r2 ** v2 * r3 ** v3 * ei ** w - 1.0
-             for v1, v2, v3, w in map(_TAIL_EXPONENTS.get, _TAILS)]
+    base, betas = _recursion_constants(key)
     vals = []
     for op in _recursion_plan(tuple(word)):
         if op.__class__ is not tuple:

@@ -1,7 +1,7 @@
 """Shared draw helpers, word counts, the brute-force class list, scan rows,
 the stacked-product and alternation references, reference polynomial
-arithmetic, the reference deletion recursion and the reference per-word ring
-check for the tests."""
+arithmetic, the reference deletion recursion, the per-call trace routes and
+exact substitution, and the reference per-word ring check for the tests."""
 
 import cmath
 import itertools
@@ -15,7 +15,8 @@ from chtg.arithmetic import (INTEGER_ENTRIES, BasisExpansion, BasisRingVerdict,
                              _power_basis_pinv, cos_two_pi_over)
 from chtg.traces import (_EPS, _TAIL_EXPONENTS, ZeroRadiusUnsupported,
                          _cancel_adjacent, _deletion_terms, _expand,
-                         _fourier_terms, _gram, trace_combinatorial)
+                         _fourier_terms, _gram, trace_combinatorial,
+                         word_matrix)
 from chtg.triangle import TriangleParams
 from chtg.words import canonical, enumerate_words, inverse, psi
 
@@ -195,6 +196,51 @@ def recursive_reference(word, params) -> complex:
         v = [memo[c] for c in kids]
         memo[a] = -(v[0] + v[1] + v[2]) + beta * (v[3] + v[4] + v[5] + v[6])
     return memo[top]
+
+
+def numeric_trace_reference(word, params, factors) -> complex:
+    """_expand at a Gram matrix built for this call: the per-call form that
+    the cached Gram of trace_combinatorial must equal bit for bit."""
+    params._need_alpha()
+    gram = _gram(params.r, cmath.exp(1j * params.alpha / 3.0),
+                 cmath.exp(-1j * params.alpha / 3.0))
+    return _expand(tuple(word), factors, gram,
+                   [[1.0 + 0j if i == j else 0j for j in range(3)]
+                    for i in range(3)])
+
+
+def oracle_reference(word, realization) -> complex:
+    """np.trace of the word's matrix: the form trace_oracle must equal."""
+    return complex(np.trace(word_matrix(realization, word)))
+
+
+def substituted(poly, xs, zp, zn) -> dict:
+    """w -> P_w(xs) zp^w for w >= 0 and P_w(xs) zn^{-w} for w < 0, for a
+    TracePolynomial.
+
+    With X_k = 4 r_k^2 and (zp, zn) = 8 R e^{+-i alpha} the values are
+    the terms q_w e^{i alpha w}; integer arguments keep it exact.
+    """
+    x1, x2, x3 = xs
+    return {w: sum(c * x1 ** j1 * x2 ** j2 * x3 ** j3
+                   for (j1, j2, j3), c in p.items())
+            * (zp ** w if w >= 0 else zn ** -w)
+            for w, p in poly.coeffs.items()}
+
+
+def ideal_sum(poly) -> int:
+    """Exact integer value of sum_w q_w at r1 = r2 = r3 = 1."""
+    return sum(substituted(poly, (4, 4, 4), 8, 8).values())
+
+
+def evaluate_reference(poly, params) -> complex:
+    """TracePolynomial.evaluate through substituted: the form the compiled
+    evaluate must equal bit for bit."""
+    params._need_alpha()
+    z = 8.0 * params.r_product * cmath.exp(1j * params.alpha)
+    xs = tuple(4.0 * r * r for r in params.r)
+    total = sum(substituted(poly, xs, z, z.conjugate()).values())
+    return (-1.0) ** poly.n * (2.0 + total)
 
 
 def conjugate_traces_reference(group, word, q):

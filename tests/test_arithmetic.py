@@ -19,7 +19,8 @@ from chtg.triangle import ExistenceViolation, realize
 from chtg.words import enumerate_words
 
 from helpers import (classes_up_to, conjugate_traces_reference,
-                     ring_check_reference, stacked_traces, trace_mu_polynomial)
+                     ring_check_reference, stacked_traces, substituted,
+                     trace_mu_polynomial)
 
 
 def test_totient():
@@ -133,7 +134,7 @@ def _exact_conjugate_pairs(group, word, q):
         z = (s_val + cmath.sqrt(complex(s_val * s_val - 4.0 * q_val))) / 2.0
         zb = q_val / z
         pairs.append(tuple(
-            sign * (2.0 + sum(poly.substituted(xs, zp, zn).values()))
+            sign * (2.0 + sum(substituted(poly, xs, zp, zn).values()))
             for zp, zn in ((z, zb), (zb, z))))
     return pairs, real_root
 

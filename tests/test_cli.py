@@ -7,14 +7,15 @@ import warnings
 
 import pytest
 
+from chtg.analysis import scan_elliptic
 from chtg.arithmetic import group_with_rotation
 from chtg.classify import classify
-from chtg.cli import dumps_stable, main
+from chtg.cli import _floats, _scalar, dumps_stable, main
 from chtg.traces import trace_oracle
 from chtg.triangle import TriangleParams, realize
 from chtg.words import MAX_LEN, word_to_str
 
-from helpers import brute_classes, classes_up_to, ring_check_reference
+from helpers import brute_classes, classes_up_to, ring_check_reference, scan_rows
 
 
 def run(capsys, *argv):
@@ -30,6 +31,11 @@ def test_dumps_stable():
     assert json.loads(s) == {"a": 1.5, "b": ["inf", "-inf"], "c": None,
                              "d": True, "e": 'x"y'}
     assert dumps_stable({"g": (x for x in (1, 2.5))}) == '{"g":[1,2.5]}'
+
+
+def test_floats_follow_scalar():
+    xs = [1.5, -0.0, 1e-300, math.nan, -math.nan, math.inf, -math.inf, 0.1]
+    assert list(_floats(xs)) == list(map(_scalar, xs))
 
 
 def test_trace_ideal_near_pi(capsys):
@@ -358,6 +364,28 @@ def test_scan_json_is_written_in_pieces(monkeypatch):
     data = json.loads("".join(writes))
     assert code == 2 and len(data["rows"]) == len(classes_up_to(10))
     assert len(writes) > len(data["rows"]) and max(map(len, writes)) < 200
+
+
+@pytest.mark.parametrize("argv, params", [
+    # overflowing: rho is inf from 12 letters on
+    (("--r", "1e7", "1e7", "1e7", "--cos-alpha", "-0.5", "--max-len", "14"),
+     TriangleParams(1e7, 1e7, 1e7).with_cos_alpha(-0.5)),
+    # rows in the |rho| <= tol band, which classify decides
+    (("--p", "10", "10", "inf", "--t", "0.5", "--max-len", "10"),
+     TriangleParams.from_signature(10, 10, math.inf).with_t(0.5)),
+], ids=["overflow", "band"])
+def test_scan_json_rows_equal_dict_rows(capsys, argv, params):
+    # the per-slice row template writes what dumps_stable writes of row dicts
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, err = run(capsys, "scan", *argv, "--json")
+        rows = scan_rows(scan_elliptic(params, int(argv[-1])))
+    want = ",".join(dumps_stable({
+        "word": word_to_str(r.word), "tau": r.tau, "rho": r.rho,
+        "verdict": r.verdict, "filtered": r.filtered}) for r in rows)
+    head, rest = out.split(',"rows":[', 1)
+    assert rest.split('],"hits":', 1)[0] == want
+    assert err == "" and json.loads(out)["max_len"] == int(argv[-1])
 
 
 @pytest.mark.parametrize("fmt", [None, "--csv"])

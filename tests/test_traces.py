@@ -5,17 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from chtg import traces
 from chtg.traces import (_TAILS, EXACT_CAP, CapExceeded, ZeroRadiusUnsupported,
-                         _recursion_plan, poly_to_str, sigma_closed, sigma_word, tau_123_closed,
+                         _gram, _key, _param_gram, _recursion_plan, poly_to_str,
+                         sigma_closed, sigma_word, tau_123_closed,
                          trace_combinatorial, trace_mu,
                          trace_mu_combinatorial, trace_oracle, trace_polynomial,
                          trace_recursive)
-from chtg.triangle import TriangleParams, realize
+from chtg.triangle import TriangleError, TriangleParams, realize
 from chtg.words import canonical, reduce_straighten, rotate, winding
 
-from helpers import (draw_params, draw_word, n_count, poly_mul, poly_sub,
-                     power_word, recursive_reference, trace_mu_polynomial,
-                     u_count)
+from helpers import (classes_up_to, draw_params, draw_word, evaluate_reference,
+                     ideal_sum, n_count, numeric_trace_reference,
+                     oracle_reference, poly_mul, poly_sub, power_word,
+                     recursive_reference, trace_mu_polynomial, u_count)
 
 
 def test_oracle_base_cases(rng):
@@ -201,7 +204,7 @@ def test_polynomial_integer_checksum(rng):
     for _ in range(30):
         w = draw_word(rng, 9)
         tp = trace_polynomial(w, mode="exact")
-        assert tp.ideal_sum() == (-1) ** len(w)
+        assert ideal_sum(tp) == (-1) ** len(w)
         for poly in tp.coeffs.values():
             assert all(isinstance(c, int) for c in poly.values())
 
@@ -397,3 +400,102 @@ def test_polynomial_json():
     assert d["n"] == 3 and d["mode"] == "exact"
     assert d["coeffs"][0] == {"w": 0, "poly": "X1 + X2 + X3 - 5"}
     assert d["coeffs"][1] == {"w": 1, "poly": "-1"}
+
+
+# --- per-parameter constants and compiled Fourier data, bit for bit ----------
+
+BIT_POINTS = {
+    "456": TriangleParams.from_signature(4, 5, 6).with_t(0.8),
+    "ideal": TriangleParams.from_signature(math.inf, math.inf, math.inf).with_t(0.8),
+    "ultra": TriangleParams.from_lengths(1.0, 1.5, 2.0).with_t(0.8),
+}
+BIT_MUS = (cmath.exp(0.3j), cmath.exp(1.1j), cmath.exp(-2.5j))
+
+
+def bits(z):
+    """A complex value's bits, signs of zero included."""
+    return z.real.hex(), z.imag.hex()
+
+
+def route_bits(w, p, poly=None):
+    """Each route at (w, p), as bits."""
+    out = {"combinatorial": trace_combinatorial(w, p).value,
+           "mu": trace_mu_combinatorial(w, p, BIT_MUS).value,
+           "oracle": trace_oracle(w, realize(p)).value}
+    if min(p.r) > traces._EPS:
+        out["recursive"] = trace_recursive(w, p).value
+    if poly is not None:
+        out["evaluate"] = poly.evaluate(p)
+    return {k: bits(v) for k, v in out.items()}
+
+
+def reference_bits(w, p, poly=None):
+    """route_bits by the per-call references."""
+    mu_factors = tuple(complex(mu) - 1.0 for mu in BIT_MUS)
+    out = {"combinatorial": complex((-1.0) ** len(w) * numeric_trace_reference(
+               w, p, (-2.0, -2.0, -2.0))),
+           "mu": complex(numeric_trace_reference(w, p, mu_factors)),
+           "oracle": oracle_reference(w, realize(p))}
+    if min(p.r) > traces._EPS:
+        out["recursive"] = recursive_reference(w, p)
+    if poly is not None:
+        out["evaluate"] = evaluate_reference(poly, p)
+    return {k: bits(v) for k, v in out.items()}
+
+
+@pytest.mark.parametrize("name", sorted(BIT_POINTS))
+def test_routes_equal_per_call_references(name):
+    p = BIT_POINTS[name]
+    for w in classes_up_to(10):
+        poly = trace_polynomial(w)
+        assert route_bits(w, p, poly) == reference_bits(w, p, poly), w
+
+
+def test_oracle_trace_of_negative_zero_diagonal():
+    # np.trace sums from +0: a -0.0 diagonal gives +0j, not -0j
+    m = -0.0 * np.eye(3, dtype=complex)
+    rz = type("Mats", (), {"iotas": (m, m, m)})()
+    assert math.copysign(1.0, traces.word_matrix(rz, (1,))[0, 0].real) == -1.0
+    got = trace_oracle((1,), rz).value
+    assert bits(got) == bits(oracle_reference((1,), rz)) == bits(0j)
+
+
+def test_constants_follow_interleaved_parameter_sets():
+    a = BIT_POINTS["456"]
+    b = BIT_POINTS["ultra"]
+    a2 = a.with_t(2.5)  # same radii, another alpha
+    traces._param_gram.cache_clear()
+    traces._recursion_constants.cache_clear()
+    ws = [(1, 2, 3), (1, 2, 1, 3, 2, 3), (1, 2, 3, 1, 3, 2, 1, 2, 3, 2, 3, 1)]
+    for p in (a, b, a, a2, a, a2):
+        for w in ws:
+            poly = trace_polynomial(w)
+            assert route_bits(w, p, poly) == reference_bits(w, p, poly)
+    assert traces._param_gram.cache_info().currsize == 3
+
+
+def test_negative_zero_radius_has_its_own_constants():
+    # -0.0 == 0.0, but the Gram entries of the two carry differently signed zeros
+    pos = TriangleParams(0.0, 1.0, 1.0, alpha=1.0)
+    neg = TriangleParams(-0.0, 1.0, 1.0, alpha=1.0)
+    for p in (pos, neg):
+        want = _gram(p.r, cmath.exp(1j * p.alpha / 3.0), cmath.exp(-1j * p.alpha / 3.0))
+        assert [list(map(bits, row)) for row in _param_gram(_key(p))] \
+            == [list(map(bits, row)) for row in want]
+        for w in classes_up_to(6):
+            assert route_bits(w, p) == reference_bits(w, p)
+
+
+def test_constants_keep_their_errors():
+    loose = TriangleParams(0.9, 0.9, 0.9)
+    poly = trace_polynomial((1, 2, 3))
+    for call in (lambda: trace_combinatorial((1, 2, 3), loose),
+                 lambda: trace_mu_combinatorial((1, 2, 3), loose, BIT_MUS),
+                 lambda: trace_recursive((1, 2, 3), loose),
+                 lambda: poly.evaluate(loose)):
+        with pytest.raises(TriangleError):
+            call()
+    tiny = TriangleParams(1e-17, 0.9, 0.9, alpha=2.9)
+    trace_combinatorial((1, 2, 3), tiny)  # caches the Gram of tiny
+    with pytest.raises(ZeroRadiusUnsupported):
+        trace_recursive((1, 2, 3), tiny)
