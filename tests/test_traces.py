@@ -478,12 +478,15 @@ def test_negative_zero_radius_has_its_own_constants():
     # -0.0 == 0.0, but the Gram entries of the two carry differently signed zeros
     pos = TriangleParams(0.0, 1.0, 1.0, alpha=1.0)
     neg = TriangleParams(-0.0, 1.0, 1.0, alpha=1.0)
+    wants = []
     for p in (pos, neg):
-        want = _gram(p.r, cmath.exp(1j * p.alpha / 3.0), cmath.exp(-1j * p.alpha / 3.0))
-        assert [list(map(bits, row)) for row in _param_gram(_key(p))] \
-            == [list(map(bits, row)) for row in want]
+        want = [list(map(bits, row)) for row in _gram(
+            p.r, cmath.exp(1j * p.alpha / 3.0), cmath.exp(-1j * p.alpha / 3.0))]
+        assert [list(map(bits, row)) for row in _param_gram(_key(p))] == want
         for w in classes_up_to(6):
             assert route_bits(w, p) == reference_bits(w, p)
+        wants.append(want)
+    assert wants[0] != wants[1]
 
 
 def test_constants_keep_their_errors():
