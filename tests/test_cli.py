@@ -190,6 +190,8 @@ _R = "ring-check --p 4 4 inf --max-len 8 --n"
 _T = "trace --word 2321 --p 4 5 6 --t 0.8"
 _S4 = "scan --p 4 5 6 --t 1.0 --max-len 14"
 _T16 = "trace --word 1213121323123212"
+_S16 = "scan --p 4 5 6 --t 1.0 --max-len 16"
+_R14 = "ring-check --p 4 4 inf --max-len 14 --n"
 GOLDEN_STDOUT = {
     f"{_S} --json": (2, "dd80ea6ee16257e39d120c08ca690f0dd80bdf8d814d02d13c515f4aea646b5d"),
     f"{_S} --csv": (2, "e564c8aa188c776739e09825d1e75a0e0467b63c18ad542f8bc6bdc38f52a152"),
@@ -230,6 +232,14 @@ GOLDEN_STDOUT = {
         (0, "fc8a1d912d22d1edb856e074c8b22b77eff6f785a9db7d527afe60bf90ab2429"),
     "trace --word 123121321323 --p 4 5 6 --t 0.8 --json --fourier":
         (0, "fcceae80698563be40fcff0050a9613c0e0b2cd97120f754306d80f2c5fff89b"),
+    # recorded before the prefix pass multiplied one block per letter and
+    # ring-check wrote its rows per length; at 16 letters a letter's block
+    # first passes words.CHUNK parents, and the n = 5 run fails one row at 20
+    f"{_S16} --csv": (2, "973d646ff1160607e56713147d414eb31f1701cd0316bd0e7ae09dce454135ad"),
+    f"{_R14} 8 --json": (0, "3aaccef5eb1df1ca4daff2082d2605579d9c3da0d2141879fbe2d056078c3790"),
+    f"{_R14} inf --json": (0, "6855d3eaac7af185d253a2fe5ec8d214b8434de37f2f2424953be4525d567978"),
+    "ring-check --p 4 4 inf --n 5 --max-len 20":
+        (2, "d3d431ba2f54afb6301840276e64c43ddbbe5db03a8503b982831e2e6e13c2d7"),
 }
 
 
