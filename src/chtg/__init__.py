@@ -4,8 +4,7 @@ from .analysis import (Certificate, NotInFamily, ScanBlock, Thresholds,
                        alpha_of_t, bisect, family_membership,
                        family_quartic, family_type,
                        non_discreteness_certificate, rho_123_weighted,
-                       scan_elliptic, sigma_lower_bound_check, t_of_alpha,
-                       t_of_cos, thresholds)
+                       scan_elliptic, t_of_alpha, t_of_cos, thresholds)
 from .arithmetic import (BasisRingVerdict, FieldVerdict, GroupWithRotation,
                          IllConditionedBasis, IntegralityVerdict, MostowGroup,
                          basis_ring_check, group_ring_check,
@@ -14,7 +13,7 @@ from .arithmetic import (BasisRingVerdict, FieldVerdict, GroupWithRotation,
 from .classify import (BOUNDARY_NON_UNIPOTENT, HYPERBOLIC, INDETERMINATE,
                        REGULAR_ELLIPTIC, UNIPOTENT, IsometryClass,
                        discriminant)
-from .linalg import ProjPoint, boxtimes, herm, in_u21, random_u21, rank_one
+from .linalg import ProjPoint, boxtimes, herm, rank_one
 from .traces import (CapExceeded, TracePolynomial, TraceValue,
                      ZeroRadiusUnsupported, sigma_closed, sigma_word,
                      tau_123_closed, trace_combinatorial,
@@ -22,9 +21,8 @@ from .traces import (CapExceeded, TracePolynomial, TraceValue,
                      trace_polynomial, trace_recursive)
 from .triangle import (DegenerateNormalization, ExistenceViolation,
                        IdealVertexDegenerate, TriangleParams,
-                       TriangleRealization, brehm_sigma, brehm_sigma_closed,
-                       cartan_invariant, hakim_sandler_eta,
-                       hakim_sandler_eta_closed, mu_reflection, realize,
+                       TriangleRealization, brehm_sigma, cartan_invariant,
+                       hakim_sandler_eta, mu_reflection, realize,
                        realize_pinfty, reflection)
 from .words import (canonical, enumerate_words, parse_word, reduce_straighten,
                     winding, word_to_str)

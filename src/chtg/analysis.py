@@ -22,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .classify import HYPERBOLIC, REGULAR_ELLIPTIC, classify, discriminant
-from .traces import sigma_closed, tau_123_closed, trace_oracle
-from .triangle import TWO_PI, TriangleParams, alpha_of_t, realize, t_of_alpha
+from .traces import tau_123_closed, trace_oracle
+from .triangle import TriangleParams, alpha_of_t, realize, t_of_alpha
 from .words import enumerate_words
 
 TYPE_B = "TypeB"
@@ -161,26 +161,6 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> 
     return 0.5 * (lo + hi)
 
 
-def sigma_lower_bound_check(r, alpha_samples: int = 100) -> bool:
-    """sigma_k > -1 over an alpha sweep.
-
-    The bound can fail only at 2 r_{k-1} r_{k+1} = r_k with cos(alpha) = 1;
-    those sample points are skipped.
-    """
-    for alpha in np.linspace(0.0, TWO_PI, alpha_samples, endpoint=False):
-        p = TriangleParams(*r, alpha=float(alpha))
-        for k in (1, 2, 3):
-            # r_{k-1}, r_{k+1} with 1-based labels
-            rm = r[(k - 2) % 3]
-            rp = r[k % 3]
-            if (abs(2.0 * rm * rp - r[k - 1]) <= 1e-9
-                    and p.cos_alpha >= 1.0 - 1e-12):
-                continue
-            if sigma_closed(p, k) <= -1.0 + 1e-12:
-                return False
-    return True
-
-
 def family_type(params: TriangleParams) -> str:
     """TypeB when the sufficient criterion applies; never asserts TypeA.
 
@@ -195,43 +175,6 @@ def family_type(params: TriangleParams) -> str:
     if th.c_a >= 1.0 - 1e-12 or th.r_product >= TYPE_B_PRODUCT_BOUND - 1e-12:
         return TYPE_B
     return OUT_OF_CRITERION
-
-
-def family_c_a_printed(r) -> float:
-    """The family shortcut for c_A: 1 - sin^2(phi1 + phi2) / (4R) in the angle
-    case, 1 + sinh^2(l1 - l2) / (4R) in the ultra-parallel case (as printed;
-    see family_c_a_report for the cross-check against the general formula)."""
-    r1, r2, r3 = r
-    big_r = r1 * r2 * r3
-    if r1 <= 1.0 and r2 <= 1.0:
-        phi1 = math.acos(min(r1, 1.0))
-        phi2 = math.acos(min(r2, 1.0))
-        return 1.0 - math.sin(phi1 + phi2) ** 2 / (4.0 * big_r)
-    if r1 >= 1.0 and r2 >= 1.0:
-        l1 = 2.0 * math.acosh(r1)
-        l2 = 2.0 * math.acosh(r2)
-        return 1.0 + math.sinh(l1 - l2) ** 2 / (4.0 * big_r)
-    raise ValueError("family shortcut needs r1, r2 on the same side of 1")
-
-
-def family_c_a_report(params: TriangleParams, tol: float = 1e-9) -> dict:
-    """Compare the printed family shortcut for c_A with the general formula.
-
-    Any mismatch is surfaced, not reconciled: the dict carries both values,
-    a consistency flag, and (in the ultra-parallel case) the half-argument
-    variant sinh^2((l1 - l2)/2) which does agree with the general formula.
-    """
-    r = params.r
-    general = thresholds(params).c_a
-    printed = family_c_a_printed(r)
-    out = {"printed": printed, "general": general,
-           "consistent": abs(printed - general) <= tol}
-    if r[0] > 1.0 and r[1] > 1.0:
-        l1 = 2.0 * math.acosh(r[0])
-        l2 = 2.0 * math.acosh(r[1])
-        big_r = r[0] * r[1] * r[2]
-        out["half_argument"] = 1.0 + math.sinh((l1 - l2) / 2.0) ** 2 / (4.0 * big_r)
-    return out
 
 
 W_A = (3, 2, 3, 1)

@@ -15,10 +15,11 @@ cos(alpha) and Q = (8 R)^2; its trace is the O(n) transfer-matrix product of
 ``traces`` at the moved point, which equals the exact Fourier sum as a
 polynomial identity (see _conjugate_transfer), so no exact data is built.
 ``ring_transfer`` gives the matrices of tau and tau-bar at every conjugate
-and the function that judges all words' traces at once; ``chtg ring-check``
-multiplies them in the prefix-product pass of ``words.enumerate_words``.
-The one-word functions (group_ring_check, group_conjugate_traces,
-basis_ring_check, integer_ring_check) multiply with ``traces.word_matrix``.
+and the function that judges all words' traces at once, in columns (one
+entry per word); ``chtg ring-check`` multiplies them in the prefix-product
+pass of ``words.enumerate_words``.  The one-word functions (group_ring_check,
+group_conjugate_traces, basis_ring_check, integer_ring_check) multiply with
+``traces.word_matrix`` and return column 0 as a verdict dataclass.
 Floating-point ring membership is a heuristic; every verdict from the basis
 method carries experimental=True and is not a hard gate.
 """
@@ -29,6 +30,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,27 +110,29 @@ class IntegralityVerdict:
     two_re_residual: float
     abs_sq_residual: float
 
-    def to_json_dict(self) -> dict:
-        return {"ok": self.ok, "two_re": self.two_re, "abs_sq": self.abs_sq,
-                "two_re_residual": self.two_re_residual,
-                "abs_sq_residual": self.abs_sq_residual}
+
+class IntegerColumns(NamedTuple):
+    """IntegralityVerdict's fields, one array entry per word."""
+    ok: np.ndarray
+    two_re: np.ndarray
+    abs_sq: np.ndarray
+    two_re_residual: np.ndarray
+    abs_sq_residual: np.ndarray
 
 
-def _integer_verdicts(taus, tol) -> list:
-    """One IntegralityVerdict per trace in the complex array ``taus``."""
+def _integer_verdicts(taus, tol) -> IntegerColumns:
+    """The verdicts of the traces in the complex array ``taus``."""
     two_re = 2.0 * taus.real
     abs_sq = np.abs(taus) ** 2
     res1 = np.abs(two_re - np.rint(two_re))
     res2 = np.abs(abs_sq - np.rint(abs_sq))
-    ok = (res1 <= tol) & (res2 <= tol)
-    return [IntegralityVerdict(*row) for row in zip(
-        ok.tolist(), two_re.tolist(), abs_sq.tolist(), res1.tolist(),
-        res2.tolist())]
+    return IntegerColumns((res1 <= tol) & (res2 <= tol), two_re, abs_sq,
+                          res1, res2)
 
 
 def integer_ring_check(tau, tol: float = 1e-7) -> IntegralityVerdict:
     """2 Re(tau) and |tau|^2 must be integers (all entries in {3,4,6,inf})."""
-    return _integer_verdicts(np.array([complex(tau)]), tol)[0]
+    return _first(_integer_verdicts(np.array([complex(tau)]), tol))
 
 
 def _conjugate_points(q: int):
@@ -166,25 +170,41 @@ class BasisRingVerdict:
     abs_sq: BasisExpansion
     experimental: bool = True
 
-    def to_json_dict(self) -> dict:
-        return {"q": self.q, "ok": self.ok, "experimental": self.experimental,
-                "two_re": {"ok": self.two_re.ok,
-                           "coefficients": list(self.two_re.coefficients),
-                           "residual": self.two_re.residual},
-                "abs_sq": {"ok": self.abs_sq.ok,
-                           "coefficients": list(self.abs_sq.coefficients),
-                           "residual": self.abs_sq.residual}}
+
+class ExpansionColumns(NamedTuple):
+    """BasisExpansion's fields, one entry (a column of coefficients) per word."""
+    ok: np.ndarray
+    coefficients: np.ndarray  # (deg, words), integral floats
+    residual: np.ndarray
+    value: np.ndarray
 
 
-def _expand_in_power_basis(values, q, tol) -> list:
+class BasisColumns(NamedTuple):
+    """BasisRingVerdict's fields, one entry per word."""
+    q: int
+    ok: np.ndarray
+    two_re: ExpansionColumns
+    abs_sq: ExpansionColumns
+
+
+def _first(v):
+    """The verdict dataclass of column 0 of IntegerColumns or BasisColumns."""
+    if isinstance(v, IntegerColumns):
+        return IntegralityVerdict(*(c.item(0) for c in v))
+    e1, e2 = (BasisExpansion(e.ok.item(0), tuple(map(int, e.coefficients[:, 0])),
+                             e.residual.item(0), e.value.item(0))
+              for e in (v.two_re, v.abs_sq))
+    return BasisRingVerdict(v.q, v.ok.item(0), e1, e2)
+
+
+def _expand_in_power_basis(values, q, tol) -> ExpansionColumns:
     """Integer coefficients on {x^j : j < deg} from conjugate evaluations.
 
     ``values`` has one row per conjugate (m = 1 first) and one column per
-    word; the result is one BasisExpansion per column.  With all deg
-    conjugates supplied the Vandermonde system is square and the true
-    integer coefficients are the rounded exact solution; with fewer rows
-    this degrades to a minimal-norm heuristic.  Acceptance always means the
-    rounded solution reproduces the m = 1 value within tol.
+    word.  With all deg conjugates supplied the Vandermonde system is square
+    and the true integer coefficients are the rounded exact solution; with
+    fewer rows this degrades to a minimal-norm heuristic.  Acceptance always
+    means the rounded solution reproduces the m = 1 value within tol.
     """
     pts = _conjugate_points(q)
     rows = min(len(values), len(pts))
@@ -193,18 +213,16 @@ def _expand_in_power_basis(values, q, tol) -> list:
     for j, c in enumerate(coeffs):
         approx += c * pts[0] ** j
     residual = np.abs(values[0] - approx)
-    return [BasisExpansion(res <= tol, tuple(map(int, cs)), res, value)
-            for cs, res, value in zip(coeffs.T.tolist(), residual.tolist(),
-                                      values[0].tolist())]
+    return ExpansionColumns(residual <= tol, coeffs, residual, values[0])
 
 
-def _basis_verdicts(pairs, q, tol) -> list:
-    """One BasisRingVerdict per word from ``pairs`` of shape (rows, 2, words):
-    tau and tau-bar at each conjugate, m = 1 first."""
+def _basis_verdicts(pairs, q, tol) -> BasisColumns:
+    """The verdicts of ``pairs`` of shape (rows, 2, words): tau and tau-bar
+    at each conjugate, m = 1 first."""
     tau, tau_bar = pairs[:, 0], pairs[:, 1]
     e1 = _expand_in_power_basis((tau + tau_bar).real, q, tol)
     e2 = _expand_in_power_basis((tau * tau_bar).real, q, tol)
-    return [BasisRingVerdict(q, a.ok and b.ok, a, b) for a, b in zip(e1, e2)]
+    return BasisColumns(q, e1.ok & e2.ok, e1, e2)
 
 
 def basis_ring_check(tau, q: int, tol: float = 1e-7,
@@ -222,7 +240,7 @@ def basis_ring_check(tau, q: int, tol: float = 1e-7,
         tau = complex(tau)
         conjugate_pairs = [(tau, tau.conjugate())]
     pairs = np.array(conjugate_pairs, dtype=complex)[:, :, None]
-    return _basis_verdicts(pairs, q, tol)[0]
+    return _first(_basis_verdicts(pairs, q, tol))
 
 
 def _conjugate_transfer(group: GroupWithRotation, q: int) -> np.ndarray:
@@ -260,9 +278,10 @@ def _conjugate_transfer(group: GroupWithRotation, q: int) -> np.ndarray:
 def ring_transfer(group: GroupWithRotation):
     """(mats, verdicts): products of ``mats`` give a word's traces, and
     ``verdicts(traces, tol)`` judges every word's at once.  All-integer
-    entries give tau at the group's own parameters, mats (3, 3, 3), and an
-    IntegralityVerdict.  One extra entry q gives _conjugate_transfer's mats
-    and an (experimental) BasisRingVerdict, all power bases in one product."""
+    entries give tau at the group's own parameters, mats (3, 3, 3), and
+    IntegerColumns.  One extra entry q gives _conjugate_transfer's mats and
+    (experimental) BasisColumns, all power bases in one product; a power
+    basis too ill-conditioned to solve raises IllConditionedBasis here."""
     specials = sorted({*group.signature, group.n} - set(INTEGER_ENTRIES))
     if not specials:
         p = group.params
@@ -274,8 +293,9 @@ def ring_transfer(group: GroupWithRotation):
     q = specials[0]
     if q != int(q) or q < 3:
         raise ValueError(f"the extra entry must be an integer >= 3, got {q}")
-    return (_conjugate_transfer(group, int(q)),
-            lambda pairs, tol: _basis_verdicts(pairs, int(q), tol))
+    mats = _conjugate_transfer(group, int(q))
+    _power_basis_pinv(int(q), len(mats))
+    return mats, lambda pairs, tol: _basis_verdicts(pairs, int(q), tol)
 
 
 def _word_traces(word, mats) -> np.ndarray:
@@ -295,7 +315,7 @@ def group_ring_check(group: GroupWithRotation, word, tol: float = 1e-7):
     """Dispatch: all-integer entries -> hard integrality; one extra entry q
     -> conjugate basis method (experimental).  ring_transfer for one word."""
     mats, verdicts = ring_transfer(group)
-    return verdicts(_word_traces(word, mats)[..., None], tol)[0]
+    return _first(verdicts(_word_traces(word, mats)[..., None], tol))
 
 
 @dataclass(frozen=True)

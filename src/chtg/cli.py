@@ -32,10 +32,14 @@ EXIT_OK = 0
 EXIT_FOUND = 2
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
-ROW_SLICE = 4096  # scan rows made into Python objects at a time
+ROW_SLICE = 4096  # scan and ring rows made into Python objects at a time
 _JSON_ROW = ('%s{"word":"%s","tau":{"re":%s,"im":%s},"rho":%s,"verdict":"%s",'
              '"filtered":%s}')
+_RING_JSON_ROW = ('{"word":"%s","ok":%s,"two_re":%s,"abs_sq":%s,'
+                  '"two_re_residual":%s,"abs_sq_residual":%s}')
+_RING_ROWS = {"csv": "%s,%d\n", "human": "%-10s ok=%s\n"}
 _NON_FINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
+_BOOLS = ("false", "true")
 
 
 class UsageError(Exception):
@@ -354,6 +358,31 @@ def cmd_scan(args) -> int:
     return EXIT_FOUND if (hits or cert is not None) else EXIT_OK
 
 
+def _flags(c):
+    return map(_BOOLS.__getitem__, c.tolist())
+
+
+def _float_strs(c):
+    return _floats(c.tolist())
+
+
+def _ring_columns(v, fmt):
+    """The row template for ring verdict columns ``v`` in format fmt, and the
+    columns after the word, each with its function to strings."""
+    if fmt != "json":
+        return _RING_ROWS[fmt], [(v.ok, np.ndarray.tolist)]
+    if isinstance(v, arithmetic.IntegerColumns):
+        return _RING_JSON_ROW, [(v.ok, _flags), *((c, _float_strs) for c in v[1:])]
+    cols = [(v.ok, _flags)]
+    for e in (v.two_re, v.abs_sq):
+        cols += [(e.ok, _flags), *((c, np.ndarray.tolist) for c in e.coefficients),
+                 (e.residual, _float_strs)]
+    expansion = ('{"ok":%s,"coefficients":['  # %d prints int(float)
+                 + ",".join(["%d"] * len(v.two_re.coefficients)) + '],"residual":%s}')
+    return (f'{{"word":"%s","q":{v.q},"ok":%s,"experimental":true,'
+            f'"two_re":{expansion},"abs_sq":{expansion}}}'), cols
+
+
 def cmd_ring_check(args) -> int:
     if args.p is None or args.n is None:
         raise UsageError("ring-check needs --p and --n")
@@ -361,21 +390,32 @@ def cmd_ring_check(args) -> int:
     cfg = _resolve(args)
     group = cfg.group
     mats, verdicts = arithmetic.ring_transfer(group)
-    rows = []
-    for ws, taus in words.enumerate_words(args.max_len, mats):
-        rows += zip(words.word_strs(ws), verdicts(taus, ring_tol))
-    any_fail = not all(v.ok for _, v in rows)
+    levels = words.enumerate_words(args.max_len, mats)
+    out = sys.stdout
     if cfg.fmt == "json":
-        payload = {"params": group.params.to_json_dict(),
-                   "n": group.n, "max_len": args.max_len,
-                   "rows": [{"word": w, **v.to_json_dict()} for w, v in rows]}
-        _emit([dumps_stable(payload)])
+        head = {"params": group.params.to_json_dict(), "n": group.n,
+                "max_len": args.max_len}
+        out.write(dumps_stable(head)[:-1] + ',"rows":[')
     elif cfg.fmt == "csv":
-        _emit(chain(["word,ok"], (f"{w},{int(v.ok)}" for w, v in rows)))
-    else:
-        _emit(chain((f"{w:10s} ok={v.ok}" for w, v in rows),
-                    [f"all passed: {not any_fail}"]))
-    return EXIT_FOUND if any_fail else EXIT_OK
+        out.write("word,ok\n")
+    join = "," if cfg.fmt == "json" else ""  # between rows and slices
+    sep, all_ok = "", True
+    for ws, taus in levels:  # each length is written before the next is made
+        v = verdicts(taus, ring_tol)
+        all_ok &= bool(v.ok.all())
+        template, cols = _ring_columns(v, cfg.fmt)
+        for s in range(0, len(ws), ROW_SLICE):
+            part = slice(s, s + ROW_SLICE)
+            rows = zip(words.word_strs(ws[part]),
+                       *(strs(c[part]) for c, strs in cols))
+            out.write(sep + join.join(map(template.__mod__, rows)))
+            sep = join
+    # the tail and the exit code come after the last row
+    if cfg.fmt == "json":
+        out.write("]}\n")
+    elif cfg.fmt == "human":
+        out.write(f"all passed: {all_ok}\n")
+    return EXIT_OK if all_ok else EXIT_FOUND
 
 
 def build_parser() -> _Parser:

@@ -50,35 +50,6 @@ def rank_one(c, scale=1.0) -> np.ndarray:
     return scale * np.outer(c, J @ np.conj(c))
 
 
-def in_u21(m, tol: float = 1e-12) -> bool:
-    """Whether M^* J M = J holds entrywise within tol."""
-    return bool(np.max(np.abs(np.conj(m.T) @ J @ m - J)) <= tol)
-
-
-def random_u21(rng, scale: float = 0.5) -> np.ndarray:
-    """Random element of U(2,1), the exponential of a J-skew matrix.
-
-    X = J S with S skew-Hermitian satisfies X^* J + J X = 0, so exp(X)
-    preserves the form.  exp(X) is taken by scaling and squaring (Moler and
-    Van Loan, SIAM Review 45, 2003): halve X k times until ||X||_1 <= 1/2,
-    where the Taylor series through X^18 / 18! leaves a remainder below
-    1e-22, then square k times.
-    """
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    x = J @ (scale * (a - np.conj(a.T)))
-    k = 0
-    while np.abs(x).sum(axis=0).max() > 0.5:
-        x = x / 2.0
-        k += 1
-    term = out = np.eye(3, dtype=complex)
-    for j in range(1, 19):
-        term = term @ x / j
-        out = out + term
-    for _ in range(k):
-        out = out @ out
-    return out
-
-
 class ProjPoint:
     """Point of the projectivisation P(C^{2,1}).
 

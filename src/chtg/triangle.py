@@ -387,21 +387,6 @@ def brehm_sigma(rz: TriangleRealization, tol: float = 1e-12) -> float:
     return (num / (norms[0] * norms[1] * norms[2])).real
 
 
-def brehm_sigma_closed(params: TriangleParams) -> float:
-    """Closed form of the shape invariant in (r1, r2, r3, alpha)."""
-    params._need_alpha()
-    r1, r2, r3 = params.r
-    den = (1.0 - r1 * r1) * (1.0 - r2 * r2) * (1.0 - r3 * r3)
-    if abs(den) <= 1e-12:
-        raise IdealVertexDegenerate("shape invariant undefined at r_k = 1")
-    rr = params.r_product
-    q = r1 * r1 * r2 * r2 + r2 * r2 * r3 * r3 + r3 * r3 * r1 * r1
-    num = (rr * rr * math.cos(2.0 * params.alpha)
-           - rr * (r1 * r1 + r2 * r2 + r3 * r3 + 1.0) * params.cos_alpha
-           + q)
-    return num / den
-
-
 def hakim_sandler_eta(rz: TriangleRealization, tol: float = 1e-12) -> complex:
     """The invariant <v3,v1><v1,v2> / (<v3,v2><v1,v1>)."""
     v1, v2, v3 = rz.vertices
@@ -410,16 +395,3 @@ def hakim_sandler_eta(rz: TriangleRealization, tol: float = 1e-12) -> complex:
     if abs(n1) <= tol or abs(d) <= tol:
         raise IdealVertexDegenerate("eta undefined for this configuration")
     return herm(v3, v1) * herm(v1, v2) / (d * n1)
-
-
-def hakim_sandler_eta_closed(params: TriangleParams) -> complex:
-    """Closed form of eta in the invariants, from the vertex pairing formulas."""
-    params._need_alpha()
-    r1, r2, r3 = params.r
-    if abs(r1 - 1.0) <= 1e-9:
-        raise IdealVertexDegenerate("eta undefined at r1 = 1")
-    e = cmath.exp(1j * params.alpha)
-    den = (r1 - r2 * r3 / e) * (r1 * r1 - 1.0)
-    if abs(den) <= 1e-12:
-        raise IdealVertexDegenerate("eta denominator vanishes")
-    return (r2 - r1 * r3 * e) * (r3 - r1 * r2 * e) / (e * den)

@@ -1,7 +1,10 @@
 """Shared draw helpers, word counts, the brute-force class list, scan rows,
 the stacked-product and alternation references, reference polynomial
 arithmetic, the reference deletion recursion, the per-call trace routes and
-exact substitution, and the reference per-word ring check for the tests."""
+exact substitution, the reference per-word ring check, the per-row ring
+verdicts and JSON rows, and the closed forms and checks that only the tests
+call (the sigma bound, the family c_A shortcut, Brehm's sigma,
+Hakim-Sandler's eta, and the U(2,1) test and random element)."""
 
 import cmath
 import itertools
@@ -11,13 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from chtg.arithmetic import (INTEGER_ENTRIES, BasisExpansion, BasisRingVerdict,
-                             IntegralityVerdict, _conjugate_points,
-                             _power_basis_pinv, cos_two_pi_over)
+                             IntegerColumns, IntegralityVerdict,
+                             _conjugate_points, _power_basis_pinv,
+                             cos_two_pi_over)
+from chtg.analysis import thresholds
+from chtg.linalg import J
 from chtg.traces import (_EPS, _TAIL_EXPONENTS, ZeroRadiusUnsupported,
                          _cancel_adjacent, _deletion_terms, _expand,
-                         _fourier_terms, _gram, trace_combinatorial,
-                         word_matrix)
-from chtg.triangle import TriangleParams
+                         _fourier_terms, _gram, sigma_closed,
+                         trace_combinatorial, word_matrix)
+from chtg.triangle import TWO_PI, IdealVertexDegenerate, TriangleParams
 from chtg.words import canonical, enumerate_words, inverse, psi
 
 
@@ -294,3 +300,143 @@ def ring_check_reference(group, word, tol=1e-7):
     e1 = _expansion_reference([(t + tb).real for t, tb in pairs], q, tol)
     e2 = _expansion_reference([(t * tb).real for t, tb in pairs], q, tol)
     return BasisRingVerdict(q, e1.ok and e2.ok, e1, e2)
+
+
+def verdict_rows(v):
+    """The per-word verdict dataclasses of ring verdict columns, built row by
+    row from lists as the per-row verdict functions built them."""
+    if isinstance(v, IntegerColumns):
+        return [IntegralityVerdict(*row) for row in zip(*(c.tolist() for c in v))]
+    e1, e2 = ([BasisExpansion(ok, tuple(map(int, cs)), res, value)
+               for ok, cs, res, value in zip(
+                   e.ok.tolist(), e.coefficients.T.tolist(),
+                   e.residual.tolist(), e.value.tolist())]
+              for e in (v.two_re, v.abs_sq))
+    return [BasisRingVerdict(v.q, a.ok and b.ok, a, b) for a, b in zip(e1, e2)]
+
+
+def ring_row_dict(word, v) -> dict:
+    """A ring-check JSON row as the per-row verdict dataclasses' to_json_dict
+    gave it: the reference for the row templates."""
+    if isinstance(v, IntegralityVerdict):
+        return {"word": word, "ok": v.ok, "two_re": v.two_re,
+                "abs_sq": v.abs_sq, "two_re_residual": v.two_re_residual,
+                "abs_sq_residual": v.abs_sq_residual}
+    return {"word": word, "q": v.q, "ok": v.ok, "experimental": v.experimental,
+            **{name: {"ok": e.ok, "coefficients": list(e.coefficients),
+                      "residual": e.residual}
+               for name, e in (("two_re", v.two_re), ("abs_sq", v.abs_sq))}}
+
+
+def sigma_lower_bound_check(r, alpha_samples: int = 100) -> bool:
+    """sigma_k > -1 over an alpha sweep.
+
+    The bound can fail only at 2 r_{k-1} r_{k+1} = r_k with cos(alpha) = 1;
+    those sample points are skipped.
+    """
+    for alpha in np.linspace(0.0, TWO_PI, alpha_samples, endpoint=False):
+        p = TriangleParams(*r, alpha=float(alpha))
+        for k in (1, 2, 3):
+            # r_{k-1}, r_{k+1} with 1-based labels
+            rm = r[(k - 2) % 3]
+            rp = r[k % 3]
+            if (abs(2.0 * rm * rp - r[k - 1]) <= 1e-9
+                    and p.cos_alpha >= 1.0 - 1e-12):
+                continue
+            if sigma_closed(p, k) <= -1.0 + 1e-12:
+                return False
+    return True
+
+
+def family_c_a_printed(r) -> float:
+    """The family shortcut for c_A: 1 - sin^2(phi1 + phi2) / (4R) in the angle
+    case, 1 + sinh^2(l1 - l2) / (4R) in the ultra-parallel case (as printed;
+    see family_c_a_report for the cross-check against the general formula)."""
+    r1, r2, r3 = r
+    big_r = r1 * r2 * r3
+    if r1 <= 1.0 and r2 <= 1.0:
+        phi1 = math.acos(min(r1, 1.0))
+        phi2 = math.acos(min(r2, 1.0))
+        return 1.0 - math.sin(phi1 + phi2) ** 2 / (4.0 * big_r)
+    if r1 >= 1.0 and r2 >= 1.0:
+        l1 = 2.0 * math.acosh(r1)
+        l2 = 2.0 * math.acosh(r2)
+        return 1.0 + math.sinh(l1 - l2) ** 2 / (4.0 * big_r)
+    raise ValueError("family shortcut needs r1, r2 on the same side of 1")
+
+
+def family_c_a_report(params: TriangleParams, tol: float = 1e-9) -> dict:
+    """Compare the printed family shortcut for c_A with the general formula.
+
+    Any mismatch is surfaced, not reconciled: the dict carries both values,
+    a consistency flag, and (in the ultra-parallel case) the half-argument
+    variant sinh^2((l1 - l2)/2) which does agree with the general formula.
+    """
+    r = params.r
+    general = thresholds(params).c_a
+    printed = family_c_a_printed(r)
+    out = {"printed": printed, "general": general,
+           "consistent": abs(printed - general) <= tol}
+    if r[0] > 1.0 and r[1] > 1.0:
+        l1 = 2.0 * math.acosh(r[0])
+        l2 = 2.0 * math.acosh(r[1])
+        big_r = r[0] * r[1] * r[2]
+        out["half_argument"] = 1.0 + math.sinh((l1 - l2) / 2.0) ** 2 / (4.0 * big_r)
+    return out
+
+
+def brehm_sigma_closed(params: TriangleParams) -> float:
+    """Closed form of the shape invariant in (r1, r2, r3, alpha)."""
+    params._need_alpha()
+    r1, r2, r3 = params.r
+    den = (1.0 - r1 * r1) * (1.0 - r2 * r2) * (1.0 - r3 * r3)
+    if abs(den) <= 1e-12:
+        raise IdealVertexDegenerate("shape invariant undefined at r_k = 1")
+    rr = params.r_product
+    q = r1 * r1 * r2 * r2 + r2 * r2 * r3 * r3 + r3 * r3 * r1 * r1
+    num = (rr * rr * math.cos(2.0 * params.alpha)
+           - rr * (r1 * r1 + r2 * r2 + r3 * r3 + 1.0) * params.cos_alpha
+           + q)
+    return num / den
+
+
+def hakim_sandler_eta_closed(params: TriangleParams) -> complex:
+    """Closed form of eta in the invariants, from the vertex pairing formulas."""
+    params._need_alpha()
+    r1, r2, r3 = params.r
+    if abs(r1 - 1.0) <= 1e-9:
+        raise IdealVertexDegenerate("eta undefined at r1 = 1")
+    e = cmath.exp(1j * params.alpha)
+    den = (r1 - r2 * r3 / e) * (r1 * r1 - 1.0)
+    if abs(den) <= 1e-12:
+        raise IdealVertexDegenerate("eta denominator vanishes")
+    return (r2 - r1 * r3 * e) * (r3 - r1 * r2 * e) / (e * den)
+
+
+def in_u21(m, tol: float = 1e-12) -> bool:
+    """Whether M^* J M = J holds entrywise within tol."""
+    return bool(np.max(np.abs(np.conj(m.T) @ J @ m - J)) <= tol)
+
+
+def random_u21(rng, scale: float = 0.5) -> np.ndarray:
+    """Random element of U(2,1), the exponential of a J-skew matrix.
+
+    X = J S with S skew-Hermitian satisfies X^* J + J X = 0, so exp(X)
+    preserves the form.  exp(X) is taken by scaling and squaring (Moler and
+    Van Loan, SIAM Review 45, 2003): halve X k times until ||X||_1 <= 1/2,
+    where the Taylor series through X^18 / 18! leaves a remainder below
+    1e-22, then square k times.
+    """
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    x = J @ (scale * (a - np.conj(a.T)))
+    k = 0
+    while np.abs(x).sum(axis=0).max() > 0.5:
+        x = x / 2.0
+        k += 1
+    term = out = np.eye(3, dtype=complex)
+    for j in range(1, 19):
+        term = term @ x / j
+        out = out + term
+    for _ in range(k):
+        out = out @ out
+    return out

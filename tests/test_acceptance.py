@@ -17,7 +17,7 @@ from chtg.analysis import (OUT_OF_CRITERION, TYPE_B, alpha_of_t, bisect,
                            non_discreteness_certificate, rho_123_weighted,
                            thresholds)
 from chtg.arithmetic import group_with_rotation, integer_ring_check
-from chtg.linalg import boxtimes, herm, random_u21
+from chtg.linalg import boxtimes, herm
 from chtg.traces import (sigma_closed, sigma_word, tau_123_closed,
                          trace_combinatorial, trace_mu,
                          trace_mu_combinatorial, trace_oracle,
@@ -27,7 +27,7 @@ from chtg.triangle import (ExistenceViolation, TriangleParams,
 from chtg.words import canonical, reduce_straighten, v_count, winding
 
 from helpers import (brute_classes, classes_up_to, draw_params, draw_word,
-                     ideal_sum, power_word, u_count)
+                     ideal_sum, power_word, random_u21, u_count)
 
 RNG_SEED = 90125
 

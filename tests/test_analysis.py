@@ -7,17 +7,17 @@ import pytest
 from chtg import analysis, words
 from chtg.analysis import (OUT_OF_CRITERION, TYPE_B, TYPE_B_PRODUCT_BOUND,
                            Certificate, NotInFamily, alpha_of_t, bisect,
-                           cos_of_t, family_c_a_printed, family_c_a_report,
-                           family_membership, family_quartic, family_type,
-                           non_discreteness_certificate, rho_123_weighted,
-                           scan_elliptic, sigma_lower_bound_check, t_of_alpha,
+                           cos_of_t, family_membership, family_quartic,
+                           family_type, non_discreteness_certificate,
+                           rho_123_weighted, scan_elliptic, t_of_alpha,
                            t_of_cos, thresholds)
 from chtg.classify import HYPERBOLIC, INDETERMINATE, REGULAR_ELLIPTIC, classify
 from chtg.traces import sigma_closed, trace_oracle
 from chtg.triangle import TriangleParams, realize
 
 from helpers import (_alternation_index, classes_up_to, draw_params, draw_word,
-                     scan_rows, stacked_traces)
+                     family_c_a_printed, family_c_a_report, scan_rows,
+                     sigma_lower_bound_check, stacked_traces)
 
 
 def test_t_alpha_conversions():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from chtg.arithmetic import (IllConditionedBasis, IntegralityVerdict,
+from chtg.arithmetic import (IllConditionedBasis, IntegerColumns,
+                             IntegralityVerdict,
                              basis_ring_check, cos_two_pi_over,
                              group_conjugate_traces, group_ring_check,
                              group_with_rotation, integer_ring_check,
@@ -172,25 +173,34 @@ def _close(a, b, rel=1e-12):
     (4, 4, math.inf, math.inf), (6, 6, math.inf, 4)])
 def test_ring_checks_match_per_word_reference(p1, p2, p3, n):
     # ring-check's prefix products sum in another order than the scalar
-    # loop, so values agree to rounding; verdicts and coefficients exactly
+    # loop, so values agree to rounding; verdicts and coefficients exactly.
+    # The verdicts are columns: entry i of each is word i's field
     g = group_with_rotation(p1, p2, p3, n)
     mats, verdicts = ring_transfer(g)
     for ws, taus in enumerate_words(10, mats):
-        for w, got in zip(map(tuple, ws.tolist()), verdicts(taus, 1e-7)):
+        got = verdicts(taus, 1e-7)
+        for i, w in enumerate(map(tuple, ws.tolist())):
             want = ring_check_reference(g, w)
-            assert type(got) is type(want) and got.ok == want.ok, w
-            if isinstance(want, IntegralityVerdict):
-                assert _close(got.two_re, want.two_re), w
-                assert _close(got.abs_sq, want.abs_sq), w
+            integer = isinstance(want, IntegralityVerdict)
+            assert isinstance(got, IntegerColumns) == integer, w
+            assert got.ok[i] == want.ok, w
+            if integer:
+                assert _close(got.two_re[i], want.two_re), w
+                assert _close(got.abs_sq[i], want.abs_sq), w
                 continue
             for e, f in ((got.two_re, want.two_re), (got.abs_sq, want.abs_sq)):
-                assert e.ok == f.ok and e.coefficients == f.coefficients, w
-                assert _close(e.value, f.value), w
+                assert e.ok[i] == f.ok, w
+                assert tuple(map(int, e.coefficients[:, i])) == f.coefficients, w
+                assert _close(e.value[i], f.value), w
             pairs = group_conjugate_traces(g, w, got.q)
             ref = conjugate_traces_reference(g, w, got.q)
             assert all(_close(a, b) for pair, rp in zip(pairs, ref)
                        for a, b in zip(pair, rp)), w
-    assert verdicts(stacked_traces([], mats), 1e-7) == []
+    empty = verdicts(stacked_traces([], mats), 1e-7)
+    assert empty.ok.shape == (0,)
+    for e in ([empty] if isinstance(empty, IntegerColumns)
+              else [empty.two_re, empty.abs_sq]):
+        assert all(c.shape[-1] == 0 for c in e)
 
 
 def test_ring_check_past_exact_cap():

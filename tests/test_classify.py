@@ -5,11 +5,10 @@ from hypothesis import given, strategies as st
 
 from chtg.classify import (BOUNDARY_NON_UNIPOTENT, HYPERBOLIC, INDETERMINATE,
                            REGULAR_ELLIPTIC, UNIPOTENT, classify, discriminant)
-from chtg.linalg import random_u21
 from chtg.traces import trace_oracle
 from chtg.triangle import realize
 
-from helpers import draw_params
+from helpers import draw_params, random_u21
 
 
 def test_discriminant_examples():

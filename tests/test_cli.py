@@ -5,17 +5,20 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
+from chtg import cli, words
 from chtg.analysis import scan_elliptic
-from chtg.arithmetic import group_with_rotation
+from chtg.arithmetic import group_with_rotation, ring_transfer
 from chtg.classify import classify
 from chtg.cli import _floats, _scalar, dumps_stable, main
 from chtg.traces import trace_oracle
 from chtg.triangle import TriangleParams, realize
-from chtg.words import MAX_LEN, word_to_str
+from chtg.words import MAX_LEN, enumerate_words, word_strs, word_to_str
 
-from helpers import brute_classes, classes_up_to, ring_check_reference, scan_rows
+from helpers import (brute_classes, classes_up_to, ring_check_reference,
+                     ring_row_dict, scan_rows, verdict_rows)
 
 
 def run(capsys, *argv):
@@ -164,6 +167,76 @@ def test_scan_csv_equals_per_word_reference(capsys, sig, t):
                        "--max-len", "12", "--csv")
     assert code == 2
     assert out == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("n", ["5", "8", "inf"])
+def test_ring_json_rows_equal_per_row_dicts(capsys, n):
+    group = group_with_rotation(4, 4, math.inf, math.inf if n == "inf" else int(n))
+    mats, verdicts = ring_transfer(group)
+    rows = [ring_row_dict(w, v) for ws, taus in enumerate_words(10, mats)
+            for w, v in zip(word_strs(ws), verdict_rows(verdicts(taus, 1e-7)))]
+    want = dumps_stable({"params": group.params.to_json_dict(), "n": group.n,
+                         "max_len": 10, "rows": rows})
+    code, out, err = run(capsys, "ring-check", "--p", "4", "4", "inf",
+                         "--n", n, "--max-len", "10", "--json")
+    assert (code, out, err) == (0, want + "\n", "")
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv", "--human"])
+def test_ring_rows_independent_of_row_slice(capsys, monkeypatch, fmt):
+    # 3 rows a slice: JSON commas between slices, and short last slices
+    argv = ["ring-check", "--p", "4", "4", "inf", "--n", "5", "--max-len", "8",
+            *([fmt] if fmt != "--human" else [])]
+    want = run(capsys, *argv)
+    monkeypatch.setattr(cli, "ROW_SLICE", 3)
+    assert run(capsys, *argv) == want
+
+
+@pytest.mark.parametrize("fmt", ["--csv", "--human"])
+def test_ring_rows_written_per_length(monkeypatch, fmt):
+    # each length's rows are written before the next length is made, and
+    # the human form's verdict line after the last row
+    events = []
+    levels = words.enumerate_words
+
+    def spy_levels(max_len, mats):
+        for ws, taus in levels(max_len, mats):
+            events.append(("level", ws.shape[1]))
+            yield ws, taus
+
+    class Stdout:
+        def write(self, s):
+            events.append(("write", s))
+
+    monkeypatch.setattr(words, "enumerate_words", spy_levels)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    argv = ["ring-check", "--p", "4", "4", "inf", "--n", "5", "--max-len", "6"]
+    code = main(argv + ([fmt] if fmt == "--csv" else []))
+    assert code == 0
+    if fmt == "--csv":
+        assert events.pop(0) == ("write", "word,ok\n")
+    else:
+        assert events.pop() == ("write", "all passed: True\n")
+    lengths = []
+    for kind, value in events:
+        if kind == "level":
+            lengths.append(value)
+            continue
+        rows = value.splitlines()
+        assert rows and all(len(row.split(maxsplit=1)[0].split(",")[0])
+                            == lengths[-1] for row in rows)
+    assert lengths == [1, 2, 3, 4, 5, 6]
+    assert [k for k, _ in events] == ["level", "write"] * 6
+
+
+def test_ring_check_nan_coefficient_is_domain_error(capsys, monkeypatch):
+    # a JSON coefficient prints as int(float) did, which raises on NaN
+    levels = words.enumerate_words
+    monkeypatch.setattr(words, "enumerate_words", lambda max_len, mats: (
+        (ws, np.full_like(taus, math.nan)) for ws, taus in levels(max_len, mats)))
+    code, _, err = run(capsys, "ring-check", "--p", "4", "4", "inf",
+                       "--n", "5", "--max-len", "3", "--json")
+    assert (code, err) == (65, "domain error: cannot convert float NaN to integer\n")
 
 
 def test_ring_check_ill_conditioned_basis(capsys):

@@ -4,16 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from chtg.linalg import J, herm, in_u21, random_u21
+from chtg.linalg import J, herm
 from chtg.triangle import (DegenerateNormalization, ExistenceViolation,
                            IdealVertexDegenerate, TriangleError,
                            TriangleParams, TriangleRealization, brehm_sigma,
-                           brehm_sigma_closed, cartan_invariant,
-                           hakim_sandler_eta, hakim_sandler_eta_closed,
+                           cartan_invariant, hakim_sandler_eta,
                            mu_reflection, realize, realize_pinfty, reflection)
 from chtg.linalg import ProjPoint
 
-from helpers import draw_params
+from helpers import (brehm_sigma_closed, draw_params, hakim_sandler_eta_closed,
+                     in_u21, random_u21)
 
 TWO_PI = 2.0 * math.pi
 

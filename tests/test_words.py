@@ -224,6 +224,29 @@ def test_chunked_levels_equal_unchunked(monkeypatch):
                 assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 1024])
+@pytest.mark.parametrize("point", ["finite", "ring"])
+def test_letter_blocks_equal_stacked_traces(monkeypatch, point, chunk):
+    # one BLAS product per letter block of CHUNK parents gives the 3x3
+    # products' bits, at one point and at the 4 ring points of q = 5
+    mats = (realize(_PASS_POINTS["finite"]).iotas if point == "finite" else
+            ring_transfer(group_with_rotation(4, 4, math.inf, 5))[0])
+    monkeypatch.setattr(words, "CHUNK", chunk)
+    for ws, taus in enumerate_words(10, mats):
+        assert taus.tobytes() == stacked_traces(ws, mats).tobytes()
+
+
+def test_sixteen_letter_traces_equal_trace_oracle():
+    # at 16 letters a letter's block first passes CHUNK parents (levels 15
+    # and 16 hold 1,638 and 1,830 per letter at (4,5,6))
+    rz = realize(_PASS_POINTS["finite"])
+    *_, (ws, taus) = enumerate_words(16, rz.iotas)
+    rng = np.random.default_rng(16)
+    pick = rng.choice(len(ws), 300, replace=False)
+    want = np.array([trace_oracle(tuple(ws[i].tolist()), rz).value for i in pick])
+    assert taus[pick].tobytes() == want.tobytes()
+
+
 def test_word_strs():
     ws = list(enumerate_words(5))[-1]
     assert word_strs(ws) == [word_to_str(w) for w in ws.tolist()]
