@@ -280,8 +280,7 @@ def ring_transfer(group: GroupWithRotation):
     ``verdicts(traces, tol)`` judges every word's at once.  All-integer
     entries give tau at the group's own parameters, mats (3, 3, 3), and
     IntegerColumns.  One extra entry q gives _conjugate_transfer's mats and
-    (experimental) BasisColumns, all power bases in one product; a power
-    basis too ill-conditioned to solve raises IllConditionedBasis here."""
+    (experimental) BasisColumns, all power bases in one product."""
     specials = sorted({*group.signature, group.n} - set(INTEGER_ENTRIES))
     if not specials:
         p = group.params
@@ -293,9 +292,8 @@ def ring_transfer(group: GroupWithRotation):
     q = specials[0]
     if q != int(q) or q < 3:
         raise ValueError(f"the extra entry must be an integer >= 3, got {q}")
-    mats = _conjugate_transfer(group, int(q))
-    _power_basis_pinv(int(q), len(mats))
-    return mats, lambda pairs, tol: _basis_verdicts(pairs, int(q), tol)
+    return (_conjugate_transfer(group, int(q)),
+            lambda pairs, tol: _basis_verdicts(pairs, int(q), tol))
 
 
 def _word_traces(word, mats) -> np.ndarray:

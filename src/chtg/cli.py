@@ -338,7 +338,7 @@ def cmd_scan(args) -> int:
             out.writelines(map(_JSON_ROW.__mod__, zip(
                 chain([sep], repeat(",")), ws, _floats(t.real for t in tau),
                 _floats(t.imag for t in tau), _floats(rho), verdict,
-                map(("false", "true").__getitem__, filtered))))
+                map(_BOOLS.__getitem__, filtered))))
             sep = ","
         # written after the rows, when hits is complete
         tail = {"hits": hits, "certificate": None if cert is None else {
@@ -391,6 +391,8 @@ def cmd_ring_check(args) -> int:
     group = cfg.group
     mats, verdicts = arithmetic.ring_transfer(group)
     levels = words.enumerate_words(args.max_len, mats)
+    # no words: a basis too ill-conditioned to solve raises before the header
+    verdicts(np.empty((*mats.shape[:-3], 0), dtype=complex), ring_tol)
     out = sys.stdout
     if cfg.fmt == "json":
         head = {"params": group.params.to_json_dict(), "n": group.n,

@@ -248,6 +248,15 @@ def test_ring_check_ill_conditioned_basis(capsys):
     assert err == "domain error: power basis of degree 55 is unusable\n"
 
 
+@pytest.mark.parametrize("fmt", ["--csv", "--json"])
+def test_ring_check_ill_conditioned_basis_before_header(capsys, fmt):
+    # the rows stream, so the basis is solved before the header is written
+    code, out, err = run(capsys, "ring-check", "--p", "4", "4", "inf",
+                         "--n", "121", "--max-len", "3", fmt)
+    assert (code, out) == (65, "")
+    assert err == "domain error: power basis of degree 55 is unusable\n"
+
+
 def test_byte_identical_reruns(capsys):
     args = ("thresholds", "--p", "4", "4", "inf", "--json")
     _, out1, _ = run(capsys, *args)

@@ -236,6 +236,14 @@ def test_letter_blocks_equal_stacked_traces(monkeypatch, point, chunk):
         assert taus.tobytes() == stacked_traces(ws, mats).tobytes()
 
 
+def test_level_traces_of_negative_zero_products():
+    # every product is -0.0: the sum from 0j gives +0j, as np.trace does
+    mats = np.full((3, 3, 3), -0.0 - 0.0j)
+    for ws, taus in enumerate_words(4, mats):
+        assert taus.tobytes() == stacked_traces(ws, mats).tobytes()
+        assert taus.tobytes() == np.zeros(len(ws), dtype=complex).tobytes()
+
+
 def test_sixteen_letter_traces_equal_trace_oracle():
     # at 16 letters a letter's block first passes CHUNK parents (levels 15
     # and 16 hold 1,638 and 1,830 per letter at (4,5,6))
