@@ -245,8 +245,8 @@ def test_level_traces_of_negative_zero_products():
 
 
 def test_sixteen_letter_traces_equal_trace_oracle():
-    # at 16 letters a letter's block first passes CHUNK parents (levels 15
-    # and 16 hold 1,638 and 1,830 per letter at (4,5,6))
+    # at 16 letters a letter's block first passes CHUNK parents: at (4,5,6)
+    # letter 3 has 1,638 children at level 15 and 1,830 kept at level 16
     rz = realize(_PASS_POINTS["finite"])
     *_, (ws, taus) = enumerate_words(16, rz.iotas)
     rng = np.random.default_rng(16)
