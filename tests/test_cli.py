@@ -332,6 +332,46 @@ def test_stdout_golden_digest(capsys, command):
     assert err == ""
 
 
+# sha256 of the help text at COLUMNS=80 and the text of usage errors the
+# top-level parser or a subparser raises, recorded while main still built
+# every subcommand; argparse lays help out differently across Python versions
+GOLDEN_HELP = {
+    "-h": "21b688e0f9972fce77502e4dc97624c03dbe9725e03e390dd2aa97f69d67469c",
+    "trace -h": "8deeb03fd34118ad3f8f1b93bca0e2bce2a9d482c40bcb6e9a54f095c06c1e06",
+    "thresholds -h": "92e6f3bdd1a8e7272fa0c69f61f7edb7f6b43cd84f8b45e9358de7127b7091d4",
+    "family -h": "566513c6ea56d7c974363b1a9c1ebce5917b1728b7adb7a55d8448ba07a78d5e",
+    "invariants -h": "2c973b0a49fbe8062cd94e1a1d15aefe746a1244caade042ae3c4814c63e0de4",
+    "scan -h": "55b17d17e547cc4c473da3c94ebcc76d426797793c9a3173cc15e5354510d5f4",
+    "ring-check -h": "a3258c9f3b5310cf50397bdef066d9300796cb13b8cb0a31ac3b18abecbb25e7",
+}
+GOLDEN_USAGE_ERRORS = {
+    "": "the following arguments are required: command",
+    "bogus": "argument command: invalid choice: 'bogus' (choose from 'trace', "
+             "'thresholds', 'family', 'invariants', 'scan', 'ring-check')",
+    "scan": "one of the arguments --p --lengths --r is required",
+    "ring-check --p 4 4 inf --n 5 --json --csv":
+        "argument --csv: not allowed with argument --json",
+    "scan --p 4 5 6 --t 1 --bogus": "unrecognized arguments: --bogus",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_HELP))
+def test_help_golden_digest(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == GOLDEN_HELP[command]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_USAGE_ERRORS),
+                         ids=lambda command: command or "no-command")
+def test_usage_error_golden_text(capsys, command):
+    want = f"usage error: {GOLDEN_USAGE_ERRORS[command]}\n"
+    assert run(capsys, *command.split()) == (64, "", want)
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "trace", "--word", "123", "--p", "3", "3", "3")
     assert code == 64
