@@ -23,8 +23,7 @@ from .triangle import (DegenerateNormalization, ExistenceViolation,
                        IdealVertexDegenerate, TriangleParams,
                        TriangleRealization, brehm_sigma, cartan_invariant,
                        hakim_sandler_eta, mu_reflection, realize,
-                       realize_pinfty, reflection)
-from .words import (canonical, enumerate_words, parse_word, reduce_straighten,
-                    winding, word_to_str)
+                       reflection)
+from .words import canonical, enumerate_words, parse_word, winding, word_to_str
 
 __version__ = "0.1.0"

@@ -1,6 +1,9 @@
 """Command line interface: the ``chtg`` tool.
 
-Subcommands: trace, thresholds, scan, ring-check, invariants, family.
+Subcommands: trace, thresholds, scan, ring-check, invariants, family, each
+declared once in ``_COMMANDS``.  A run builds the parser of only the
+subcommand it names; ``chtg``, ``chtg -h`` and a mistyped name get all six,
+so help and error texts are the same as with the full parser.
 Output formats: --json (one object), --csv (header + rows; trace, scan and
 ring-check only), default human table.  Floats in machine formats are printed
 with 17 significant digits and field order is fixed, so identical
@@ -420,45 +423,61 @@ def cmd_ring_check(args) -> int:
     return EXIT_OK if all_ok else EXIT_FOUND
 
 
-def build_parser() -> _Parser:
+def _tol_flag(sub):
+    sub.add_argument("--tol", default=None,
+                     help="classification tolerance (default 1e-9 or CHTG_TOL)")
+
+
+def _trace_flags(sub):
+    sub.add_argument("--word", required=True, help="digit string, 'e' = identity")
+    sub.add_argument("--fourier", action="store_true",
+                     help="include the exact Fourier data (--json only)")
+    _tol_flag(sub)
+
+
+def _scan_flags(sub):
+    sub.add_argument("--max-len", type=int, default=6)
+    sub.add_argument("--include-alternating", action="store_true",
+                     help="also flag two-letter alternation powers")
+    _tol_flag(sub)
+
+
+def _ring_flags(sub):
+    sub.add_argument("--max-len", type=int, default=6)
+    sub.add_argument("--ring-tol", default="1e-7",
+                     help="integrality tolerance, a finite number >= 0")
+
+
+# name: (help, --csv allowed, the command's own flags after the common ones,
+# handler), in the order help lists them
+_COMMANDS = {
+    "trace": ("trace of one word", True, _trace_flags, cmd_trace),
+    "thresholds": ("existence/ellipticity thresholds", False, None, cmd_thresholds),
+    "family": ("distinguished family membership and type", False, None,
+               cmd_thresholds),
+    "invariants": ("angular and vertex invariants", False, None, cmd_invariants),
+    "scan": ("classify all short words", True, _scan_flags, cmd_scan),
+    "ring-check": ("integrality of trace data", True, _ring_flags, cmd_ring_check),
+}
+
+
+def build_parser(names=None) -> _Parser:
+    """The chtg parser with the named subcommands, or with all of them."""
     parser = _Parser(prog="chtg",
                      description="complex hyperbolic triangle group toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_trace = _add_common(subs.add_parser("trace", help="trace of one word"))
-    p_trace.add_argument("--word", required=True, help="digit string, 'e' = identity")
-    p_trace.add_argument("--fourier", action="store_true",
-                         help="include the exact Fourier data (--json only)")
-    p_trace.set_defaults(func=cmd_trace)
-
-    for name, text, func in (
-            ("thresholds", "existence/ellipticity thresholds", cmd_thresholds),
-            ("family", "distinguished family membership and type", cmd_thresholds),
-            ("invariants", "angular and vertex invariants", cmd_invariants)):
-        _add_common(subs.add_parser(name, help=text), csv=False).set_defaults(func=func)
-
-    p_scan = _add_common(subs.add_parser("scan",
-                                         help="classify all short words"))
-    p_scan.add_argument("--max-len", type=int, default=6)
-    p_scan.add_argument("--include-alternating", action="store_true",
-                        help="also flag two-letter alternation powers")
-    p_scan.set_defaults(func=cmd_scan)
-
-    for sub in (p_trace, p_scan):  # the two commands that classify
-        sub.add_argument("--tol", default=None,
-                         help="classification tolerance (default 1e-9 or CHTG_TOL)")
-
-    p_ring = _add_common(subs.add_parser("ring-check",
-                                         help="integrality of trace data"))
-    p_ring.add_argument("--max-len", type=int, default=6)
-    p_ring.add_argument("--ring-tol", default="1e-7",
-                        help="integrality tolerance, a finite number >= 0")
-    p_ring.set_defaults(func=cmd_ring_check)
+    for name in _COMMANDS if names is None else names:
+        text, csv, flags, func = _COMMANDS[name]
+        sub = _add_common(subs.add_parser(name, help=text), csv=csv)
+        if flags is not None:
+            flags(sub)
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import J, boxtimes, herm, rank_one, vec
+from .linalg import boxtimes, herm, rank_one, vec
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,13 +141,6 @@ class TriangleParams:
         self._need_alpha()
         return t_of_alpha(self.alpha)
 
-    @property
-    def canonical_alpha(self) -> float:
-        """The representative of {alpha, 2 pi - alpha} lying in (0, pi]."""
-        self._need_alpha()
-        a = self.alpha
-        return a if 0.0 < a <= math.pi else TWO_PI - a
-
     def existence_margin(self) -> float:
         """(r1^2 + r2^2 + r3^2 - 1) - 2 r1 r2 r3 cos(alpha); positive iff realisable."""
         self._need_alpha()
@@ -259,30 +252,6 @@ class TriangleRealization:
         c1, c2, c3 = self.c
         return (boxtimes(c3, c2), boxtimes(c1, c3), boxtimes(c2, c1))
 
-    def transformed(self, u) -> "TriangleRealization":
-        """The realization with every polar vector moved by u (in U(2,1))."""
-        return TriangleRealization.from_polar_vectors(
-            u @ self.c1, u @ self.c2, u @ self.c3, self.params)
-
-    def verify(self, tol: float = 1e-10) -> "TriangleRealization":
-        """Check the construction invariants; returns self or raises."""
-        for c in self.c:
-            if abs(herm(c, c) - 1.0) > tol:
-                raise TriangleError("polar vector not normalised")
-        for m in self.iotas:
-            if np.max(np.abs(m @ m - np.eye(3))) > 1e-9:
-                raise TriangleError("reflection is not involutive")
-            if np.max(np.abs(np.conj(m.T) @ J @ m - J)) > 1e-9:
-                raise TriangleError("reflection does not preserve the form")
-        if self.params is not None and self.params.alpha is not None:
-            for got, want in zip(self.r, self.params.r):
-                if abs(got - want) > tol:
-                    raise TriangleError("side invariant not recovered")
-            d = (self.alpha - self.params.alpha) % TWO_PI
-            if min(d, TWO_PI - d) > tol:
-                raise TriangleError("angular invariant not recovered")
-        return self
-
 
 def _chart_generic(r, alpha):
     # slot-0 radius < 1; divides by s1 = sin of the meeting angle
@@ -346,23 +315,6 @@ def realize(params: TriangleParams) -> TriangleRealization:
         raise TriangleError("the realization overflows: polar vectors or "
                             "reflections are not finite")
     return rz
-
-
-def realize_pinfty(p1, p2, alpha) -> TriangleRealization:
-    """Explicit (p1, p2, inf) realization in the asymptotic chart.
-
-    The pairings come out as <c1,c3> = r2 e^{i alpha/2}, <c2,c1> = 1 and
-    <c3,c2> = r1 e^{i alpha/2}, with vertices [-r1 e^{i alpha/2} : 0 : 1],
-    [-r2 e^{-i alpha/2} : 0 : 1] and [0 : 1 : -1].
-    """
-    for p in (p1, p2):
-        if p != math.inf and (p != p or p < 3):
-            raise TriangleError("asymptotic chart needs p1, p2 >= 3")
-    r1 = math.cos(math.pi / p1)
-    r2 = math.cos(math.pi / p2)
-    d = _chart_parallel(r1, r2, alpha)
-    params = TriangleParams(r1, r2, 1.0, alpha=alpha, p=(p1, p2, math.inf))
-    return TriangleRealization.from_polar_vectors(*d, params=params)
 
 
 def cartan_invariant(v1, v2, v3) -> float:

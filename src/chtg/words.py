@@ -83,55 +83,6 @@ def inverse(word):
     return tuple(reversed(word))
 
 
-def reduce_straighten(word):
-    """Fully reduce a cyclic word; returns (canonical result, steps).
-
-    Repeatedly applies reduction (..., k, k, ...) -> (..., k, ...) and
-    straightening (..., k, l, k, ...) -> (..., k, ...) on the cyclic word,
-    reduction first, leftmost site first, until neither applies.  Both moves
-    preserve the winding number, and the terminal word is (1,2,3)^w where
-    w is the winding number of the input.  Degenerate small words wrap onto
-    themselves: (k) reduces to the empty word and (k, l) straightens to (k).
-
-    ``steps`` is the list of (rule, word-after-step) pairs.
-    """
-    w = tuple(word)
-    steps = []
-    while True:
-        n = len(w)
-        if n == 0:
-            break
-        site = None
-        if n == 1:
-            site = 0  # the single letter is cyclically adjacent to itself
-        else:
-            for m in range(n):
-                if w[m] == w[(m + 1) % n]:
-                    site = m
-                    break
-        if site is not None:
-            drop = (site + 1) % n if n > 1 else 0
-            w = tuple(x for i, x in enumerate(w) if i != drop)
-            steps.append(("reduce", w))
-            continue
-        if n == 2:
-            w = (w[0],)  # (k, l) wraps onto the pattern k, l, k
-            steps.append(("straighten", w))
-            continue
-        site = None
-        if n >= 3:
-            for m in range(n):
-                if w[m] == w[(m + 2) % n]:
-                    site = m
-                    break
-        if site is None:
-            break
-        drop = {(site + 1) % n, (site + 2) % n}
-        w = tuple(x for i, x in enumerate(w) if i not in drop)
-        steps.append(("straighten", w))
-    return canonical(w), steps
-
-
 def enumerate_words(max_len: int, mats=None):
     """Every cyclically reduced class up to max_len, one array per length.
 
@@ -212,7 +163,7 @@ def _times(prod, parent, j, mats):
         rows = np.flatnonzero(j == a)
         for s in range(0, len(rows), CHUNK):
             r = rows[s:s + CHUNK]
-            block = prod[..., parent[r], :, :]
+            block = np.take(prod, parent[r], axis=-3)
             out[..., r, :, :] = (block.reshape(*block.shape[:-3], 3 * len(r), 3)
                                  @ mats[..., a, :, :]).reshape(block.shape)
     return out

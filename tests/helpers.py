@@ -4,7 +4,9 @@ arithmetic, the reference deletion recursion, the per-call trace routes and
 exact substitution, the reference per-word ring check, the per-row ring
 verdicts and JSON rows, and the closed forms and checks that only the tests
 call (the sigma bound, the family c_A shortcut, Brehm's sigma,
-Hakim-Sandler's eta, and the U(2,1) test and random element)."""
+Hakim-Sandler's eta, the U(2,1) test and random element, reduction and
+straightening of cyclic words, the canonical alpha, a realization's moved
+copy and invariant checks, and the explicit (p1, p2, inf) realization)."""
 
 import cmath
 import itertools
@@ -18,12 +20,13 @@ from chtg.arithmetic import (INTEGER_ENTRIES, BasisExpansion, BasisRingVerdict,
                              _conjugate_points, _power_basis_pinv,
                              cos_two_pi_over)
 from chtg.analysis import thresholds
-from chtg.linalg import J
+from chtg.linalg import J, herm
 from chtg.traces import (_EPS, _TAIL_EXPONENTS, ZeroRadiusUnsupported,
                          _cancel_adjacent, _deletion_terms, _expand,
                          _fourier_terms, _gram, sigma_closed,
                          trace_combinatorial, word_matrix)
-from chtg.triangle import TWO_PI, IdealVertexDegenerate, TriangleParams
+from chtg.triangle import (TWO_PI, IdealVertexDegenerate, TriangleError,
+                           TriangleParams, TriangleRealization, _chart_parallel)
 from chtg.words import canonical, enumerate_words, inverse, psi
 
 
@@ -440,3 +443,102 @@ def random_u21(rng, scale: float = 0.5) -> np.ndarray:
     for _ in range(k):
         out = out @ out
     return out
+
+
+def reduce_straighten(word):
+    """Fully reduce a cyclic word; returns (canonical result, steps).
+
+    Repeatedly applies reduction (..., k, k, ...) -> (..., k, ...) and
+    straightening (..., k, l, k, ...) -> (..., k, ...) on the cyclic word,
+    reduction first, leftmost site first, until neither applies.  Both moves
+    preserve the winding number, and the terminal word is (1,2,3)^w where
+    w is the winding number of the input.  Degenerate small words wrap onto
+    themselves: (k) reduces to the empty word and (k, l) straightens to (k).
+
+    ``steps`` is the list of (rule, word-after-step) pairs.
+    """
+    w = tuple(word)
+    steps = []
+    while True:
+        n = len(w)
+        if n == 0:
+            break
+        site = None
+        if n == 1:
+            site = 0  # the single letter is cyclically adjacent to itself
+        else:
+            for m in range(n):
+                if w[m] == w[(m + 1) % n]:
+                    site = m
+                    break
+        if site is not None:
+            drop = (site + 1) % n if n > 1 else 0
+            w = tuple(x for i, x in enumerate(w) if i != drop)
+            steps.append(("reduce", w))
+            continue
+        if n == 2:
+            w = (w[0],)  # (k, l) wraps onto the pattern k, l, k
+            steps.append(("straighten", w))
+            continue
+        site = None
+        if n >= 3:
+            for m in range(n):
+                if w[m] == w[(m + 2) % n]:
+                    site = m
+                    break
+        if site is None:
+            break
+        drop = {(site + 1) % n, (site + 2) % n}
+        w = tuple(x for i, x in enumerate(w) if i not in drop)
+        steps.append(("straighten", w))
+    return canonical(w), steps
+
+
+def canonical_alpha(params: TriangleParams) -> float:
+    """The representative of {alpha, 2 pi - alpha} lying in (0, pi]."""
+    params._need_alpha()
+    a = params.alpha
+    return a if 0.0 < a <= math.pi else TWO_PI - a
+
+
+def transformed(rz: TriangleRealization, u) -> TriangleRealization:
+    """The realization with every polar vector moved by u (in U(2,1))."""
+    return TriangleRealization.from_polar_vectors(
+        u @ rz.c1, u @ rz.c2, u @ rz.c3, rz.params)
+
+
+def verify(rz: TriangleRealization, tol: float = 1e-10) -> TriangleRealization:
+    """Check the construction invariants; returns rz or raises."""
+    for c in rz.c:
+        if abs(herm(c, c) - 1.0) > tol:
+            raise TriangleError("polar vector not normalised")
+    for m in rz.iotas:
+        if np.max(np.abs(m @ m - np.eye(3))) > 1e-9:
+            raise TriangleError("reflection is not involutive")
+        if np.max(np.abs(np.conj(m.T) @ J @ m - J)) > 1e-9:
+            raise TriangleError("reflection does not preserve the form")
+    if rz.params is not None and rz.params.alpha is not None:
+        for got, want in zip(rz.r, rz.params.r):
+            if abs(got - want) > tol:
+                raise TriangleError("side invariant not recovered")
+        d = (rz.alpha - rz.params.alpha) % TWO_PI
+        if min(d, TWO_PI - d) > tol:
+            raise TriangleError("angular invariant not recovered")
+    return rz
+
+
+def realize_pinfty(p1, p2, alpha) -> TriangleRealization:
+    """Explicit (p1, p2, inf) realization in the asymptotic chart.
+
+    The pairings come out as <c1,c3> = r2 e^{i alpha/2}, <c2,c1> = 1 and
+    <c3,c2> = r1 e^{i alpha/2}, with vertices [-r1 e^{i alpha/2} : 0 : 1],
+    [-r2 e^{-i alpha/2} : 0 : 1] and [0 : 1 : -1].
+    """
+    for p in (p1, p2):
+        if p != math.inf and (p != p or p < 3):
+            raise TriangleError("asymptotic chart needs p1, p2 >= 3")
+    r1 = math.cos(math.pi / p1)
+    r2 = math.cos(math.pi / p2)
+    d = _chart_parallel(r1, r2, alpha)
+    params = TriangleParams(r1, r2, 1.0, alpha=alpha, p=(p1, p2, math.inf))
+    return TriangleRealization.from_polar_vectors(*d, params=params)

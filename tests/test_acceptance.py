@@ -24,10 +24,11 @@ from chtg.traces import (sigma_closed, sigma_word, tau_123_closed,
                          trace_polynomial, trace_recursive)
 from chtg.triangle import (ExistenceViolation, TriangleParams,
                            brehm_sigma, hakim_sandler_eta, realize)
-from chtg.words import canonical, reduce_straighten, v_count, winding
+from chtg.words import canonical, v_count, winding
 
 from helpers import (brute_classes, classes_up_to, draw_params, draw_word,
-                     ideal_sum, power_word, random_u21, u_count)
+                     ideal_sum, power_word, random_u21, reduce_straighten,
+                     transformed, u_count)
 
 RNG_SEED = 90125
 
@@ -287,7 +288,7 @@ def test_criterion_10_property_suites():
     for _ in range(1000):
         p = draw_params(rng, lo=0.6, hi=0.95)
         rz = realize(p)
-        moved = rz.transformed(random_u21(rng))
+        moved = transformed(rz, random_u21(rng))
         assert max(abs(x - y) for x, y in zip(rz.r, moved.r)) < 1e-9
         d = (rz.alpha - moved.alpha) % (2.0 * math.pi)
         assert min(d, 2.0 * math.pi - d) < 1e-9

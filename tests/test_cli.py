@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -372,17 +373,21 @@ def test_usage_error_golden_text(capsys, command):
     assert run(capsys, *command.split()) == (64, "", want)
 
 
+_USAGE_ERRORS = [
+    ("trace", "--word", "123", "--p", "3", "3", "3"),
+    ("trace", "--word", "123", "--p", "3", "3", "3", "--alpha", "1.0",
+     "--t", "2.0"),
+    ("thresholds",),
+]
+
+
 def test_usage_errors(capsys):
-    code, _, err = run(capsys, "trace", "--word", "123", "--p", "3", "3", "3")
-    assert code == 64
-    code, _, err = run(capsys, "trace", "--word", "123", "--p", "3", "3", "3",
-                       "--alpha", "1.0", "--t", "2.0")
-    assert code == 64
-    code, _, _ = run(capsys, "thresholds")
-    assert code == 64
+    for argv in _USAGE_ERRORS:
+        code, _, _ = run(capsys, *argv)
+        assert code == 64
 
 
-@pytest.mark.parametrize("argv", [
+_BAD_ARGUMENTS = [
     ("thresholds", "--p", "4", "x", "6"),
     ("thresholds", "--p", "4", "4", "inf", "--alpha", "foo"),
     ("thresholds", "--p", "4", "4", "inf", "--cos-alpha", "1/0"),
@@ -390,7 +395,10 @@ def test_usage_errors(capsys):
     ("thresholds", "--p", "4", "4", "inf", "--cos-alpha", "abc"),
     ("trace", "--word", "12", "--r", "1", "1", "1", "--n", "5"),
     ("ring-check", "--p", "4", "4", "inf", "--t", "1"),
-], ids=["p-entry", "alpha-text", "cos-alpha-zero-denominator",
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_ARGUMENTS, ids=["p-entry", "alpha-text", "cos-alpha-zero-denominator",
         "cos-alpha-text-fraction", "cos-alpha-text", "n-without-p",
         "ring-check-without-n"])
 def test_bad_arguments_are_usage_errors(capsys, argv):
@@ -408,10 +416,13 @@ def test_thresholds_json_carries_rotation_order(capsys):
     assert ',"n":5}' in out  # top level, after the params object
 
 
-@pytest.mark.parametrize("command", ["thresholds", "family", "invariants"])
+_TABLE_COMMANDS = ["thresholds", "family", "invariants"]
+_CSV_ARGS = ("--p", "4", "4", "inf", "--alpha", "1.0", "--csv")
+
+
+@pytest.mark.parametrize("command", _TABLE_COMMANDS)
 def test_csv_rejected_on_table_commands(capsys, command):
-    code, out, err = run(capsys, command, "--p", "4", "4", "inf",
-                         "--alpha", "1.0", "--csv")
+    code, out, err = run(capsys, command, *_CSV_ARGS)
     assert code == 64
     assert out == ""
     assert "--csv" in err
@@ -593,6 +604,7 @@ _UNUSED_FLAGS = {"jobs": ("--jobs", "2"), "tol": ("--tol", "1e-3")}
 _FLAG_CASES = [(name, command) for name in _UNUSED_FLAGS
                for command in ("thresholds", "family", "invariants", "ring-check")]
 _FLAG_CASES.append(("jobs", "scan"))
+_FLAG_ARGS = ("--p", "4", "4", "inf", "--n", "5")
 
 
 @pytest.mark.parametrize("name, command", _FLAG_CASES,
@@ -600,8 +612,7 @@ _FLAG_CASES.append(("jobs", "scan"))
 def test_flags_rejected_where_unused(capsys, name, command):
     # no command takes --jobs, and only trace and scan classify
     flag = _UNUSED_FLAGS[name]
-    code, out, err = run(capsys, command, "--p", "4", "4", "inf",
-                         "--n", "5", *flag)
+    code, out, err = run(capsys, command, *_FLAG_ARGS, *flag)
     assert code == 64
     assert out == ""
     assert flag[0] in err
@@ -661,7 +672,7 @@ _RING3 = ("ring-check", "--p", "4", "4", "inf", "--n", "5", "--max-len", "3",
           "--csv")
 
 
-@pytest.mark.parametrize("argv, env", [
+_BAD_TOLERANCES = [
     ((*_SCAN3, "--tol", "-5"), None),
     ((*_SCAN3, "--tol", "nan"), None),
     ((*_SCAN3, "--tol", "inf"), None),
@@ -673,7 +684,10 @@ _RING3 = ("ring-check", "--p", "4", "4", "inf", "--n", "5", "--max-len", "3",
     ((*_RING3, "--ring-tol", "-1"), None),
     ((*_RING3, "--ring-tol", "inf"), None),
     ((*_RING3, "--ring-tol", "abc"), None),
-], ids=["tol-negative", "tol-nan", "tol-inf", "tol-text", "env-nan",
+]
+
+
+@pytest.mark.parametrize("argv, env", _BAD_TOLERANCES, ids=["tol-negative", "tol-nan", "tol-inf", "tol-text", "env-nan",
         "env-text", "env-negative", "ring-tol-nan", "ring-tol-negative",
         "ring-tol-inf", "ring-tol-text"])
 def test_invalid_tolerance_is_usage_error(capsys, monkeypatch, argv, env):
@@ -751,3 +765,65 @@ def test_subprocess_entry_point():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["word"] == "1212"
+
+
+_PARITY_CASES = [
+    *((command.split(), None) for command in sorted(GOLDEN_STDOUT)),
+    *((command.split(), None) for command in sorted(GOLDEN_USAGE_ERRORS)),
+    *((argv, None) for argv in (*_USAGE_ERRORS, *_BAD_ARGUMENTS)),
+    *(((command, *_CSV_ARGS), None) for command in _TABLE_COMMANDS),
+    *(((command, *_FLAG_ARGS, *_UNUSED_FLAGS[name]), None)
+      for name, command in _FLAG_CASES),
+    *_BAD_TOLERANCES,
+]
+
+
+@pytest.mark.parametrize("argv, env", _PARITY_CASES, ids=[
+    " ".join(argv) + (f" CHTG_TOL={env}" if env else "") or "no-command"
+    for argv, env in _PARITY_CASES])
+def test_one_subcommand_parser_runs_as_the_full_parser(capsys, monkeypatch,
+                                                       argv, env):
+    # main builds only the named subcommand; forced to build all six, it
+    # gives the same exit code, stdout and stderr
+    if env is not None:
+        monkeypatch.setenv("CHTG_TOL", env)
+    want = run(capsys, *argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda names=None: full())
+    assert run(capsys, *argv) == want
+
+
+def _subcommands(parser):
+    (subs,) = [a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return list(subs.choices)
+
+
+def test_build_parser_adds_only_the_named_subcommands():
+    assert _subcommands(cli.build_parser(["scan"])) == ["scan"]
+    assert _subcommands(cli.build_parser()) == [
+        "trace", "thresholds", "family", "invariants", "scan", "ring-check"]
+
+
+def test_main_builds_the_parser_of_the_named_subcommand(capsys, monkeypatch):
+    calls = []
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda names=None: calls.append(names) or full(names))
+    run(capsys, "thresholds", "--p", "4", "4", "inf", "--json")
+    run(capsys, "bogus", "--p", "4", "4", "inf")
+    run(capsys)
+    assert calls == [["thresholds"], None, None]
+
+
+def test_import_builds_no_parser():
+    # the parser is built inside main, so importing the CLI costs no argparse
+    proc = subprocess.run([sys.executable, "-c", (
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = "
+        "lambda self, *a, **k: made.append(1) or init(self, *a, **k)\n"
+        "import chtg.cli\n"
+        "print(len(made))\n")], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")

@@ -13,7 +13,7 @@ from chtg.traces import (_TAILS, EXACT_CAP, CapExceeded, ZeroRadiusUnsupported,
                          trace_mu_combinatorial, trace_oracle, trace_polynomial,
                          trace_recursive)
 from chtg.triangle import TriangleError, TriangleParams, realize
-from chtg.words import canonical, reduce_straighten, rotate, winding
+from chtg.words import canonical, rotate, winding
 
 from helpers import (classes_up_to, draw_params, draw_word, evaluate_reference,
                      ideal_sum, n_count, numeric_trace_reference,

@@ -9,11 +9,12 @@ from chtg.triangle import (DegenerateNormalization, ExistenceViolation,
                            IdealVertexDegenerate, TriangleError,
                            TriangleParams, TriangleRealization, brehm_sigma,
                            cartan_invariant, hakim_sandler_eta,
-                           mu_reflection, realize, realize_pinfty, reflection)
+                           mu_reflection, realize, reflection)
 from chtg.linalg import ProjPoint
 
-from helpers import (brehm_sigma_closed, draw_params, hakim_sandler_eta_closed,
-                     in_u21, random_u21)
+from helpers import (brehm_sigma_closed, canonical_alpha, draw_params,
+                     hakim_sandler_eta_closed, in_u21, random_u21,
+                     realize_pinfty, transformed, verify)
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,13 +43,13 @@ def test_from_lengths():
 def test_param_conversions():
     p = TriangleParams(1, 1, 1, alpha=math.pi)
     assert abs(p.t) < 1e-12
-    assert p.canonical_alpha == math.pi
+    assert canonical_alpha(p) == math.pi
     q = p.with_t(1.0)
     assert abs(q.alpha - math.pi / 2) < 1e-12
     r = p.with_cos_alpha(61 / 64)
     assert abs(r.t ** 2 - 125 / 3) < 1e-9
     s = TriangleParams(1, 1, 1, alpha=2 * math.pi - 1.0)
-    assert abs(s.canonical_alpha - 1.0) < 1e-12
+    assert abs(canonical_alpha(s) - 1.0) < 1e-12
     assert s.t < 0
 
 
@@ -56,7 +57,7 @@ def test_roundtrip_all_charts(rng):
     worst = 0.0
     for _ in range(1000):
         p = draw_params(rng)
-        rz = realize(p).verify(1e-10)
+        rz = verify(realize(p), 1e-10)
         worst = max(worst, max(abs(a - b) for a, b in zip(rz.r, p.r)),
                     angle_diff(rz.alpha, p.alpha))
     assert worst < 1e-10
@@ -83,7 +84,7 @@ def test_existence_boundary():
     with pytest.raises(ExistenceViolation):
         realize(TriangleParams(*r, alpha=math.acos(min(bound + 0.01, 1.0))))
     ok = TriangleParams(*r, alpha=math.acos(bound - 0.01))
-    realize(ok).verify(1e-10)
+    verify(realize(ok), 1e-10)
 
 
 @pytest.mark.parametrize("params", [
@@ -99,7 +100,7 @@ def test_overflowing_realization_raises(params):
 
 def test_ideal_goldman_parker_parameter():
     p = TriangleParams(1, 1, 1, alpha=math.acos(61 / 64))
-    realize(p).verify(1e-10)
+    verify(realize(p), 1e-10)
 
 
 def test_degenerate_normalisation_band():
@@ -245,7 +246,7 @@ def test_conjugacy_invariance(rng):
     for _ in range(50):
         p = draw_params(rng, lo=0.6, hi=0.95)
         rz = realize(p)
-        moved = rz.transformed(random_u21(rng))
+        moved = transformed(rz, random_u21(rng))
         assert max(abs(a - b) for a, b in zip(rz.r, moved.r)) < 1e-9
         assert angle_diff(rz.alpha, moved.alpha) < 1e-9
         assert abs(brehm_sigma(rz) - brehm_sigma(moved)) < 1e-8

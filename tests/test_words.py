@@ -9,11 +9,11 @@ from chtg.arithmetic import group_with_rotation, ring_transfer
 from chtg.traces import _cancel_adjacent, _deletion_terms, trace_oracle
 from chtg.triangle import TriangleParams, realize
 from chtg.words import (MAX_LEN, WordError, canonical, chi, enumerate_words,
-                        parse_word, psi, reduce_straighten, rotate, v_count,
-                        winding, word_strs, word_to_str)
+                        parse_word, psi, rotate, v_count, winding, word_strs,
+                        word_to_str)
 
-from helpers import (brute_classes, n_count, power_word, stacked_traces,
-                     u_count)
+from helpers import (brute_classes, n_count, power_word, reduce_straighten,
+                     stacked_traces, u_count)
 
 letter = st.integers(1, 3)
 word_st = st.lists(letter, max_size=18).map(tuple)
