@@ -323,6 +323,9 @@ GOLDEN_STDOUT = {
     f"{_R14} inf --json": (0, "6855d3eaac7af185d253a2fe5ec8d214b8434de37f2f2424953be4525d567978"),
     "ring-check --p 4 4 inf --n 5 --max-len 20":
         (2, "d3d431ba2f54afb6301840276e64c43ddbbe5db03a8503b982831e2e6e13c2d7"),
+    # recorded while a -0 radius was kept as given; it prints "r1":-0
+    "trace --word 23 --r -0 1 1 --cos-alpha -0.5 --json":
+        (0, "6949e7e197017b27a32a5d42bc76ad75e9a4dc59256d679235b549b89f943439"),
 }
 
 
