@@ -19,7 +19,7 @@ and the function that judges all words' traces at once, in columns (one
 entry per word); ``chtg ring-check`` multiplies them in the prefix-product
 pass of ``words.enumerate_words``.  The one-word functions (group_ring_check,
 group_conjugate_traces, basis_ring_check, integer_ring_check) multiply with
-``traces.word_matrix`` and return column 0 as a verdict dataclass.
+``traces.word_matrix`` and return word 0's verdict as Python values.
 Floating-point ring membership is a heuristic; every verdict from the basis
 method carries experimental=True and is not a hard gate.
 """
@@ -102,8 +102,8 @@ def group_with_rotation(p1, p2, p3, n) -> GroupWithRotation:
     return GroupWithRotation(params, n, ca)
 
 
-@dataclass(frozen=True)
-class IntegralityVerdict:
+class IntegralityVerdict(NamedTuple):
+    """Each field is one word's Python value or one array entry per word."""
     ok: bool
     two_re: float
     abs_sq: float
@@ -111,23 +111,14 @@ class IntegralityVerdict:
     abs_sq_residual: float
 
 
-class IntegerColumns(NamedTuple):
-    """IntegralityVerdict's fields, one array entry per word."""
-    ok: np.ndarray
-    two_re: np.ndarray
-    abs_sq: np.ndarray
-    two_re_residual: np.ndarray
-    abs_sq_residual: np.ndarray
-
-
-def _integer_verdicts(taus, tol) -> IntegerColumns:
+def _integer_verdicts(taus, tol) -> IntegralityVerdict:
     """The verdicts of the traces in the complex array ``taus``."""
     two_re = 2.0 * taus.real
     abs_sq = np.abs(taus) ** 2
     res1 = np.abs(two_re - np.rint(two_re))
     res2 = np.abs(abs_sq - np.rint(abs_sq))
-    return IntegerColumns((res1 <= tol) & (res2 <= tol), two_re, abs_sq,
-                          res1, res2)
+    return IntegralityVerdict((res1 <= tol) & (res2 <= tol), two_re, abs_sq,
+                              res1, res2)
 
 
 def integer_ring_check(tau, tol: float = 1e-7) -> IntegralityVerdict:
@@ -142,28 +133,32 @@ def _conjugate_points(q: int):
             for m in range(1, q // 2 + 1) if math.gcd(m, q) == 1]
 
 
+# Of every q < 2200, each of degree <= 14 passes the cond test below and each
+# of degree 15 to 40 fails it, so a larger degree is refused unbuilt
+_MAX_BASIS_DEGREE = 14
+
+
 @functools.lru_cache(maxsize=64)
-def _power_basis_pinv(q: int, rows: int) -> np.ndarray:
-    """Read-only lstsq pseudo-inverse of the power basis at ``rows`` conjugates."""
-    pts = _conjugate_points(q)
-    v = np.array([[pts[i] ** j for j in range(len(pts))] for i in range(rows)])
-    if np.linalg.cond(v @ v.T) > 1e12:
-        raise IllConditionedBasis(f"power basis of degree {len(pts)} is unusable")
-    pinv = np.linalg.lstsq(v, np.eye(rows), rcond=None)[0]
+def _power_basis_pinv(q: int) -> np.ndarray:
+    """Read-only inverse of the power basis at every conjugate."""
+    deg = totient(q) // 2
+    if deg <= _MAX_BASIS_DEGREE:
+        v = np.array([[x ** j for j in range(deg)] for x in _conjugate_points(q)])
+    if deg > _MAX_BASIS_DEGREE or np.linalg.cond(v @ v.T) > 1e12:
+        raise IllConditionedBasis(f"power basis of degree {deg} is unusable")
+    pinv = np.linalg.lstsq(v, np.eye(deg), rcond=None)[0]
     pinv.flags.writeable = False
     return pinv
 
 
-@dataclass(frozen=True)
-class BasisExpansion:
+class BasisExpansion(NamedTuple):
     ok: bool
-    coefficients: tuple
+    coefficients: tuple  # of ints, or a (deg, words) array of integral floats
     residual: float
     value: float
 
 
-@dataclass(frozen=True)
-class BasisRingVerdict:
+class BasisRingVerdict(NamedTuple):
     q: int
     ok: bool
     two_re: BasisExpansion
@@ -171,58 +166,40 @@ class BasisRingVerdict:
     experimental: bool = True
 
 
-class ExpansionColumns(NamedTuple):
-    """BasisExpansion's fields, one entry (a column of coefficients) per word."""
-    ok: np.ndarray
-    coefficients: np.ndarray  # (deg, words), integral floats
-    residual: np.ndarray
-    value: np.ndarray
-
-
-class BasisColumns(NamedTuple):
-    """BasisRingVerdict's fields, one entry per word."""
-    q: int
-    ok: np.ndarray
-    two_re: ExpansionColumns
-    abs_sq: ExpansionColumns
-
-
 def _first(v):
-    """The verdict dataclass of column 0 of IntegerColumns or BasisColumns."""
-    if isinstance(v, IntegerColumns):
+    """Word 0 of verdict columns ``v``, as Python values."""
+    if isinstance(v, IntegralityVerdict):
         return IntegralityVerdict(*(c.item(0) for c in v))
     e1, e2 = (BasisExpansion(e.ok.item(0), tuple(map(int, e.coefficients[:, 0])),
                              e.residual.item(0), e.value.item(0))
               for e in (v.two_re, v.abs_sq))
-    return BasisRingVerdict(v.q, v.ok.item(0), e1, e2)
+    return v._replace(ok=v.ok.item(0), two_re=e1, abs_sq=e2)
 
 
-def _expand_in_power_basis(values, q, tol) -> ExpansionColumns:
+def _expand_in_power_basis(values, q, tol) -> BasisExpansion:
     """Integer coefficients on {x^j : j < deg} from conjugate evaluations.
 
     ``values`` has one row per conjugate (m = 1 first) and one column per
-    word.  With all deg conjugates supplied the Vandermonde system is square
-    and the true integer coefficients are the rounded exact solution; with
-    fewer rows this degrades to a minimal-norm heuristic.  Acceptance always
-    means the rounded solution reproduces the m = 1 value within tol.
+    word.  The Vandermonde system is square, so the true integer
+    coefficients are the rounded exact solution.  Acceptance means the
+    rounded solution reproduces the m = 1 value within tol.
     """
-    pts = _conjugate_points(q)
-    rows = min(len(values), len(pts))
-    coeffs = np.rint(_power_basis_pinv(q, rows) @ values[:rows])
+    x = _conjugate_points(q)[0]
+    coeffs = np.rint(_power_basis_pinv(q) @ values)
     approx = np.zeros(values.shape[1])
     for j, c in enumerate(coeffs):
-        approx += c * pts[0] ** j
+        approx += c * x ** j
     residual = np.abs(values[0] - approx)
-    return ExpansionColumns(residual <= tol, coeffs, residual, values[0])
+    return BasisExpansion(residual <= tol, coeffs, residual, values[0])
 
 
-def _basis_verdicts(pairs, q, tol) -> BasisColumns:
-    """The verdicts of ``pairs`` of shape (rows, 2, words): tau and tau-bar
+def _basis_verdicts(pairs, q, tol) -> BasisRingVerdict:
+    """The verdicts of ``pairs`` of shape (deg, 2, words): tau and tau-bar
     at each conjugate, m = 1 first."""
     tau, tau_bar = pairs[:, 0], pairs[:, 1]
     e1 = _expand_in_power_basis((tau + tau_bar).real, q, tol)
     e2 = _expand_in_power_basis((tau * tau_bar).real, q, tol)
-    return BasisColumns(q, e1.ok & e2.ok, e1, e2)
+    return BasisRingVerdict(q, e1.ok & e2.ok, e1, e2)
 
 
 def basis_ring_check(tau, q: int, tol: float = 1e-7,
@@ -230,15 +207,17 @@ def basis_ring_check(tau, q: int, tol: float = 1e-7,
     """EXPERIMENTAL membership of 2 Re(tau) and |tau|^2 in Z[2 cos(2 pi / q)].
 
     ``conjugate_pairs`` supplies the Galois conjugates of (tau, tau-bar),
-    aligned with the conjugates of 2 cos(2 pi / q) (m = 1 first); without
-    them only the single defining equation is available and the verdict is a
-    weaker heuristic still.
+    aligned with the conjugates of 2 cos(2 pi / q) (m = 1 first), one pair
+    per conjugate.  Without them only q = 3, 4 and 6, of degree 1, can be
+    checked.
     """
     if q < 3:
         raise ValueError("q must be >= 3")
     if conjugate_pairs is None:
         tau = complex(tau)
         conjugate_pairs = [(tau, tau.conjugate())]
+    if len(conjugate_pairs) != totient(q) // 2:
+        raise ValueError(f"q = {q} needs one conjugate pair per conjugate")
     pairs = np.array(conjugate_pairs, dtype=complex)[:, :, None]
     return _first(_basis_verdicts(pairs, q, tol))
 
@@ -279,8 +258,9 @@ def ring_transfer(group: GroupWithRotation):
     """(mats, verdicts): products of ``mats`` give a word's traces, and
     ``verdicts(traces, tol)`` judges every word's at once.  All-integer
     entries give tau at the group's own parameters, mats (3, 3, 3), and
-    IntegerColumns.  One extra entry q gives _conjugate_transfer's mats and
-    (experimental) BasisColumns, all power bases in one product."""
+    IntegralityVerdict columns.  One extra entry q gives _conjugate_transfer's
+    mats and (experimental) BasisRingVerdict columns, all power bases in one
+    product; the basis is solved first, so an unusable one raises here."""
     specials = sorted({*group.signature, group.n} - set(INTEGER_ENTRIES))
     if not specials:
         p = group.params
@@ -292,8 +272,10 @@ def ring_transfer(group: GroupWithRotation):
     q = specials[0]
     if q != int(q) or q < 3:
         raise ValueError(f"the extra entry must be an integer >= 3, got {q}")
-    return (_conjugate_transfer(group, int(q)),
-            lambda pairs, tol: _basis_verdicts(pairs, int(q), tol))
+    q = int(q)
+    _power_basis_pinv(q)
+    return (_conjugate_transfer(group, q),
+            lambda pairs, tol: _basis_verdicts(pairs, q, tol))
 
 
 def _word_traces(word, mats) -> np.ndarray:

@@ -23,7 +23,6 @@ import os
 import sys
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from types import GeneratorType
 
 import numpy as np
 
@@ -56,11 +55,11 @@ class _Parser(argparse.ArgumentParser):
 
 def dumps_stable(obj) -> str:
     """Deterministic JSON: insertion order kept, floats at 17 significant
-    digits, infinities as strings.  A generator is a list."""
+    digits, infinities as strings."""
     if isinstance(obj, dict):
         return "{" + ",".join(f"{_scalar(str(k))}:{dumps_stable(v)}"
                               for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple, GeneratorType)):
+    if isinstance(obj, (list, tuple)):
         return "[" + ",".join(map(dumps_stable, obj)) + "]"
     return _scalar(obj)
 
@@ -374,7 +373,7 @@ def _ring_columns(v, fmt):
     columns after the word, each with its function to strings."""
     if fmt != "json":
         return _RING_ROWS[fmt], [(v.ok, np.ndarray.tolist)]
-    if isinstance(v, arithmetic.IntegerColumns):
+    if isinstance(v, arithmetic.IntegralityVerdict):
         return _RING_JSON_ROW, [(v.ok, _flags), *((c, _float_strs) for c in v[1:])]
     cols = [(v.ok, _flags)]
     for e in (v.two_re, v.abs_sq):
@@ -394,8 +393,6 @@ def cmd_ring_check(args) -> int:
     group = cfg.group
     mats, verdicts = arithmetic.ring_transfer(group)
     levels = words.enumerate_words(args.max_len, mats)
-    # no words: a basis too ill-conditioned to solve raises before the header
-    verdicts(np.empty((*mats.shape[:-3], 0), dtype=complex), ring_tol)
     out = sys.stdout
     if cfg.fmt == "json":
         head = {"params": group.params.to_json_dict(), "n": group.n,

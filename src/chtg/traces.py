@@ -58,7 +58,6 @@ import cmath
 import functools
 import itertools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +70,6 @@ EXACT_CAP = 48
 # to the bound without it, over signatures, side lengths and raw radii, was 3.6
 _AGREEMENT_C = 64.0
 _EPS = float(np.finfo(float).eps)
-_PARAMS = struct.Struct("4d")  # (r1, r2, r3, alpha)
 
 
 class CapExceeded(ValueError):
@@ -152,17 +150,16 @@ def transfer_matrices(factors, r, zp, zn) -> np.ndarray:
     return t
 
 
-def _key(params) -> bytes:
-    """The bytes of (r1, r2, r3, alpha), which key the per-parameter caches:
-    a radius of -0.0 == 0.0, but the two can give differently signed zeros."""
+def _key(params) -> tuple:
+    """(r1, r2, r3, alpha), which keys the per-parameter caches."""
     params._need_alpha()
-    return _PARAMS.pack(*params.r, params.alpha)
+    return (*params.r, params.alpha)
 
 
 @functools.lru_cache(maxsize=256)
-def _param_gram(key: bytes) -> tuple:
+def _param_gram(key: tuple) -> tuple:
     """_gram at z = e^{i alpha / 3}, once per parameter set, as tuples."""
-    *r, alpha = _PARAMS.unpack(key)
+    *r, alpha = key
     return tuple(map(tuple, _gram(r, cmath.exp(1j * alpha / 3.0),
                                   cmath.exp(-1j * alpha / 3.0))))
 
@@ -421,9 +418,9 @@ def _recursion_plan(word: tuple) -> tuple:
 
 
 @functools.lru_cache(maxsize=256)
-def _recursion_constants(key: bytes) -> tuple:
+def _recursion_constants(key: tuple) -> tuple:
     """The base values and the 12 _TAILS betas, once per parameter set."""
-    r1, r2, r3, alpha = _PARAMS.unpack(key)
+    r1, r2, r3, alpha = key
     ei = cmath.exp(1j * alpha)
     base = (3.0 + 0j, -1.0 + 0j, complex(4.0 * r1 * r1 - 1.0),
             complex(4.0 * r2 * r2 - 1.0), complex(4.0 * r3 * r3 - 1.0))

@@ -87,10 +87,11 @@ class TriangleParams:
     n: float | None = None
 
     def __post_init__(self):
-        for r in (self.r1, self.r2, self.r3):
+        for name, r in zip(("r1", "r2", "r3"), self.r):
             if not 0.0 <= r < math.inf:
                 raise TriangleError(
                     f"side invariants r_k must be finite and nonnegative, got {r}")
+            object.__setattr__(self, name, float(r) + 0.0)  # -0.0 becomes 0.0
         if self.alpha is not None:
             if not math.isfinite(self.alpha):
                 raise TriangleError(f"alpha must be finite, got {self.alpha}")
@@ -159,6 +160,8 @@ class TriangleParams:
         return replace(self, alpha=alpha_of_t(t))
 
     def with_cos_alpha(self, c):
+        if not -1.0 <= c <= 1.0:
+            raise TriangleError(f"cos(alpha) must be in [-1, 1], got {c}")
         return replace(self, alpha=math.acos(c))
 
     def to_json_dict(self) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chtg.arithmetic import (INTEGER_ENTRIES, BasisExpansion, BasisRingVerdict,
-                             IntegerColumns, IntegralityVerdict,
+                             IntegralityVerdict,
                              _conjugate_points, _power_basis_pinv,
                              cos_two_pi_over)
 from chtg.analysis import thresholds
@@ -278,8 +278,7 @@ def conjugate_traces_reference(group, word, q):
 def _expansion_reference(values, q, tol):
     """One word's power-basis solve, rounding and m = 1 residual."""
     pts = _conjugate_points(q)
-    rows = min(len(values), len(pts))
-    sol = _power_basis_pinv(q, rows) @ np.asarray(values[:rows], dtype=float)
+    sol = _power_basis_pinv(q) @ np.asarray(values, dtype=float)
     coeffs = tuple(int(c) for c in np.rint(sol))
     approx = sum(c * pts[0] ** j for j, c in enumerate(coeffs))
     residual = abs(values[0] - approx)
@@ -306,9 +305,9 @@ def ring_check_reference(group, word, tol=1e-7):
 
 
 def verdict_rows(v):
-    """The per-word verdict dataclasses of ring verdict columns, built row by
-    row from lists as the per-row verdict functions built them."""
-    if isinstance(v, IntegerColumns):
+    """The per-word verdicts, as Python values, of ring verdict columns,
+    built row by row from lists as the per-row verdict functions built them."""
+    if isinstance(v, IntegralityVerdict):
         return [IntegralityVerdict(*row) for row in zip(*(c.tolist() for c in v))]
     e1, e2 = ([BasisExpansion(ok, tuple(map(int, cs)), res, value)
                for ok, cs, res, value in zip(
@@ -319,8 +318,8 @@ def verdict_rows(v):
 
 
 def ring_row_dict(word, v) -> dict:
-    """A ring-check JSON row as the per-row verdict dataclasses' to_json_dict
-    gave it: the reference for the row templates."""
+    """A ring-check JSON row as the per-row verdicts' to_json_dict gave it:
+    the reference for the row templates."""
     if isinstance(v, IntegralityVerdict):
         return {"word": word, "ok": v.ok, "two_re": v.two_re,
                 "abs_sq": v.abs_sq, "two_re_residual": v.two_re_residual,

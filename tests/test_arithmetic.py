@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from chtg.arithmetic import (IllConditionedBasis, IntegerColumns,
-                             IntegralityVerdict,
+from chtg.arithmetic import (IllConditionedBasis, IntegralityVerdict,
+                             _conjugate_points, _power_basis_pinv,
                              basis_ring_check, cos_two_pi_over,
                              group_conjugate_traces, group_ring_check,
                              group_with_rotation, integer_ring_check,
@@ -182,7 +182,7 @@ def test_ring_checks_match_per_word_reference(p1, p2, p3, n):
         for i, w in enumerate(map(tuple, ws.tolist())):
             want = ring_check_reference(g, w)
             integer = isinstance(want, IntegralityVerdict)
-            assert isinstance(got, IntegerColumns) == integer, w
+            assert isinstance(got, IntegralityVerdict) == integer, w
             assert got.ok[i] == want.ok, w
             if integer:
                 assert _close(got.two_re[i], want.two_re), w
@@ -198,7 +198,7 @@ def test_ring_checks_match_per_word_reference(p1, p2, p3, n):
                        for a, b in zip(pair, rp)), w
     empty = verdicts(stacked_traces([], mats), 1e-7)
     assert empty.ok.shape == (0,)
-    for e in ([empty] if isinstance(empty, IntegerColumns)
+    for e in ([empty] if isinstance(empty, IntegralityVerdict)
               else [empty.two_re, empty.abs_sq]):
         assert all(c.shape[-1] == 0 for c in e)
 
@@ -227,14 +227,38 @@ def test_basis_q3_reduces_to_integers():
 
 
 def test_basis_rejects_random_value():
-    v = basis_ring_check(complex(math.pi, 0.1), 7)
-    assert not v.ok
+    # degree 3 needs three conjugate pairs; one value alone is not judged
+    with pytest.raises(ValueError, match="needs one conjugate pair per conjugate"):
+        basis_ring_check(complex(math.pi, 0.1), 7)
+    pairs = [(complex(math.pi, 0.1), complex(math.pi, -0.1))] * 3
+    assert not basis_ring_check(pairs[0][0], 7, conjugate_pairs=pairs).ok
 
 
 def test_basis_ill_conditioned():
     g = group_with_rotation(4, 4, math.inf, 121)
     with pytest.raises(IllConditionedBasis):
         group_ring_check(g, (1, 2))
+    with pytest.raises(IllConditionedBasis):
+        ring_transfer(g)
+
+
+def test_power_basis_refused_exactly_when_cond_fails():
+    # the degree bound skips only degrees whose basis fails the cond test:
+    # that test is run here up to degree 60, and it fails from 15 on
+    for q in range(3, 2200):
+        deg = totient(q) // 2
+        want = True
+        if deg <= 60:
+            v = np.array([[x ** j for j in range(deg)]
+                          for x in _conjugate_points(q)])
+            want = np.linalg.cond(v @ v.T) > 1e12
+        try:
+            _power_basis_pinv(q)
+        except IllConditionedBasis as exc:
+            assert want, q
+            assert str(exc) == f"power basis of degree {deg} is unusable"
+        else:
+            assert not want, q
 
 
 def test_mostow_identity_and_fields():

