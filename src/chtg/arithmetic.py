@@ -134,7 +134,7 @@ def _conjugate_points(q: int):
 
 
 # Of every q < 2200, each of degree <= 14 passes the cond test below and each
-# of degree 15 to 40 fails it, so a larger degree is refused unbuilt
+# of degree 15 to 60 fails it, so a larger degree is refused unbuilt
 _MAX_BASIS_DEGREE = 14
 
 
