@@ -5,11 +5,10 @@ from .analysis import (Certificate, NotInFamily, ScanBlock, Thresholds,
                        family_quartic, family_type,
                        non_discreteness_certificate, rho_123_weighted,
                        scan_elliptic, t_of_alpha, t_of_cos, thresholds)
-from .arithmetic import (BasisRingVerdict, FieldVerdict, GroupWithRotation,
+from .arithmetic import (BasisRingVerdict, GroupWithRotation,
                          IllConditionedBasis, IntegralityVerdict, MostowGroup,
                          basis_ring_check, group_ring_check,
-                         group_with_rotation, integer_ring_check,
-                         mostow_group, mostow_trace_field_check)
+                         group_with_rotation, integer_ring_check, mostow_group)
 from .classify import (BOUNDARY_NON_UNIPOTENT, HYPERBOLIC, INDETERMINATE,
                        REGULAR_ELLIPTIC, UNIPOTENT, IsometryClass,
                        discriminant)

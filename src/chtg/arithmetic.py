@@ -36,8 +36,8 @@ import numpy as np
 
 # trace_combinatorial, trace_polynomial and realize are unused here; the
 # benchmark tracer (bench/tracer.py) patches them under these names
-from .traces import (trace_combinatorial, trace_mu_combinatorial,  # noqa: F401
-                     trace_polynomial, transfer_matrices, word_matrix)
+from .traces import (trace_combinatorial, trace_polynomial,  # noqa: F401
+                     transfer_matrices, word_matrix)
 from .triangle import (TWO_PI, ExistenceViolation, TriangleParams,  # noqa: F401
                        realize)
 
@@ -48,21 +48,6 @@ _REFLECTION_FACTORS = (-2.0, -2.0, -2.0)
 
 class IllConditionedBasis(ValueError):
     """The conjugate Vandermonde system is numerically unusable."""
-
-
-def totient(n: int) -> int:
-    out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            out -= out // p
-        p += 1
-    if m > 1:
-        out -= out // m
-    return out
 
 
 def cos_two_pi_over(n) -> float:
@@ -133,20 +118,22 @@ def _conjugate_points(q: int):
             for m in range(1, q // 2 + 1) if math.gcd(m, q) == 1]
 
 
-# Of every q < 2200, each of degree <= 14 passes the cond test below and each
-# of degree 15 to 60 fails it, so a larger degree is refused unbuilt
-_MAX_BASIS_DEGREE = 14
+# Of every q < 2200, each of degree phi(q) / 2 <= 14 passes the cond test
+# below and each of degree 15 to 60 fails it.  Every q > 90 has degree above
+# 14 (counted up to 1682; past it phi(q) >= sqrt(q / 2) > 29), so it is
+# refused unbuilt and unfactored
+_MAX_BASIS_Q = 90
 
 
 @functools.lru_cache(maxsize=64)
 def _power_basis_pinv(q: int) -> np.ndarray:
     """Read-only inverse of the power basis at every conjugate."""
-    deg = totient(q) // 2
-    if deg <= _MAX_BASIS_DEGREE:
-        v = np.array([[x ** j for j in range(deg)] for x in _conjugate_points(q)])
-    if deg > _MAX_BASIS_DEGREE or np.linalg.cond(v @ v.T) > 1e12:
-        raise IllConditionedBasis(f"power basis of degree {deg} is unusable")
-    pinv = np.linalg.lstsq(v, np.eye(deg), rcond=None)[0]
+    xs = _conjugate_points(q) if q <= _MAX_BASIS_Q else []
+    v = np.array([[x ** j for j in range(len(xs))] for x in xs])
+    if q > _MAX_BASIS_Q or np.linalg.cond(v @ v.T) > 1e12:
+        raise IllConditionedBasis(
+            f"the power basis for q = {q} has degree above 14 and is unusable")
+    pinv = np.linalg.lstsq(v, np.eye(len(xs)), rcond=None)[0]
     pinv.flags.writeable = False
     return pinv
 
@@ -216,7 +203,7 @@ def basis_ring_check(tau, q: int, tol: float = 1e-7,
     if conjugate_pairs is None:
         tau = complex(tau)
         conjugate_pairs = [(tau, tau.conjugate())]
-    if len(conjugate_pairs) != totient(q) // 2:
+    if len(conjugate_pairs) != len(_power_basis_pinv(q)):
         raise ValueError(f"q = {q} needs one conjugate pair per conjugate")
     pairs = np.array(conjugate_pairs, dtype=complex)[:, :, None]
     return _first(_basis_verdicts(pairs, q, tol))
@@ -328,42 +315,3 @@ def mostow_group(p: int, rho) -> MostowGroup:
     alpha = TWO_PI / rho + math.pi / p - math.pi / 2.0
     return MostowGroup(p, rho, mu, r, alpha)
 
-
-@dataclass(frozen=True)
-class FieldVerdict:
-    ok: bool
-    coefficients: tuple
-    residual: float
-    experimental: bool = True
-
-
-def mostow_trace_field_check(group: MostowGroup, word,
-                             tol: float = 1e-7) -> FieldVerdict:
-    """EXPERIMENTAL: integer-combination test of tau over the products
-    e^{2 pi i (j / p + k / rho)}, j < phi(p), k < phi(rho).
-
-    Two real equations (real and imaginary part) against phi(p) * phi(rho)
-    unknowns: a minimal-norm least-squares solution is rounded and verified.
-    A plain-integer candidate is tried first so rational traces are always
-    recognised.
-    """
-    if group.rho != int(group.rho) or group.rho < 1:
-        raise ValueError("field check implemented for integer rho only")
-    rho = int(group.rho)
-    tau = trace_mu_combinatorial(word, group.params, group.mus).value
-    basis = [cmath.exp(2j * math.pi * (j / group.p + k / rho))
-             for j in range(totient(group.p)) for k in range(totient(rho))]
-
-    def verdict(coeffs):
-        approx = sum(c * b for c, b in zip(coeffs, basis))
-        residual = abs(tau - approx)
-        return FieldVerdict(bool(residual <= tol), tuple(coeffs), residual)
-
-    plain = [0] * len(basis)
-    plain[0] = round(tau.real)
-    v = verdict(plain)
-    if v.ok:
-        return v
-    rows = np.array([[b.real for b in basis], [b.imag for b in basis]])
-    sol = np.linalg.lstsq(rows, np.array([tau.real, tau.imag]), rcond=None)[0]
-    return verdict([int(c) for c in np.rint(sol)])

@@ -208,8 +208,9 @@ def cmd_trace(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         results = {"oracle": traces.trace_oracle(word, rz).value,
                    "combinatorial": traces.trace_combinatorial(word, params).value}
-    try:
-        results["recursive"] = traces.trace_recursive(word, params).value
+    try:  # the recursion's plan is quadratic in the length: skip it on overflow
+        if all(map(cmath.isfinite, results.values())):
+            results["recursive"] = traces.trace_recursive(word, params).value
     except traces.ZeroRadiusUnsupported:
         pass
     if not all(map(cmath.isfinite, results.values())):

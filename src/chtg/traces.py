@@ -22,7 +22,7 @@ iota_{a_n}:
 
 The parameter-only constants, the Gram entries below and the recursion's
 base values and betas, are computed once per (r1, r2, r3, alpha), in LRU
-caches keyed by the bytes of those floats (-0.0 is not 0.0 there).
+caches keyed by the values of those floats (a -0 radius is stored as 0).
 
 The subset sum is never enumerated.  In the balanced gauge the polar vectors
 have the Gram matrix G with G_kk = 1 and G_ab = r_m z^{chi(b - a)}, where

@@ -243,15 +243,29 @@ def test_ring_check_nan_coefficient_is_domain_error(capsys, monkeypatch):
     assert (code, err) == (65, "domain error: cannot convert float NaN to integer\n")
 
 
-@pytest.mark.parametrize("n, deg", [(121, 55), (2053, 1026), (10 ** 7, 2 * 10 ** 6)])
-def test_ring_check_ill_conditioned_basis(capsys, n, deg):
-    # q has a power basis of degree phi(q) / 2; from degree 15 on the degree
-    # alone refuses it, before any conjugate or matrix is built
+@pytest.mark.parametrize("n", [121, 2053, 10 ** 7])
+def test_ring_check_ill_conditioned_basis(capsys, n):
+    # q has a power basis of degree phi(q) / 2, above 14 for every q > 90,
+    # so q alone refuses it, before any conjugate or matrix is built
     code, out, err = run(capsys, "ring-check", "--p", "4", "4", "inf",
                          "--n", str(n), "--max-len", "3")
     assert code == 65
     assert out == ""
-    assert err == f"domain error: power basis of degree {deg} is unusable\n"
+    assert err == (f"domain error: the power basis for q = {n} has degree "
+                   "above 14 and is unusable\n")
+
+
+@pytest.mark.parametrize("n", [2 ** 61 - 1, 2 ** 127 - 1])
+def test_ring_check_large_prime_n_is_not_factored(n):
+    # a large prime q was factored by trial division before it was refused
+    proc = subprocess.run(
+        [sys.executable, "-m", "chtg", "ring-check", "--p", "4", "4", "inf",
+         "--n", str(n), "--max-len", "3"],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=10)
+    assert (proc.returncode, proc.stdout) == (65, "")
+    assert proc.stderr == (f"domain error: the power basis for q = {n} has "
+                           "degree above 14 and is unusable\n")
 
 
 @pytest.mark.parametrize("fmt", ["--csv", "--json"])
@@ -260,7 +274,8 @@ def test_ring_check_ill_conditioned_basis_before_header(capsys, fmt):
     code, out, err = run(capsys, "ring-check", "--p", "4", "4", "inf",
                          "--n", "121", "--max-len", "3", fmt)
     assert (code, out) == (65, "")
-    assert err == "domain error: power basis of degree 55 is unusable\n"
+    assert err == ("domain error: the power basis for q = 121 has degree "
+                   "above 14 and is unusable\n")
 
 
 @pytest.mark.parametrize("c", ["1.5", "-2"])
@@ -493,6 +508,18 @@ def test_trace_overflow_is_domain_error(capsys, fmt):
     assert err == "domain error: the trace overflows\n"
 
 
+def test_trace_overflow_exits_before_the_recursion(capsys, monkeypatch):
+    # finding the recursion's plan is quadratic in the length, so an
+    # overflowing oracle or subset sum ends the command before it
+    def recursion(word, params):
+        raise AssertionError("the recursion ran")
+
+    monkeypatch.setattr(cli.traces, "trace_recursive", recursion)
+    code, out, err = run(capsys, "trace", "--p", "4", "5", "6", "--t", "0.8",
+                         "--word", "123" * 400)
+    assert (code, out, err) == (65, "", "domain error: the trace overflows\n")
+
+
 def test_overflowing_scan_writes_no_stderr(capsys):
     # at r = 1e7, |tau| passes 1e77 by 12 letters, where rho overflows to
     # inf, and 5e102 by 14, where Re tau^3 does too
@@ -645,8 +672,11 @@ def test_flags_rejected_where_unused(capsys, name, command):
     ("ring-check", "--p", "4", "4", "inf", "--n", "-5", "--max-len", "3"),
     # n = 1 is a valid rotation order, but q = 1 has no Galois conjugates
     ("ring-check", "--p", "4", "4", "inf", "--n", "1", "--max-len", "3"),
+    # 5 and 7 are two entries outside {3,4,6,inf}
+    ("ring-check", "--p", "5", "5", "inf", "--n", "7", "--max-len", "3"),
 ], ids=["trace-n0", "thresholds-n0", "family-n0", "invariants-n0", "scan-n0",
-        "ring-check-n0", "ring-check-n-5", "ring-check-n1"])
+        "ring-check-n0", "ring-check-n-5", "ring-check-n1",
+        "ring-check-two-extra"])
 def test_invalid_rotation_order_is_domain_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 65
