@@ -18,7 +18,9 @@ iota_{a_n}:
   for the letter m completing {k, l}, and tau(k,k) = 3.  The words the
   recursion reaches depend only on the word, so ``_recursion_plan`` lists
   them once, with no parameters, in an LRU cache of 1024 words; each call
-  is one numeric pass over the plan.
+  is one numeric pass over the plan.  Each word reached is a prefix of the
+  reduced canonical word and a tail of at most two letters, keyed by
+  (prefix length, tail), so the plan is linear in the word length.
 
 The parameter-only constants, the Gram entries below and the recursion's
 base values and betas, are computed once per (r1, r2, r3, alpha), in LRU
@@ -352,31 +354,20 @@ def _cancel_adjacent(word):
     return tuple(out)
 
 
-def _join(head, tail):
-    """_cancel_adjacent(head + tail) when head and tail are each reduced:
-    equal letters can only cancel in pairs across the junction."""
-    m = len(head)
-    k = 0
-    while k < len(tail) and k < m and head[m - 1 - k] == tail[k]:
-        k += 1
-    return head[:m - k] + tail[k:]
+def _join(top, h, tail):
+    """The key (h, tail) of the reduced word top[:h] + tail, tail reduced and
+    of at most two letters: letters cancel across the junction, then tail
+    letters that continue top join the prefix, so each word has one key."""
+    while tail and h and top[h - 1] == tail[0]:
+        h, tail = h - 1, tail[1:]
+    while tail and h < len(top) and top[h] == tail[0]:
+        h, tail = h + 1, tail[1:]
+    return h, tail
 
 
-def _deletion_terms(a):
-    """The seven reduced words the recursion expands a reduced word a of
-    length >= 3 into: a[:-1], head + a[-2:] and head + (a[-2],) carry -1;
-    a[:-2] + a[-1:], a[:-2], head + a[-1:] and head carry beta."""
-    head = a[:-3]
-    y, z = a[-2:]
-    return (a[:-1], _join(head, (y, z)), _join(head, (y,)),
-            _join(a[:-2], (z,)), a[:-2], _join(head, (z,)), head)
-
-
-# (v1, v2, v3, winding) of each three-letter tail, for the recursion's beta
-_TAIL_EXPONENTS = {t: (*(v_count(k, t) for k in LETTERS), winding(t))
-                   for t in itertools.product(LETTERS, repeat=3)}
 # the 12 tails of reduced words, which the plan's step ops index
-_TAILS = tuple(t for t in _TAIL_EXPONENTS if t[0] != t[1] != t[2])
+_TAILS = tuple(t for t in itertools.product(LETTERS, repeat=3)
+               if t[0] != t[1] != t[2])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -385,35 +376,39 @@ def _recursion_plan(word: tuple) -> tuple:
 
     One op per reduced linear word the recursion reaches, in post-order, so
     an op's position is its value's slot and every kid precedes its parent;
-    the last op is the word itself.  A base op is an index into
+    the last op is the reduced canonical word top itself.  A word reached is
+    top[:h] + tail, tail at most two letters, keyed by its _join (h, tail),
+    so the plan is linear in n = len(top): about 4n ops.  A base op indexes
     (3, -1, 4 r1^2 - 1, 4 r2^2 - 1, 4 r3^2 - 1); a step op is the _TAILS
-    index of the word's last three letters and the slots of its seven
-    _deletion_terms.  About 4n ops for a reduced word of length n.
+    index of a word a's last letters x, y, z and the slots of a[:-1],
+    head + (y, z), head + (y,) (times -1) and a[:-2] + (z,), a[:-2],
+    head + (z,), head (times beta), where head = a[:-3].
     """
     top = _cancel_adjacent(canonical(word))
     slots: dict = {}
     plan = []
-    stack = [(top, None)]
+    stack = [((len(top), ()), None)]
     while stack:
-        a, kids = stack[-1]
-        if kids is None:
-            if a in slots:
-                stack.pop()
-                continue
-            n = len(a)
-            if n < 3:
-                stack.pop()
-                slots[a] = len(plan)
-                # (k, l) -> 1 + m, m = 6 - k - l the letter completing {k, l}
-                plan.append(n if n < 2 else 7 - a[0] - a[1])
-                continue
-            kids = _deletion_terms(a)
-            stack[-1] = (a, kids)
+        key, kids = stack.pop()
+        if key in slots:
+            continue
+        h, tail = key
+        n = h + len(tail)
+        if kids is None and n > 2:
+            x, y, z = xyz = top[n - 3:h] + tail
+            kids = (_join(top, n - 3, (x, y)), _join(top, n - 3, (y, z)),
+                    _join(top, n - 3, (y,)), _join(top, n - 2, (z,)),
+                    (n - 2, ()), _join(top, n - 3, (z,)), (n - 3, ()))
+            stack.append((key, (_TAILS.index(xyz), kids)))
             stack.extend((c, None) for c in kids if c not in slots)
             continue
-        stack.pop()
-        slots[a] = len(plan)
-        plan.append((_TAILS.index(a[-3:]), *(slots[c] for c in kids)))
+        slots[key] = len(plan)
+        if kids:
+            t, kids = kids
+            plan.append((t, *(slots[c] for c in kids)))
+        else:
+            # (k, l) -> 1 + m, m = 6 - k - l the letter completing {k, l}
+            plan.append(n if n < 2 else 7 - sum(top[:h] + tail))
     return tuple(plan)
 
 
@@ -424,8 +419,8 @@ def _recursion_constants(key: tuple) -> tuple:
     ei = cmath.exp(1j * alpha)
     base = (3.0 + 0j, -1.0 + 0j, complex(4.0 * r1 * r1 - 1.0),
             complex(4.0 * r2 * r2 - 1.0), complex(4.0 * r3 * r3 - 1.0))
-    betas = tuple(2.0 * r1 ** v1 * r2 ** v2 * r3 ** v3 * ei ** w - 1.0
-                  for v1, v2, v3, w in map(_TAIL_EXPONENTS.get, _TAILS))
+    betas = tuple(2.0 * r1 ** v_count(1, t) * r2 ** v_count(2, t)
+                  * r3 ** v_count(3, t) * ei ** winding(t) - 1.0 for t in _TAILS)
     return base, betas
 
 

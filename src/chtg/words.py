@@ -64,18 +64,22 @@ def v_count(k: int, triple) -> int:
     return psi(k, a, b) + psi(k, b, c) - psi(k, a, c)
 
 
-def rotate(word, s: int):
-    if not word:
-        return word
-    s %= len(word)
-    return word[s:] + word[:s]
-
-
 def canonical(word):
-    """Lexicographically minimal rotation: the canonical cyclic representative."""
-    if not word:
-        return ()
-    return min(rotate(word, s) for s in range(len(word)))
+    """Lexicographically minimal rotation, as a tuple: the canonical cyclic
+    representative, in linear time by Duval's Lyndon factorisation of
+    word + word (K. S. Booth, Inf. Process. Lett. 10, 1980)."""
+    s = tuple(word) * 2
+    n = len(s) // 2
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return s[start:start + n]
 
 
 def inverse(word):

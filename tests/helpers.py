@@ -1,6 +1,7 @@
 """Shared draw helpers, word counts, the brute-force class list, scan rows,
 the stacked-product and alternation references, reference polynomial
-arithmetic, the reference deletion recursion, the per-call trace routes and
+arithmetic, the reference deletion recursion and its plan, the per-call
+trace routes and
 exact substitution, the reference per-word ring check, the per-row ring
 verdicts and JSON rows, and the closed forms and checks that only the tests
 call (the sigma bound, the family c_A shortcut, Brehm's sigma,
@@ -21,13 +22,13 @@ from chtg.arithmetic import (INTEGER_ENTRIES, BasisExpansion, BasisRingVerdict,
                              cos_two_pi_over)
 from chtg.analysis import thresholds
 from chtg.linalg import J, herm
-from chtg.traces import (_EPS, _TAIL_EXPONENTS, ZeroRadiusUnsupported,
-                         _cancel_adjacent, _deletion_terms, _expand,
-                         _fourier_terms, _gram, sigma_closed,
+from chtg.traces import (_EPS, ZeroRadiusUnsupported, _cancel_adjacent,
+                         _expand, _fourier_terms, _gram, sigma_closed,
                          trace_combinatorial, word_matrix)
 from chtg.triangle import (TWO_PI, IdealVertexDegenerate, TriangleError,
                            TriangleParams, TriangleRealization, _chart_parallel)
-from chtg.words import canonical, enumerate_words, inverse, psi
+from chtg.words import (LETTERS, canonical, enumerate_words, inverse, psi,
+                        v_count, winding)
 
 
 def draw_params(rng, lo=0.55, hi=1.1, margin=0.03, cos_floor=-0.98):
@@ -165,10 +166,81 @@ def trace_mu_polynomial(word, params, mus) -> dict:
     return q
 
 
+def least_rotation(word) -> tuple:
+    """The least of all rotations of word, by brute force."""
+    word = tuple(word)
+    return min((word[s:] + word[:s] for s in range(len(word))), default=())
+
+
+def _join(head, tail):
+    """_cancel_adjacent(head + tail) when head and tail are each reduced:
+    equal letters can only cancel in pairs across the junction."""
+    m = len(head)
+    k = 0
+    while k < len(tail) and k < m and head[m - 1 - k] == tail[k]:
+        k += 1
+    return head[:m - k] + tail[k:]
+
+
+def deletion_terms(a):
+    """The seven reduced words the recursion expands a reduced word a of
+    length >= 3 into: a[:-1], head + a[-2:] and head + (a[-2],) carry -1;
+    a[:-2] + a[-1:], a[:-2], head + a[-1:] and head carry beta."""
+    head = a[:-3]
+    y, z = a[-2:]
+    return (a[:-1], _join(head, (y, z)), _join(head, (y,)),
+            _join(a[:-2], (z,)), a[:-2], _join(head, (z,)), head)
+
+
+# the tails of reduced words, in the order the plan's step ops index them
+REFERENCE_TAILS = tuple(t for t in itertools.product(LETTERS, repeat=3)
+                        if t[0] != t[1] != t[2])
+
+
+def _deletion_walk(word):
+    """(a, kids) for each reduced linear word a the recursion reaches, in
+    post-order on an explicit stack, with a's deletion_terms as kids, or
+    None for a word shorter than 3; the last is the word itself."""
+    done = set()
+    stack = [(_cancel_adjacent(least_rotation(word)), None)]
+    while stack:
+        a, kids = stack[-1]
+        if kids is None:
+            if a in done:
+                stack.pop()
+                continue
+            if len(a) < 3:
+                stack.pop()
+                done.add(a)
+                yield a, None
+                continue
+            kids = deletion_terms(a)
+            stack[-1] = (a, kids)
+            stack.extend((c, None) for c in kids if c not in done)
+            continue
+        stack.pop()
+        done.add(a)
+        yield a, kids
+
+
+def reference_plan(word) -> tuple:
+    """The recursion plan built over word tuples: the op list that
+    traces._recursion_plan must equal op for op."""
+    slots = {}
+    plan = []
+    for a, kids in _deletion_walk(word):
+        slots[a] = len(plan)
+        if kids is None:
+            plan.append(len(a) if len(a) < 2 else 7 - a[0] - a[1])
+        else:
+            plan.append((REFERENCE_TAILS.index(a[-3:]),
+                         *(slots[c] for c in kids)))
+    return tuple(plan)
+
+
 def recursive_reference(word, params) -> complex:
-    """The deletion recursion memoised in a dict of reduced linear words,
-    walked on an explicit stack: the per-call form that trace_recursive
-    must equal bit for bit."""
+    """The deletion recursion memoised in a dict of reduced linear words:
+    the per-call form that trace_recursive must equal bit for bit."""
     params._need_alpha()
     r = params.r
     if min(r) <= _EPS:
@@ -176,35 +248,22 @@ def recursive_reference(word, params) -> complex:
     r1, r2, r3 = r
     ei = cmath.exp(1j * params.alpha)
     memo = {}
-    top = _cancel_adjacent(canonical(tuple(word)))
-    stack = [(top, None)]
-    while stack:
-        a, kids = stack[-1]
-        if kids is None:
-            if a in memo:
-                stack.pop()
-                continue
-            n = len(a)
-            if n < 3:
-                stack.pop()
-                if n == 0:
-                    memo[a] = 3.0 + 0j
-                elif n == 1:
-                    memo[a] = -1.0 + 0j
-                else:
-                    rm = r[6 - a[0] - a[1] - 1]  # the letter completing {a0, a1}
-                    memo[a] = complex(4.0 * rm * rm - 1.0)
-                continue
-            kids = _deletion_terms(a)
-            stack[-1] = (a, kids)
-            stack.extend((c, None) for c in kids if c not in memo)
-            continue
-        stack.pop()
-        v1, v2, v3, w = _TAIL_EXPONENTS[a[-3:]]
-        beta = 2.0 * r1 ** v1 * r2 ** v2 * r3 ** v3 * ei ** w - 1.0
-        v = [memo[c] for c in kids]
-        memo[a] = -(v[0] + v[1] + v[2]) + beta * (v[3] + v[4] + v[5] + v[6])
-    return memo[top]
+    for a, kids in _deletion_walk(word):
+        n = len(a)
+        if n == 0:
+            memo[a] = 3.0 + 0j
+        elif n == 1:
+            memo[a] = -1.0 + 0j
+        elif n == 2:
+            rm = r[6 - a[0] - a[1] - 1]  # the letter completing {a0, a1}
+            memo[a] = complex(4.0 * rm * rm - 1.0)
+        else:
+            t = a[-3:]
+            beta = 2.0 * r1 ** v_count(1, t) * r2 ** v_count(2, t) \
+                * r3 ** v_count(3, t) * ei ** winding(t) - 1.0
+            v = [memo[c] for c in kids]
+            memo[a] = -(v[0] + v[1] + v[2]) + beta * (v[3] + v[4] + v[5] + v[6])
+    return memo[a]
 
 
 def numeric_trace_reference(word, params, factors) -> complex:

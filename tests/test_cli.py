@@ -814,6 +814,21 @@ def test_subprocess_entry_point():
     assert data["word"] == "1212"
 
 
+def test_trace_of_a_long_word_is_linear():
+    # 65,000 letters: canonical form, recursion plan and both other routes
+    # are linear in the word length
+    proc = subprocess.run(
+        [sys.executable, "-m", "chtg", "trace", "--p", "4", "5", "6", "--t",
+         "0.8", "--csv", "--word", "12" * 32500],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert rows[0] == "method,re_tau,im_tau"
+    assert [row.split(",")[0] for row in rows[1:]] == [
+        "oracle", "combinatorial", "recursive"]
+
+
 _PARITY_CASES = [
     *((command.split(), None) for command in sorted(GOLDEN_STDOUT)),
     *((command.split(), None) for command in sorted(GOLDEN_USAGE_ERRORS)),

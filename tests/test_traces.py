@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from chtg.traces import (_TAILS, EXACT_CAP, CapExceeded, ZeroRadiusUnsupported,
                          trace_mu_combinatorial, trace_oracle, trace_polynomial,
                          trace_recursive)
 from chtg.triangle import TriangleError, TriangleParams, realize
-from chtg.words import canonical, rotate, winding
+from chtg.words import canonical, winding
 
 from helpers import (classes_up_to, draw_params, draw_word, evaluate_reference,
                      ideal_sum, n_count, numeric_trace_reference,
                      oracle_reference, poly_mul, poly_sub, power_word,
-                     recursive_reference, trace_mu_polynomial, u_count)
+                     recursive_reference, reference_plan, trace_mu_polynomial,
+                     u_count)
 
 
 def test_oracle_base_cases(rng):
@@ -159,7 +161,7 @@ def test_cyclic_and_reversal_invariance(rng):
     w = (1, 2, 3, 2, 1, 3, 1)
     base = trace_oracle(w, rz).value
     for s in range(len(w)):
-        assert abs(trace_oracle(rotate(w, s), rz).value - base) < 1e-10
+        assert abs(trace_oracle(w[s:] + w[:s], rz).value - base) < 1e-10
     # conjugation: 231 is 123 conjugated by iota_1
     assert abs(trace_oracle((2, 3, 1), rz).value
                - trace_oracle((1, 2, 3), rz).value) < 1e-10
@@ -376,6 +378,29 @@ def test_recursion_plan_long_word_and_cache_bound(rng):
     assert trace_recursive(w, p).value == recursive_reference(w, p)
     assert len(_recursion_plan(w)) < 5 * len(w)
     assert _recursion_plan.cache_info().maxsize is not None
+
+
+def test_recursion_plan_equals_reference_plan(rng):
+    # op for op: every reduced word up to length 10, and random words up to
+    # 60 letters, half of them not reduced
+    words = [w for n in range(11) for w in itertools.product((1, 2, 3), repeat=n)
+             if all(a != b for a, b in zip(w, w[1:]))]
+    words += [draw_word(rng, 60) if i % 2 else draw_reduced_word(rng, i % 61)
+              for i in range(200)]
+    for w in words:
+        assert _recursion_plan.__wrapped__(w) == reference_plan(w), w
+
+
+def test_recursion_plan_memory_is_linear():
+    # a 4,000-letter word: the plan's keys are (prefix length, short tail),
+    # not the tuples of the words reached
+    tracemalloc.start()
+    try:
+        _recursion_plan.__wrapped__((1, 2) * 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_zero_radius_raises_before_planning():

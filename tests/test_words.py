@@ -1,4 +1,9 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,15 +11,17 @@ from hypothesis import given, strategies as st
 
 from chtg import words
 from chtg.arithmetic import group_with_rotation, ring_transfer
-from chtg.traces import _cancel_adjacent, _deletion_terms, trace_oracle
+from chtg.traces import _cancel_adjacent, trace_oracle
 from chtg.triangle import TriangleParams, realize
-from chtg.words import (MAX_LEN, WordError, canonical, chi, enumerate_words,
-                        parse_word, psi, rotate, v_count, winding, word_strs,
+from chtg.words import (LETTERS, MAX_LEN, WordError, canonical, chi, enumerate_words,
+                        parse_word, psi, v_count, winding, word_strs,
                         word_to_str)
 
-from helpers import (brute_classes, n_count, power_word, reduce_straighten,
-                     stacked_traces, u_count)
+from helpers import (brute_classes, deletion_terms, least_rotation,
+                     n_count, power_word, reduce_straighten, stacked_traces,
+                     u_count)
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 letter = st.integers(1, 3)
 word_st = st.lists(letter, max_size=18).map(tuple)
 ne_word = st.lists(letter, min_size=1, max_size=18).map(tuple)
@@ -41,7 +48,27 @@ def test_winding_examples():
 
 @given(word_st, st.integers(0, 36))
 def test_winding_rotation_invariant(w, s):
-    assert winding(rotate(w, s)) == winding(w)
+    s %= len(w) or 1
+    assert winding(w[s:] + w[:s]) == winding(w)
+
+
+def test_canonical_is_least_rotation():
+    # every word over {1, 2, 3} up to length 9, against the brute force
+    for n in range(10):
+        for w in itertools.product(LETTERS, repeat=n):
+            assert canonical(w) == least_rotation(w), w
+    assert canonical([2, 1]) == (1, 2)
+
+
+def test_canonical_of_a_long_word_is_linear():
+    # 131,070 letters with 43,690 equal rotations: comparing every rotation
+    # takes minutes, the Lyndon factorisation well under a second
+    proc = subprocess.run([sys.executable, "-c", (
+        "from chtg.words import canonical\n"
+        "assert canonical((2, 3, 1) * 43690) == (1, 2, 3) * 43690\n")],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=10)
+    assert proc.returncode == 0, proc.stderr
 
 
 @given(ne_word)
@@ -136,10 +163,10 @@ def test_reduce_reaches_winding_power(w):
 def test_delete_examples():
     # 123 expands into the seven words left by deleting a nonempty subset
     # of its last three letters
-    assert _deletion_terms((1, 2, 3)) == ((1, 2), (2, 3), (2,), (1, 3), (1,),
+    assert deletion_terms((1, 2, 3)) == ((1, 2), (2, 3), (2,), (1, 3), (1,),
                                           (3,), ())
     # deleting the third-last letter of 1213 leaves 113, which cancels to 3
-    assert _deletion_terms((1, 2, 1, 3))[1] == (3,)
+    assert deletion_terms((1, 2, 1, 3))[1] == (3,)
 
 
 def test_deletion_terms_match_cancelled_deletions():
@@ -154,7 +181,7 @@ def test_deletion_terms_match_cancelled_deletions():
             want = tuple(_cancel_adjacent(x) for x in (
                 a[:-1], a[:-3] + a[-2:], a[:-3] + a[-2:-1], a[:-2] + a[-1:],
                 a[:-2], a[:-3] + a[-1:], a[:-3]))
-            assert _deletion_terms(a) == want, a
+            assert deletion_terms(a) == want, a
             count += 1
     assert count == 3060
 
