@@ -19,7 +19,7 @@ iota_{a_n}:
   recursion reaches depend only on the word, so ``_recursion_plan`` lists
   them once, with no parameters, in an LRU cache of 1024 words; each call
   is one numeric pass over the plan.  Each word reached is a prefix of the
-  reduced canonical word and a tail of at most two letters, keyed by
+  reduced canonical word plus a tail of at most two letters, keyed by
   (prefix length, tail), so the plan is linear in the word length.
 
 The parameter-only constants, the Gram entries below and the recursion's

@@ -13,9 +13,9 @@ from chtg import words
 from chtg.arithmetic import group_with_rotation, ring_transfer
 from chtg.traces import _cancel_adjacent, trace_oracle
 from chtg.triangle import TriangleParams, realize
-from chtg.words import (LETTERS, MAX_LEN, WordError, canonical, chi, enumerate_words,
-                        parse_word, psi, v_count, winding, word_strs,
-                        word_to_str)
+from chtg.words import (LETTERS, MAX_LEN, WordError, canonical, chi,
+                        enumerate_words, parse_word, psi, v_count, winding,
+                        word_strs, word_to_str)
 
 from helpers import (brute_classes, deletion_terms, least_rotation,
                      n_count, power_word, reduce_straighten, stacked_traces,
@@ -164,7 +164,7 @@ def test_delete_examples():
     # 123 expands into the seven words left by deleting a nonempty subset
     # of its last three letters
     assert deletion_terms((1, 2, 3)) == ((1, 2), (2, 3), (2,), (1, 3), (1,),
-                                          (3,), ())
+                                         (3,), ())
     # deleting the third-last letter of 1213 leaves 113, which cancels to 3
     assert deletion_terms((1, 2, 1, 3))[1] == (3,)
 
