@@ -12,7 +12,7 @@ from .arithmetic import (BasisRingVerdict, GroupWithRotation,
 from .classify import (BOUNDARY_NON_UNIPOTENT, HYPERBOLIC, INDETERMINATE,
                        REGULAR_ELLIPTIC, UNIPOTENT, IsometryClass,
                        discriminant)
-from .linalg import ProjPoint, boxtimes, herm, rank_one
+from .linalg import boxtimes, herm, rank_one
 from .traces import (CapExceeded, TracePolynomial, TraceValue,
                      ZeroRadiusUnsupported, sigma_closed, sigma_word,
                      tau_123_closed, trace_combinatorial,

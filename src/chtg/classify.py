@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 REGULAR_ELLIPTIC = "RegularElliptic"
 HYPERBOLIC = "Hyperbolic"
@@ -27,8 +27,7 @@ def discriminant(z) -> float:
     return a2 * a2 - 8.0 * cube + 18.0 * a2 - 27.0
 
 
-@dataclass(frozen=True)
-class IsometryClass:
+class IsometryClass(NamedTuple):
     verdict: str
     rho: float
     tau: complex

@@ -208,7 +208,7 @@ def cmd_trace(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         results = {"oracle": traces.trace_oracle(word, rz).value,
                    "combinatorial": traces.trace_combinatorial(word, params).value}
-    try:  # the recursion's plan is quadratic in the length: skip it on overflow
+    try:  # the recursion runs only where the other two routes are finite
         if all(map(cmath.isfinite, results.values())):
             results["recursive"] = traces.trace_recursive(word, params).value
     except traces.ZeroRadiusUnsupported:

@@ -17,8 +17,6 @@ import numpy as np
 
 J = np.diag([1.0, 1.0, -1.0]).astype(complex)
 
-_ZERO_TOL = 1e-12
-
 
 def vec(z1, z2, z3) -> np.ndarray:
     return np.array([z1, z2, z3], dtype=complex)
@@ -49,31 +47,3 @@ def rank_one(c, scale=1.0) -> np.ndarray:
     """
     return scale * np.outer(c, J @ np.conj(c))
 
-
-class ProjPoint:
-    """Point of the projectivisation P(C^{2,1}).
-
-    The stored representative is normalised so that its last nonzero
-    coordinate (checking z3, then z2, then z1) equals 1.
-    """
-
-    __slots__ = ("rep",)
-
-    def __init__(self, v, zero_tol: float = _ZERO_TOL):
-        v = np.asarray(v, dtype=complex)
-        for idx in (2, 1, 0):
-            if abs(v[idx]) > zero_tol:
-                self.rep = v / v[idx]
-                break
-        else:
-            raise ValueError("cannot projectivise the zero vector")
-
-    def close_to(self, other: "ProjPoint", tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.rep - other.rep)) <= tol)
-
-    def __eq__(self, other):
-        return isinstance(other, ProjPoint) and self.close_to(other)
-
-    def __repr__(self):
-        z1, z2, z3 = self.rep
-        return f"[{z1:.6g} : {z2:.6g} : {z3:.6g}]"

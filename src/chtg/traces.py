@@ -22,9 +22,9 @@ iota_{a_n}:
   reduced canonical word plus a tail of at most two letters, keyed by
   (prefix length, tail), so the plan is linear in the word length.
 
-The parameter-only constants, the Gram entries below and the recursion's
-base values and betas, are computed once per (r1, r2, r3, alpha), in LRU
-caches keyed by the values of those floats (a -0 radius is stored as 0).
+The parameter-only constants (Gram entries, the recursion's base values and
+betas, ``TracePolynomial.evaluate``'s power tables) are computed once per
+(r1, r2, r3, alpha), in one LRU cache keyed by the values of those floats.
 
 The subset sum is never enumerated.  In the balanced gauge the polar vectors
 have the Gram matrix G with G_kk = 1 and G_ab = r_m z^{chi(b - a)}, where
@@ -51,7 +51,7 @@ updates give the Fourier data tau_a = (-1)^n (2 + sum_w q_w e^{i alpha w}).
 ``trace_polynomial`` stores each q_w exactly as (8 r1 r2 r3)^{|w|} times an
 integer polynomial P_w in X_k = 4 r_k^2.  ``TracePolynomial.evaluate``
 compiles the float coefficients and exponents once per polynomial; a call
-builds power tables of the X_k and sums the terms in ``coeffs`` order.
+looks the powers of the X_k and z up and sums the terms in ``coeffs`` order.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +83,7 @@ class ZeroRadiusUnsupported(ValueError):
     """The recursion needs all r_k > 0 (its coefficient has r_k^{-1} factors)."""
 
 
-@dataclass(frozen=True)
-class TraceValue:
+class TraceValue(NamedTuple):
     value: complex
     method: str
 
@@ -91,10 +91,14 @@ class TraceValue:
 # exponents (u1, u2, u3, s) of the Gram entry G_ab = r1^u1 r2^u2 r3^u3 z^s
 _GRAM_KEYS = tuple(tuple((*(psi(k, a, b) for k in LETTERS), chi(b - a))
                          for b in LETTERS) for a in LETTERS)
+# a _Poly key packs (u1, u2, u3, s) as u1 + _B (u2 + _B (u3 + _B s)); every
+# u_k of a word's expansion is at most its length, below _B, so the key of a
+# product of monomials is the sum of their keys
+_B = 64
 
 
 class _Poly(dict):
-    """Sparse polynomial {(u1, u2, u3, s): coefficient} in r1, r2, r3, z."""
+    """Sparse polynomial {packed (u1, u2, u3, s): coefficient} in r1, r2, r3, z."""
 
     def __iadd__(self, other):
         for key, c in other.items():
@@ -105,9 +109,8 @@ class _Poly(dict):
         """Product with a scalar or with a one-term _Poly."""
         if not isinstance(other, _Poly):
             return _Poly({key: c * other for key, c in self.items()})
-        ((b1, b2, b3, b4), d), = other.items()
-        return _Poly({(a1 + b1, a2 + b2, a3 + b3, a4 + b4): c * d
-                      for (a1, a2, a3, a4), c in self.items()})
+        (b, d), = other.items()
+        return _Poly({a + b: c * d for a, c in self.items()})
 
 
 def _expand(word, factors, gram, m):
@@ -153,22 +156,64 @@ def transfer_matrices(factors, r, zp, zn) -> np.ndarray:
 
 
 def _key(params) -> tuple:
-    """(r1, r2, r3, alpha), which keys the per-parameter caches."""
+    """(r1, r2, r3, alpha), which keys _constants."""
     params._need_alpha()
-    return (*params.r, params.alpha)
+    return params.r1, params.r2, params.r3, params.alpha
+
+
+# the 12 tails of reduced words, which the plan's step ops index, and their
+# exponents (v1, v2, v3, winding) in the recursion's betas
+_TAILS = tuple(t for t in itertools.product(LETTERS, repeat=3)
+               if t[0] != t[1] != t[2])
+_TAIL_EXPONENTS = tuple((*(v_count(k, t) for k in LETTERS), winding(t))
+                        for t in _TAILS)
+
+
+class _OutOfRange:
+    """A power that overflowed in _constants: only a call using it fails."""
+
+    def __mul__(self, other):
+        raise OverflowError("a power of the parameters is out of range")
+
+    __rmul__ = __mul__
+
+
+def _power(x, e):
+    try:
+        return x ** e
+    except OverflowError:
+        return _OutOfRange()
 
 
 @functools.lru_cache(maxsize=256)
-def _param_gram(key: tuple) -> tuple:
-    """_gram at z = e^{i alpha / 3}, once per parameter set, as tuples."""
+def _constants(key: tuple) -> tuple:
+    """The Gram entries at z = e^{i alpha / 3}; the recursion's base values
+    (3, -1, 4 r_k^2 - 1) and _TAILS betas (None at a zero or huge radius);
+    X_k^j for j <= EXACT_CAP // 2, X_k = 4 r_k^2; and {w: Z^w} for
+    |w| <= EXACT_CAP // 3, Z = 8 R e^{i alpha} (conj(Z)^{-w} for w < 0)."""
     *r, alpha = key
-    return tuple(map(tuple, _gram(r, cmath.exp(1j * alpha / 3.0),
+    r1, r2, r3 = r
+    gram = tuple(map(tuple, _gram(r, cmath.exp(1j * alpha / 3.0),
                                   cmath.exp(-1j * alpha / 3.0))))
+    ei = cmath.exp(1j * alpha)
+    base = (3.0 + 0j, -1.0 + 0j, complex(4.0 * r1 * r1 - 1.0),
+            complex(4.0 * r2 * r2 - 1.0), complex(4.0 * r3 * r3 - 1.0))
+    try:
+        betas = tuple(2.0 * r1 ** v1 * r2 ** v2 * r3 ** v3 * ei ** w - 1.0
+                      for v1, v2, v3, w in _TAIL_EXPONENTS)
+    except (OverflowError, ZeroDivisionError):
+        betas = None
+    xs = tuple(tuple(_power(x, j) for j in range(EXACT_CAP // 2 + 1))
+               for x in (4.0 * r * r for r in r))
+    z = 8.0 * (r1 * r2 * r3) * ei
+    zs = {w: _power(z, w) if w >= 0 else _power(z.conjugate(), -w)
+          for w in range(-(EXACT_CAP // 3), EXACT_CAP // 3 + 1)}
+    return gram, base, betas, xs, zs
 
 
 def _numeric_trace(word, params, factors) -> complex:
     """_expand at the Gram matrix of params, z = e^{i alpha / 3}."""
-    return _expand(word, factors, _param_gram(_key(params)),
+    return _expand(word, factors, _constants(_key(params))[0],
                    [[1.0 + 0j, 0j, 0j], [0j, 1.0 + 0j, 0j], [0j, 0j, 1.0 + 0j]])
 
 
@@ -178,13 +223,16 @@ def _fourier_terms(word, factors):
     if len(word) > EXACT_CAP:
         raise CapExceeded(
             f"word of length {len(word)} exceeds cap {EXACT_CAP}")
-    gram = [[_Poly({key: 1}) for key in row] for row in _GRAM_KEYS]
-    const = (0, 0, 0, 0)
-    tr = _expand(word, factors, gram, [[_Poly({const: 1} if i == j else {})
+    gram = [[_Poly({u1 + _B * (u2 + _B * (u3 + _B * s)): 1})
+             for u1, u2, u3, s in row] for row in _GRAM_KEYS]
+    tr = _expand(word, factors, gram, [[_Poly({0: 1} if i == j else {})
                                         for j in range(3)] for i in range(3)])
-    # the trace counts the empty subset 3 times, q_0 counts it once
-    tr[const] -= 2
-    for (u1, u2, u3, s), c in tr.items():
+    # the trace counts the empty subset (key 0) 3 times, q_0 counts it once
+    tr[0] -= 2
+    for key, c in tr.items():
+        key, u1 = divmod(key, _B)
+        key, u2 = divmod(key, _B)
+        s, u3 = divmod(key, _B)
         if s % 3:
             raise ArithmeticError("subset term with a fractional winding")
         yield s // 3, (u1, u2, u3), c
@@ -241,23 +289,16 @@ class TracePolynomial:
 
     @functools.cached_property
     def _compiled(self) -> tuple:
-        """coeffs as (w, ((float(c), j1, j2, j3), ...)) in coeffs order, and
-        one past the largest exponent."""
-        terms = tuple((w, tuple((float(c), *mono) for mono, c in poly.items()))
-                      for w, poly in self.coeffs.items())
-        return terms, 1 + max((max(t[1:]) for _, ts in terms for t in ts), default=0)
+        """coeffs as (w, ((float(c), j1, j2, j3), ...)) in coeffs order."""
+        return tuple((w, tuple((float(c), *mono) for mono, c in poly.items()))
+                     for w, poly in self.coeffs.items())
 
     def evaluate(self, params) -> complex:
         """Reassemble tau at the given parameters: q_w e^{i alpha w} is P_w(X)
         z^w, or P_w(X) conj(z)^{-w} for w < 0, with z = 8 R e^{i alpha}."""
-        params._need_alpha()
-        z = 8.0 * params.r_product * cmath.exp(1j * params.alpha)
-        zn = z.conjugate()
-        terms, top = self._compiled
-        p1, p2, p3 = ([x ** j for j in range(top)]
-                      for x in [4.0 * r * r for r in params.r])
+        _, _, _, (p1, p2, p3), zs = _constants(_key(params))
         total = sum(sum(c * p1[j1] * p2[j2] * p3[j3] for c, j1, j2, j3 in ts)
-                    * (z ** w if w >= 0 else zn ** -w) for w, ts in terms)
+                    * zs[w] for w, ts in self._compiled)
         return (-1.0) ** self.n * (2.0 + total)
 
     def to_json_dict(self) -> dict:
@@ -292,13 +333,20 @@ def trace_polynomial(word, mode: str = "exact") -> TracePolynomial:
     return TracePolynomial(word, len(word), qe)
 
 
+_EYE = np.eye(3, dtype=complex)
+_EYE.flags.writeable = False
+
+
 def word_matrix(realization, word, matrices=None) -> np.ndarray:
     """Matrix of iota_a in the given realization, or of the word in
-    ``matrices`` (M_1, M_2, M_3 on the first axis, any trailing points)."""
+    ``matrices`` (M_1, M_2, M_3 on the first axis, any trailing points),
+    from a read-only identity.  ndarray.dot is @'s BLAS product of two 3x3
+    matrices at less call overhead; stacked ones need np.matmul."""
     mats = realization.iotas if matrices is None else matrices
-    m = np.eye(3, dtype=complex)
+    mul = np.ndarray.dot if mats[0].ndim == 2 else np.matmul
+    m = _EYE
     for a in word:
-        m = m @ mats[a - 1]
+        m = mul(m, mats[a - 1])
     return m
 
 
@@ -365,28 +413,23 @@ def _join(top, h, tail):
     return h, tail
 
 
-# the 12 tails of reduced words, which the plan's step ops index
-_TAILS = tuple(t for t in itertools.product(LETTERS, repeat=3)
-               if t[0] != t[1] != t[2])
-
-
 @functools.lru_cache(maxsize=1024)
 def _recursion_plan(word: tuple) -> tuple:
     """The deletion recursion of a word, compiled once: no parameters in it.
 
-    One op per reduced linear word the recursion reaches, in post-order, so
-    an op's position is its value's slot and every kid precedes its parent;
-    the last op is the reduced canonical word top itself.  A word reached is
-    top[:h] + tail, tail at most two letters, keyed by its _join (h, tail),
-    so the plan is linear in n = len(top): about 4n ops.  A base op indexes
-    (3, -1, 4 r1^2 - 1, 4 r2^2 - 1, 4 r3^2 - 1); a step op is the _TAILS
-    index of a word a's last letters x, y, z and the slots of a[:-1],
-    head + (y, z), head + (y,) (times -1) and a[:-2] + (z,), a[:-2],
-    head + (z,), head (times beta), where head = a[:-3].
+    Returns (steps, result slot).  Slots 0-4 hold the base values (3, -1,
+    4 r1^2 - 1, 4 r2^2 - 1, 4 r3^2 - 1); step i fills slot 5 + i, one per
+    reduced linear word of length >= 3 the recursion reaches, in post-order.
+    A word reached is top[:h] + tail, top the reduced canonical word and tail
+    at most two letters, keyed by its _join (h, tail), so the plan is linear
+    in n = len(top): about 4n steps.  A step is the _TAILS index of a word
+    a's last letters x, y, z and the slots of a[:-1], head + (y, z),
+    head + (y,) (times -1) and a[:-2] + (z,), a[:-2], head + (z,), head
+    (times beta), where head = a[:-3].
     """
     top = _cancel_adjacent(canonical(word))
     slots: dict = {}
-    plan = []
+    steps = []
     stack = [((len(top), ()), None)]
     while stack:
         key, kids = stack.pop()
@@ -394,34 +437,21 @@ def _recursion_plan(word: tuple) -> tuple:
             continue
         h, tail = key
         n = h + len(tail)
-        if kids is None and n > 2:
+        if n < 3:
+            # (k, l) -> 1 + m, m = 6 - k - l the letter completing {k, l}
+            slots[key] = n if n < 2 else 7 - sum(top[:h] + tail)
+        elif kids is None:
             x, y, z = xyz = top[n - 3:h] + tail
             kids = (_join(top, n - 3, (x, y)), _join(top, n - 3, (y, z)),
                     _join(top, n - 3, (y,)), _join(top, n - 2, (z,)),
                     (n - 2, ()), _join(top, n - 3, (z,)), (n - 3, ()))
             stack.append((key, (_TAILS.index(xyz), kids)))
             stack.extend((c, None) for c in kids if c not in slots)
-            continue
-        slots[key] = len(plan)
-        if kids:
-            t, kids = kids
-            plan.append((t, *(slots[c] for c in kids)))
         else:
-            # (k, l) -> 1 + m, m = 6 - k - l the letter completing {k, l}
-            plan.append(n if n < 2 else 7 - sum(top[:h] + tail))
-    return tuple(plan)
-
-
-@functools.lru_cache(maxsize=256)
-def _recursion_constants(key: tuple) -> tuple:
-    """The base values and the 12 _TAILS betas, once per parameter set."""
-    r1, r2, r3, alpha = key
-    ei = cmath.exp(1j * alpha)
-    base = (3.0 + 0j, -1.0 + 0j, complex(4.0 * r1 * r1 - 1.0),
-            complex(4.0 * r2 * r2 - 1.0), complex(4.0 * r3 * r3 - 1.0))
-    betas = tuple(2.0 * r1 ** v_count(1, t) * r2 ** v_count(2, t)
-                  * r3 ** v_count(3, t) * ei ** winding(t) - 1.0 for t in _TAILS)
-    return base, betas
+            slots[key] = 5 + len(steps)
+            t, kids = kids
+            steps.append((t, *(slots[c] for c in kids)))
+    return tuple(steps), slots[len(top), ()]
 
 
 def trace_recursive(word, params) -> TraceValue:
@@ -440,16 +470,15 @@ def trace_recursive(word, params) -> TraceValue:
     if min(params.r) <= _EPS:
         raise ZeroRadiusUnsupported(
             "recursion undefined at r_k = 0; use the oracle or the expansion")
-    base, betas = _recursion_constants(key)
-    vals = []
-    for op in _recursion_plan(tuple(word)):
-        if op.__class__ is not tuple:
-            vals.append(base[op])
-            continue
-        t, k0, k1, k2, k3, k4, k5, k6 = op
+    _, base, betas, _, _ = _constants(key)
+    if betas is None:
+        raise OverflowError("the recursion's coefficients overflow")
+    steps, result = _recursion_plan(tuple(word))
+    vals = list(base)
+    for t, k0, k1, k2, k3, k4, k5, k6 in steps:
         vals.append(-(vals[k0] + vals[k1] + vals[k2])
                     + betas[t] * (vals[k3] + vals[k4] + vals[k5] + vals[k6]))
-    return TraceValue(vals[-1], "recursive")
+    return TraceValue(vals[result], "recursive")
 
 
 # --- closed forms for the short words -------------------------------------

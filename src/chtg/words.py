@@ -82,11 +82,6 @@ def canonical(word):
     return s[start:start + n]
 
 
-def inverse(word):
-    """Word of the inverse element (the generators are involutions)."""
-    return tuple(reversed(word))
-
-
 def enumerate_words(max_len: int, mats=None):
     """Every cyclically reduced class up to max_len, one array per length.
 

@@ -1,7 +1,7 @@
-"""Shared draw helpers, word counts, the brute-force class list, scan rows,
-the stacked-product and alternation references, reference polynomial
-arithmetic, the reference deletion recursion and its plan, the per-call
-trace routes and
+"""Shared draw helpers, word counts and inverses, projective points, the
+brute-force class list, scan rows, the stacked-product and alternation
+references, reference polynomial arithmetic, the reference deletion
+recursion and its plan, the per-call trace routes and matrix products and
 exact substitution, the reference per-word ring check, the per-row ring
 verdicts and JSON rows, and the closed forms and checks that only the tests
 call (the sigma bound, the family c_A shortcut, Brehm's sigma,
@@ -24,11 +24,11 @@ from chtg.analysis import thresholds
 from chtg.linalg import J, herm
 from chtg.traces import (_EPS, ZeroRadiusUnsupported, _cancel_adjacent,
                          _expand, _fourier_terms, _gram, sigma_closed,
-                         trace_combinatorial, word_matrix)
+                         trace_combinatorial)
 from chtg.triangle import (TWO_PI, IdealVertexDegenerate, TriangleError,
                            TriangleParams, TriangleRealization, _chart_parallel)
-from chtg.words import (LETTERS, canonical, enumerate_words, inverse, psi,
-                        v_count, winding)
+from chtg.words import (LETTERS, canonical, enumerate_words, psi, v_count,
+                        winding)
 
 
 def draw_params(rng, lo=0.55, hi=1.1, margin=0.03, cos_floor=-0.98):
@@ -70,6 +70,40 @@ def power_word(base, w: int):
     if w >= 0:
         return tuple(base) * w
     return tuple(reversed(base)) * (-w)
+
+
+def inverse(word):
+    """Word of the inverse element (the generators are involutions)."""
+    return tuple(reversed(word))
+
+
+class ProjPoint:
+    """Point of the projectivisation P(C^{2,1}).
+
+    The stored representative is normalised so that its last nonzero
+    coordinate (checking z3, then z2, then z1) equals 1.
+    """
+
+    __slots__ = ("rep",)
+
+    def __init__(self, v, zero_tol: float = 1e-12):
+        v = np.asarray(v, dtype=complex)
+        for idx in (2, 1, 0):
+            if abs(v[idx]) > zero_tol:
+                self.rep = v / v[idx]
+                break
+        else:
+            raise ValueError("cannot projectivise the zero vector")
+
+    def close_to(self, other: "ProjPoint", tol: float = 1e-10) -> bool:
+        return bool(np.max(np.abs(self.rep - other.rep)) <= tol)
+
+    def __eq__(self, other):
+        return isinstance(other, ProjPoint) and self.close_to(other)
+
+    def __repr__(self):
+        z1, z2, z3 = self.rep
+        return f"[{z1:.6g} : {z2:.6g} : {z3:.6g}]"
 
 
 def classes_up_to(max_len):
@@ -224,18 +258,19 @@ def _deletion_walk(word):
 
 
 def reference_plan(word) -> tuple:
-    """The recursion plan built over word tuples: the op list that
-    traces._recursion_plan must equal op for op."""
+    """The recursion plan built over word tuples: the (steps, result slot)
+    that traces._recursion_plan must equal step for step.  A word shorter
+    than 3 has its base value's slot 0-4; step i fills slot 5 + i."""
     slots = {}
-    plan = []
+    steps = []
     for a, kids in _deletion_walk(word):
-        slots[a] = len(plan)
         if kids is None:
-            plan.append(len(a) if len(a) < 2 else 7 - a[0] - a[1])
+            slots[a] = len(a) if len(a) < 2 else 7 - a[0] - a[1]
         else:
-            plan.append((REFERENCE_TAILS.index(a[-3:]),
-                         *(slots[c] for c in kids)))
-    return tuple(plan)
+            slots[a] = 5 + len(steps)
+            steps.append((REFERENCE_TAILS.index(a[-3:]),
+                          *(slots[c] for c in kids)))
+    return tuple(steps), slots[a]
 
 
 def recursive_reference(word, params) -> complex:
@@ -277,9 +312,18 @@ def numeric_trace_reference(word, params, factors) -> complex:
                     for i in range(3)])
 
 
+def product_reference(mats, word) -> np.ndarray:
+    """The word's product of mats[a - 1] from a fresh np.eye(3), one @ per
+    letter: the loop whose bits word_matrix's faster products must keep."""
+    m = np.eye(3, dtype=complex)
+    for a in word:
+        m = m @ mats[a - 1]
+    return m
+
+
 def oracle_reference(word, realization) -> complex:
     """np.trace of the word's matrix: the form trace_oracle must equal."""
-    return complex(np.trace(word_matrix(realization, word)))
+    return complex(np.trace(product_reference(realization.iotas, word)))
 
 
 def substituted(poly, xs, zp, zn) -> dict:

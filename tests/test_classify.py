@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from chtg.classify import (BOUNDARY_NON_UNIPOTENT, HYPERBOLIC, INDETERMINATE,
@@ -82,6 +83,17 @@ def test_json_shape():
     d = classify(1.0 + 2.0j).to_json_dict()
     assert set(d) == {"verdict", "rho", "tau"}
     assert set(d["tau"]) == {"re", "im"}
+
+
+def test_isometry_class_keeps_its_api():
+    cls = classify(1.0 + 2.0j, tol=1e-6)
+    assert cls.verdict == HYPERBOLIC and cls.tau == 1.0 + 2.0j
+    assert cls.rho == discriminant(1.0 + 2.0j) and cls.tol == 1e-6
+    assert cls.to_json_dict() == {"verdict": HYPERBOLIC, "rho": cls.rho,
+                                  "tau": {"re": 1.0, "im": 2.0}}
+    for field in ("verdict", "rho", "tau", "tol"):
+        with pytest.raises(AttributeError):
+            setattr(cls, field, None)
 
 
 def test_discriminant_overflow_is_inf():

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import chtg
-from chtg.linalg import J, ProjPoint, boxtimes, herm, rank_one, vec
+from chtg.linalg import J, boxtimes, herm, rank_one, vec
 
-from helpers import in_u21, random_u21
+from helpers import ProjPoint, in_u21, random_u21
 
 coord = st.floats(-2.0, 2.0, allow_nan=False)
 cpx = st.builds(complex, coord, coord)

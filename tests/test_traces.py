@@ -7,20 +7,20 @@ import numpy as np
 import pytest
 
 from chtg import traces
-from chtg.traces import (_TAILS, EXACT_CAP, CapExceeded, ZeroRadiusUnsupported,
-                         _gram, _key, _param_gram, _recursion_plan, poly_to_str,
-                         sigma_closed, sigma_word, tau_123_closed,
-                         trace_combinatorial, trace_mu,
-                         trace_mu_combinatorial, trace_oracle, trace_polynomial,
-                         trace_recursive)
+from chtg.traces import (_TAILS, EXACT_CAP, CapExceeded, TracePolynomial,
+                         TraceValue, ZeroRadiusUnsupported, _constants, _gram,
+                         _key, _recursion_plan, poly_to_str, sigma_closed,
+                         sigma_word, tau_123_closed, trace_combinatorial,
+                         trace_mu, trace_mu_combinatorial, trace_oracle,
+                         trace_polynomial, trace_recursive)
 from chtg.triangle import TriangleError, TriangleParams, realize
 from chtg.words import canonical, winding
 
 from helpers import (classes_up_to, draw_params, draw_word, evaluate_reference,
                      ideal_sum, n_count, numeric_trace_reference,
                      oracle_reference, poly_mul, poly_sub, power_word,
-                     recursive_reference, reference_plan, trace_mu_polynomial,
-                     u_count)
+                     product_reference, recursive_reference, reference_plan,
+                     trace_mu_polynomial, u_count)
 
 
 def test_oracle_base_cases(rng):
@@ -368,7 +368,7 @@ def test_recursion_plan_indexes_reduced_tails():
     # each step op starts with the _TAILS index of its word's last letters
     assert len(_TAILS) == 12 and all(a != b != c for a, b, c in _TAILS)
     w = (1, 2, 3, 1, 3, 2, 1, 2, 3, 2)
-    steps = [op for op in _recursion_plan(w) if isinstance(op, tuple)]
+    steps, _ = _recursion_plan(w)
     assert steps and {op[0] for op in steps} <= set(range(12))
 
 
@@ -376,13 +376,14 @@ def test_recursion_plan_long_word_and_cache_bound(rng):
     p = RECURSION_PARAMS["456"]
     w = draw_reduced_word(rng, 1000)
     assert trace_recursive(w, p).value == recursive_reference(w, p)
-    assert len(_recursion_plan(w)) < 5 * len(w)
+    steps, _ = _recursion_plan(w)
+    assert len(steps) < 5 * len(w)
     assert _recursion_plan.cache_info().maxsize is not None
 
 
 def test_recursion_plan_equals_reference_plan(rng):
-    # op for op: every reduced word up to length 10, and random words up to
-    # 60 letters, half of them not reduced
+    # step for step: every reduced word up to length 10, and random words up
+    # to 60 letters, half of them not reduced
     words = [w for n in range(11) for w in itertools.product((1, 2, 3), repeat=n)
              if all(a != b for a, b in zip(w, w[1:]))]
     words += [draw_word(rng, 60) if i % 2 else draw_reduced_word(rng, i % 61)
@@ -419,6 +420,29 @@ def test_trace_value_tags(rng):
     assert trace_recursive((1,), p).method == "recursive"
 
 
+def test_trace_value_keeps_its_api():
+    v = TraceValue(1.5 - 2j, "oracle")
+    assert (v.value, v.method) == (1.5 - 2j, "oracle")
+    assert v == TraceValue(1.5 - 2j, "oracle") and hash(v) == hash(
+        TraceValue(1.5 - 2j, "oracle"))
+    for field in ("value", "method"):
+        with pytest.raises(AttributeError):
+            setattr(v, field, None)
+
+
+def test_evaluate_refuses_exponents_beyond_its_tables():
+    # the tables cover every word up to EXACT_CAP letters; a hand-built
+    # polynomial beyond them fails rather than reading another power
+    p = BIT_POINTS["456"]
+    assert trace_polynomial((2, 3) * 24).evaluate(p)  # X1^24
+    assert trace_polynomial((1, 2, 3) * 16).evaluate(p)  # z^16
+    for coeffs in ({EXACT_CAP // 3 + 1: {(0, 0, 0): 1}},
+                   {-(EXACT_CAP // 3) - 1: {(0, 0, 0): 1}},
+                   {0: {(0, EXACT_CAP // 2 + 1, 0): 1}}):
+        with pytest.raises(LookupError):
+            TracePolynomial((), 0, coeffs).evaluate(p)
+
+
 def test_polynomial_json():
     tp = trace_polynomial((1, 2, 3), mode="exact")
     d = tp.to_json_dict()
@@ -444,9 +468,11 @@ def bits(z):
 
 def route_bits(w, p, poly=None):
     """Each route at (w, p), as bits."""
+    rz = realize(p)
     out = {"combinatorial": trace_combinatorial(w, p).value,
            "mu": trace_mu_combinatorial(w, p, BIT_MUS).value,
-           "oracle": trace_oracle(w, realize(p)).value}
+           "oracle": trace_oracle(w, rz).value,
+           "mu-oracle": trace_mu(w, rz, BIT_MUS).value}
     if min(p.r) > traces._EPS:
         out["recursive"] = trace_recursive(w, p).value
     if poly is not None:
@@ -457,10 +483,13 @@ def route_bits(w, p, poly=None):
 def reference_bits(w, p, poly=None):
     """route_bits by the per-call references."""
     mu_factors = tuple(complex(mu) - 1.0 for mu in BIT_MUS)
+    rz = realize(p)
     out = {"combinatorial": complex((-1.0) ** len(w) * numeric_trace_reference(
                w, p, (-2.0, -2.0, -2.0))),
            "mu": complex(numeric_trace_reference(w, p, mu_factors)),
-           "oracle": oracle_reference(w, realize(p))}
+           "oracle": oracle_reference(w, rz),
+           "mu-oracle": complex(np.trace(product_reference(
+               rz.mu_iotas(BIT_MUS), w)))}
     if min(p.r) > traces._EPS:
         out["recursive"] = recursive_reference(w, p)
     if poly is not None:
@@ -489,14 +518,13 @@ def test_constants_follow_interleaved_parameter_sets():
     a = BIT_POINTS["456"]
     b = BIT_POINTS["ultra"]
     a2 = a.with_t(2.5)  # same radii, another alpha
-    traces._param_gram.cache_clear()
-    traces._recursion_constants.cache_clear()
+    traces._constants.cache_clear()
     ws = [(1, 2, 3), (1, 2, 1, 3, 2, 3), (1, 2, 3, 1, 3, 2, 1, 2, 3, 2, 3, 1)]
     for p in (a, b, a, a2, a, a2):
         for w in ws:
             poly = trace_polynomial(w)
             assert route_bits(w, p, poly) == reference_bits(w, p, poly)
-    assert traces._param_gram.cache_info().currsize == 3
+    assert traces._constants.cache_info().currsize == 3
 
 
 def test_negative_zero_radius_is_zero():
@@ -507,9 +535,27 @@ def test_negative_zero_radius_is_zero():
     want = [list(map(bits, row)) for row in _gram(
         pos.r, cmath.exp(1j * pos.alpha / 3.0), cmath.exp(-1j * pos.alpha / 3.0))]
     for p in (pos, neg):
-        assert [list(map(bits, row)) for row in _param_gram(_key(p))] == want
+        assert [list(map(bits, row)) for row in _constants(_key(p))[0]] == want
     for w in classes_up_to(6):
         assert route_bits(w, neg) == route_bits(w, pos) == reference_bits(w, pos)
+
+
+def test_powers_out_of_range_fail_only_where_used():
+    # X1 = 4e14: X1^j overflows from j = 22 on, and at r1 = 1e160 the betas'
+    # r1^2 does; a call that needs none of those powers keeps its value
+    big = TriangleParams(1e7, 2.0, 3.0, alpha=1.0)
+    short, long_ = trace_polynomial((1, 2, 3)), trace_polynomial((2, 3) * 24)
+    assert bits(short.evaluate(big)) == bits(evaluate_reference(short, big))
+    for call in (lambda: long_.evaluate(big),
+                 lambda: evaluate_reference(long_, big)):
+        with pytest.raises(OverflowError):
+            call()
+    huge = TriangleParams(1e160, 1.0, 1.0, alpha=0.5)
+    w = (1, 2, 3, 1, 3, 2)
+    assert bits(trace_combinatorial(w, huge).value) == bits(complex(
+        numeric_trace_reference(w, huge, (-2.0, -2.0, -2.0))))
+    with pytest.raises(OverflowError):
+        trace_recursive(w, huge)
 
 
 def test_constants_keep_their_errors():

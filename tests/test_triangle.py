@@ -10,11 +10,10 @@ from chtg.triangle import (DegenerateNormalization, ExistenceViolation,
                            TriangleParams, TriangleRealization, brehm_sigma,
                            cartan_invariant, hakim_sandler_eta,
                            mu_reflection, realize, reflection)
-from chtg.linalg import ProjPoint
 
-from helpers import (brehm_sigma_closed, canonical_alpha, draw_params,
-                     hakim_sandler_eta_closed, in_u21, random_u21,
-                     realize_pinfty, transformed, verify)
+from helpers import (ProjPoint, brehm_sigma_closed, canonical_alpha,
+                     draw_params, hakim_sandler_eta_closed, in_u21,
+                     random_u21, realize_pinfty, transformed, verify)
 
 TWO_PI = 2.0 * math.pi
 
