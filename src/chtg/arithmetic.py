@@ -20,14 +20,15 @@ entry per word); ``chtg ring-check`` multiplies them in the prefix-product
 pass of ``words.enumerate_words``.  The one-word functions (group_ring_check,
 group_conjugate_traces, basis_ring_check, integer_ring_check) multiply with
 ``traces.word_matrix`` and return word 0's verdict as Python values.
-Floating-point ring membership is a heuristic; every verdict from the basis
-method carries experimental=True and is not a hard gate.
+The basis method inverts the power basis in closed form, up to degree 14; a
+float heuristic, its verdicts carry experimental=True and are no hard gate.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -118,22 +119,30 @@ def _conjugate_points(q: int):
             for m in range(1, q // 2 + 1) if math.gcd(m, q) == 1]
 
 
-# Of every q < 2200, each of degree phi(q) / 2 <= 14 passes the cond test
-# below and each of degree 15 to 60 fails it.  Every q > 90 has degree above
-# 14 (counted up to 1682; past it phi(q) >= sqrt(q / 2) > 29), so it is
-# refused unbuilt and unfactored
+# degree phi(q) / 2 above 14 is refused: for q < 2200 that is exactly where
+# cond(V V^T) > 1e12 (checked up to degree 60).  Each q > 90 has degree above
+# 14 (counted up to 1682; past it phi(q) >= sqrt(q / 2) > 29): refused unbuilt
 _MAX_BASIS_Q = 90
 
 
 @functools.lru_cache(maxsize=64)
 def _power_basis_pinv(q: int) -> np.ndarray:
-    """Read-only inverse of the power basis at every conjugate."""
-    xs = _conjugate_points(q) if q <= _MAX_BASIS_Q else []
-    v = np.array([[x ** j for j in range(len(xs))] for x in xs])
-    if q > _MAX_BASIS_Q or np.linalg.cond(v @ v.T) > 1e12:
+    """Read-only inverse of V[i, j] = x_i^j at the conjugates x_i in closed form
+    (Bjorck and Pereyra, Math. Comp. 24, 1970): column i is W(x) / (x - x_i),
+    by synthetic division, over prod_{k != i} (x_i - x_k), W = prod_k (x - x_k).
+    Only + - * / on the nodes, so it carries over to residues modulo a prime."""
+    if q > _MAX_BASIS_Q or len(xs := _conjugate_points(q)) > 14:
         raise IllConditionedBasis(
             f"the power basis for q = {q} has degree above 14 and is unusable")
-    pinv = np.linalg.lstsq(v, np.eye(len(xs)), rcond=None)[0]
+    w = [1.0]  # coefficients of W, lowest degree first
+    for x in xs:
+        w = [a - x * b for a, b in zip([0.0, *w], [*w, 0.0])]
+    cols = []
+    for i, x in enumerate(xs):  # W / (x - x_i), highest degree first
+        quotient = itertools.accumulate(w[:0:-1], lambda b, a: a + x * b)
+        den = math.prod(x - y for k, y in enumerate(xs) if k != i)
+        cols.append([c / den for c in quotient][::-1])
+    pinv = np.array(cols).T
     pinv.flags.writeable = False
     return pinv
 
@@ -164,13 +173,10 @@ def _first(v):
 
 
 def _expand_in_power_basis(values, q, tol) -> BasisExpansion:
-    """Integer coefficients on {x^j : j < deg} from conjugate evaluations.
-
-    ``values`` has one row per conjugate (m = 1 first) and one column per
-    word.  The Vandermonde system is square, so the true integer
-    coefficients are the rounded exact solution.  Acceptance means the
-    rounded solution reproduces the m = 1 value within tol.
-    """
+    """Integer coefficients on {x^j : j < deg} from conjugate evaluations,
+    ``values``: one row per conjugate (m = 1 first), one column per word.
+    The system is square, so the true integer coefficients are the rounded
+    exact solution, accepted where it reproduces the m = 1 value within tol."""
     x = _conjugate_points(q)[0]
     coeffs = np.rint(_power_basis_pinv(q) @ values)
     approx = np.zeros(values.shape[1])

@@ -65,6 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .linalg import herm
 from .triangle import TWO_PI
 from .words import LETTERS, canonical, chi, psi, v_count, winding, wrap
 
@@ -91,35 +92,16 @@ class TraceValue(NamedTuple):
 # exponents (u1, u2, u3, s) of the Gram entry G_ab = r1^u1 r2^u2 r3^u3 z^s
 _GRAM_KEYS = tuple(tuple((*(psi(k, a, b) for k in LETTERS), chi(b - a))
                          for b in LETTERS) for a in LETTERS)
-# a _Poly key packs (u1, u2, u3, s) as u1 + _B (u2 + _B (u3 + _B s)); every
-# u_k of a word's expansion is at most its length, below _B, so the key of a
-# product of monomials is the sum of their keys
+# _fourier_terms packs (u1, u2, u3, s) as u1 + _B (u2 + _B (u3 + _B s)); each
+# u_k is at most the word's length, below _B, so a product's key is the sum
 _B = 64
+_GRAM_SHIFTS = tuple(tuple(u1 + _B * (u2 + _B * (u3 + _B * s))
+                           for u1, u2, u3, s in row) for row in _GRAM_KEYS)
 
 
-class _Poly(dict):
-    """Sparse polynomial {packed (u1, u2, u3, s): coefficient} in r1, r2, r3, z."""
-
-    def __iadd__(self, other):
-        for key, c in other.items():
-            self[key] = self.get(key, 0) + c
-        return self
-
-    def __mul__(self, other):
-        """Product with a scalar or with a one-term _Poly."""
-        if not isinstance(other, _Poly):
-            return _Poly({key: c * other for key, c in self.items()})
-        (b, d), = other.items()
-        return _Poly({a + b: c * d for a, c in self.items()})
-
-
-def _expand(word, factors, gram, m):
-    """tr prod_k (I + f_{a_k} E_{a_k} G) by rank-one row updates.
-
-    ``m`` is the identity matrix in the coefficient type, with distinct
-    entries; it is updated in place.  The coefficients only need +=, * by
-    the ``gram`` entries and * by the ``factors``.
-    """
+def _expand(word, factors, gram):
+    """tr prod_k (I + f_{a_k} E_{a_k} G) by rank-one row updates from I."""
+    m = [[1.0 + 0j, 0j, 0j], [0j, 1.0 + 0j, 0j], [0j, 0j, 1.0 + 0j]]
     for a in word:
         f = factors[a - 1]
         g0, g1, g2 = gram[a - 1]
@@ -128,10 +110,7 @@ def _expand(word, factors, gram, m):
             row[0] += t * g0
             row[1] += t * g1
             row[2] += t * g2
-    tr = m[0][0]
-    tr += m[1][1]
-    tr += m[2][2]
-    return tr
+    return m[0][0] + m[1][1] + m[2][2]
 
 
 def _gram(r, zp, zn) -> list:
@@ -211,22 +190,23 @@ def _constants(key: tuple) -> tuple:
     return gram, base, betas, xs, zs
 
 
-def _numeric_trace(word, params, factors) -> complex:
-    """_expand at the Gram matrix of params, z = e^{i alpha / 3}."""
-    return _expand(word, factors, _constants(_key(params))[0],
-                   [[1.0 + 0j, 0j, 0j], [0j, 1.0 + 0j, 0j], [0j, 0j, 1.0 + 0j]])
-
-
 def _fourier_terms(word, factors):
     """The expansion as (w, (u1, u2, u3), c): q_w = sum c r1^u1 r2^u2 r3^u3."""
     word = tuple(word)
     if len(word) > EXACT_CAP:
-        raise CapExceeded(
-            f"word of length {len(word)} exceeds cap {EXACT_CAP}")
-    gram = [[_Poly({u1 + _B * (u2 + _B * (u3 + _B * s)): 1})
-             for u1, u2, u3, s in row] for row in _GRAM_KEYS]
-    tr = _expand(word, factors, gram, [[_Poly({0: 1} if i == j else {})
-                                        for j in range(3)] for i in range(3)])
+        raise CapExceeded(f"word of length {len(word)} exceeds cap {EXACT_CAP}")
+    # _expand over sparse polynomials {key: coefficient}; G's entries shift keys
+    m = [[{0: 1} if i == j else {} for j in range(3)] for i in range(3)]
+    for a in word:
+        f, shifts = factors[a - 1], _GRAM_SHIFTS[a - 1]
+        for row in m:
+            t = [(key, c * f) for key, c in row[a - 1].items()]
+            for entry, shift in zip(row, shifts):
+                for key, c in t:
+                    entry[key + shift] = entry.get(key + shift, 0) + c
+    tr = m[0][0]
+    for key, c in itertools.chain(m[1][1].items(), m[2][2].items()):
+        tr[key] = tr.get(key, 0) + c
     # the trace counts the empty subset (key 0) 3 times, q_0 counts it once
     tr[0] -= 2
     for key, c in tr.items():
@@ -241,7 +221,7 @@ def _fourier_terms(word, factors):
 def trace_combinatorial(word, params) -> TraceValue:
     """Subset-expansion trace, summed by the transfer-matrix core."""
     word = tuple(word)
-    tr = _numeric_trace(word, params, (-2.0, -2.0, -2.0))
+    tr = _expand(word, (-2.0, -2.0, -2.0), _constants(_key(params))[0])
     return TraceValue(complex((-1.0) ** len(word) * tr), "combinatorial")
 
 
@@ -250,8 +230,8 @@ def trace_mu_combinatorial(word, params, mus) -> TraceValue:
     if any(abs(abs(mu) - 1.0) > 1e-9 for mu in mus):
         raise ValueError("mu factors must be unit complex numbers")
     factors = tuple(complex(mu) - 1.0 for mu in mus)
-    return TraceValue(complex(_numeric_trace(tuple(word), params, factors)),
-                      "mu-combinatorial")
+    gram = _constants(_key(params))[0]
+    return TraceValue(complex(_expand(word, factors, gram)), "mu-combinatorial")
 
 
 def poly_to_str(poly: dict) -> str:
@@ -289,7 +269,10 @@ class TracePolynomial:
 
     @functools.cached_property
     def _compiled(self) -> tuple:
-        """coeffs as (w, ((float(c), j1, j2, j3), ...)) in coeffs order."""
+        """coeffs as (w, ((float(c), j1, j2, j3), ...)) in coeffs order; a
+        negative j_k, which would index evaluate's tables from the end, raises."""
+        if any(min(mono) < 0 for poly in self.coeffs.values() for mono in poly):
+            raise LookupError("a negative exponent of X_k")
         return tuple((w, tuple((float(c), *mono) for mono, c in poly.items()))
                      for w, poly in self.coeffs.items())
 
@@ -357,6 +340,15 @@ def trace_oracle(word, realization) -> TraceValue:
     return TraceValue(0j + m.item(0) + m.item(4) + m.item(8), "oracle")
 
 
+def _reflection_norm(c) -> float:
+    """||-id + 2 c c^* / <c, c>||_2 = e + sqrt((e - 1)(e + 1)), e = |c|^2 / <c, c>,
+    with e - 1 = 2 |c_3|^2 / <c, c> so nothing cancels; a Python float."""
+    a, b, z = (abs(x) ** 2 for x in c.tolist())
+    h = herm(c, c).real  # the <c, c> that triangle.reflection divides by
+    e = (a + b + z) / h
+    return e + math.sqrt(2.0 * z / h * (e + 1.0))
+
+
 def agreement_bound(word, realization) -> float:
     """How far the trace routes may disagree on a word from rounding alone.
 
@@ -365,7 +357,9 @@ def agreement_bound(word, realization) -> float:
     ch. 3), where u is the unit roundoff or, if larger, the relative error
     with which the realization reproduces (r, alpha).  It is divided by
     min(1, r_min), since the recursion's coefficients carry r_k^{-1}; a
-    radius below the unit roundoff is zero, and the recursion skips it.
+    radius below the unit roundoff is zero, and the recursion skips it.  The
+    norms are _reflection_norm's closed form, no SVD, and Python floats: a
+    long word's product overflows to inf without a warning.
     """
     params = realization.params
     u = _EPS
@@ -373,7 +367,7 @@ def agreement_bound(word, realization) -> float:
         u = max(u, abs(got - want) / max(want, 1.0))
     d = (realization.alpha - params.alpha) % TWO_PI
     u = max(u, min(d, TWO_PI - d))
-    norms = [float(np.linalg.norm(m, 2)) for m in realization.iotas]
+    norms = [_reflection_norm(c) for c in realization.c]
     rmin = min(params.r)
     scale = 1.0 / rmin if _EPS < rmin < 1.0 else 1.0
     return _AGREEMENT_C * max(len(word), 1) * u * scale \

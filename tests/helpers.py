@@ -307,9 +307,7 @@ def numeric_trace_reference(word, params, factors) -> complex:
     params._need_alpha()
     gram = _gram(params.r, cmath.exp(1j * params.alpha / 3.0),
                  cmath.exp(-1j * params.alpha / 3.0))
-    return _expand(tuple(word), factors, gram,
-                   [[1.0 + 0j if i == j else 0j for j in range(3)]
-                    for i in range(3)])
+    return _expand(tuple(word), factors, gram)
 
 
 def product_reference(mats, word) -> np.ndarray:
@@ -371,9 +369,7 @@ def conjugate_traces_reference(group, word, q):
         r = [math.sqrt(xk) / 2.0 for xk in xs]
         zp = (z / math.sqrt(q_val)) ** (1.0 / 3.0)
         pairs.append(tuple(
-            sign * _expand(word, (-2.0,) * 3, _gram(r, a, b),
-                           [[1.0 + 0j if i == j else 0j for j in range(3)]
-                            for i in range(3)])
+            sign * _expand(word, (-2.0,) * 3, _gram(r, a, b))
             for a, b in ((zp, 1.0 / zp), (1.0 / zp, zp))))
     return pairs
 

@@ -13,7 +13,8 @@ import pytest
 
 from chtg import cli, words
 from chtg.analysis import scan_elliptic
-from chtg.arithmetic import group_with_rotation, ring_transfer
+from chtg.arithmetic import (_power_basis_pinv, group_with_rotation,
+                             ring_transfer)
 from chtg.classify import classify
 from chtg.cli import _floats, _scalar, dumps_stable, main
 from chtg.traces import trace_oracle
@@ -360,6 +361,22 @@ GOLDEN_STDOUT = {
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
 def test_stdout_golden_digest(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_STDOUT[command]
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", sorted(
+    c for c in GOLDEN_STDOUT if c.startswith(("ring-check", "trace"))))
+def test_ring_check_and_trace_call_no_lapack(capsys, monkeypatch, command):
+    # every numpy.linalg entry point raises, so a call from src/ to an SVD,
+    # a solve or any other LAPACK routine fails the command
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg was called")
+    for name in np.linalg.__all__:
+        if name != "LinAlgError":
+            monkeypatch.setattr(np.linalg, name, refuse)
+    _power_basis_pinv.cache_clear()
     code, out, err = run(capsys, *command.split())
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_STDOUT[command]
     assert err == ""
