@@ -257,6 +257,21 @@ def test_power_basis_refused_exactly_when_cond_fails():
             assert not want, q
 
 
+def test_power_basis_inverse_matches_lstsq():
+    # the closed-form inverse against LAPACK's least-squares solve, which
+    # computed it before, at every q of degree <= 14
+    for q in range(3, 91):
+        xs = _conjugate_points(q)
+        if len(xs) > 14:
+            continue
+        v = np.array([[x ** j for j in range(len(xs))] for x in xs])
+        want = np.linalg.lstsq(v, np.eye(len(xs)), rcond=None)[0]
+        got = _power_basis_pinv(q)
+        assert got.shape == want.shape and not got.flags.writeable
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), q
+        assert np.abs(v @ got - np.eye(len(xs))).max() <= 1e-9, q
+
+
 def test_mostow_identity_and_fields():
     for p in (3, 4, 5):
         g = mostow_group(p, 5)

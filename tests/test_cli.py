@@ -503,9 +503,12 @@ def test_trace_zero_radius_skips_recursion(capsys):
 
 
 def test_trace_very_long_word(capsys):
-    # 1,200 letters: deeper than Python's recursion limit
-    code, out, err = run(capsys, "trace", "--word", "12" * 600,
-                         "--p", "4", "5", "6", "--t", "0.5", "--json")
+    # 1,200 letters: deeper than Python's recursion limit.  The product of
+    # the reflection norms in the agreement bound overflows to inf, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "trace", "--word", "12" * 600,
+                             "--p", "4", "5", "6", "--t", "0.5", "--json")
     assert code == 0, err
     assert "recursive" in json.loads(out)["methods"]
 

@@ -439,7 +439,8 @@ def test_evaluate_refuses_exponents_beyond_its_tables():
         assert bits(poly.evaluate(p)) == bits(evaluate_reference(poly, p))
     for coeffs in ({EXACT_CAP // 3 + 1: {(0, 0, 0): 1}},
                    {-(EXACT_CAP // 3) - 1: {(0, 0, 0): 1}},
-                   {0: {(0, EXACT_CAP // 2 + 1, 0): 1}}):
+                   {0: {(0, EXACT_CAP // 2 + 1, 0): 1}},
+                   {0: {(-1, 0, 0): 1}}):  # not X1^24 from the table's end
         with pytest.raises(LookupError):
             TracePolynomial((), 0, coeffs).evaluate(p)
 
@@ -513,6 +514,22 @@ def test_oracle_trace_of_negative_zero_diagonal():
     assert math.copysign(1.0, traces.word_matrix(rz, (1,))[0, 0].real) == -1.0
     got = trace_oracle((1,), rz).value
     assert bits(got) == bits(oracle_reference((1,), rz)) == bits(0j)
+
+
+def test_reflection_norms_match_lapack():
+    # agreement_bound's closed-form 2-norms against LAPACK's SVD of the
+    # reflections, to 4 ulp; at side lengths 9, 9.5, 10 the norms reach 2e4
+    points = [*BIT_POINTS.values(),
+              TriangleParams(0.3, 0.7, 2.5).with_t(0.4),
+              TriangleParams(0.0, 1.0, 1.0).with_cos_alpha(-0.5),
+              TriangleParams.from_lengths(9.0, 9.5, 10.0).with_t(0.8)]
+    for p in points:
+        rz = realize(p)
+        for c, m in zip(rz.c, rz.iotas):
+            got = traces._reflection_norm(c)
+            want = float(np.linalg.norm(m, 2))
+            assert type(got) is float
+            assert abs(got - want) <= 4 * math.ulp(want), (p, got, want)
 
 
 def test_constants_follow_interleaved_parameter_sets():
