@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classify import HYPERBOLIC, REGULAR_ELLIPTIC, classify, discriminant
-from .traces import tau_123_closed, trace_oracle
+from .traces import _constants, _key, tau_123_closed, trace_oracle
 from .triangle import TriangleParams, alpha_of_t, realize, t_of_alpha
 from .words import enumerate_words
 
@@ -196,9 +196,10 @@ def non_discreteness_certificate(params: TriangleParams,
                                  tol: float = 1e-9) -> Certificate | None:
     """Certificate naming the (3,2,3,1)-class when |t| > t_A; None otherwise.
 
-    The closed-form threshold decision is double-checked by classifying the
-    matrix-product trace.  Absence of a certificate says nothing about
-    discreteness.  At R = r1 r2 r3 = 0 the trace of (3,2,3,1) is constant,
+    The closed-form threshold decision is double-checked by classifying
+    trace_oracle's product of the realization's reflections: a geometric
+    check of t_A, independent of the kernel that scan multiplies.  Absence
+    of a certificate says nothing about discreteness.  At R = r1 r2 r3 = 0 the trace of (3,2,3,1) is constant,
     16 r1^2 r2^2 + 4 r3^2 - 1, and t_A is -inf or +inf as that is < 3 or not.
     """
     r1, r2, r3 = params.r
@@ -232,17 +233,19 @@ def scan_elliptic(params: TriangleParams, max_len: int,
     """Classify every cyclic class up to max_len, one ScanBlock per length.
 
     Bad input raises at the call, before the first block; blocks are made,
-    from the prefix products of ``enumerate_words``, as they are read.
+    from the prefix products of traces' kernel in ``enumerate_words``, as
+    they are read, so each tau is trace_combinatorial's bit for bit; realize
+    runs only for its existence and overflow checks.
     """
-    rz = realize(params)
+    realize(params)
     # a reduced class on two letters a, b is a power of (a, b), a rotation of
     # finite angle when r_k < 1 for the missing letter k; ``alt`` is indexed
     # by the letter set, 2^a + 2^b = 14 - 2^k
     alt = np.zeros(16, dtype=bool)
     if skip_alternating:
         alt[14 - (2 << np.flatnonzero(np.array(params.r) < 1.0 - 1e-12))] = True
-    return (_block(ws, tau, alt, tol)
-            for ws, tau in enumerate_words(max_len, rz.iotas))
+    return (_block(ws, tau, alt, tol) for ws, tau in
+            enumerate_words(max_len, _constants(_key(params))[0]))
 
 
 def _block(ws, tau, alt, tol) -> ScanBlock:

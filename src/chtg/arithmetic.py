@@ -15,9 +15,10 @@ cos(alpha) and Q = (8 R)^2; its trace is the O(n) transfer-matrix product of
 ``traces`` at the moved point, which equals the exact Fourier sum as a
 polynomial identity (see _conjugate_transfer), so no exact data is built.
 ``ring_transfer`` gives the matrices of tau and tau-bar at every conjugate
-and the function that judges all words' traces at once, in columns (one
-entry per word); ``chtg ring-check`` multiplies them in the prefix-product
-pass of ``words.enumerate_words``.  The one-word functions (group_ring_check,
+(at all-integer entries, traces' kernel, which scan multiplies too) and the
+function that judges all words' traces at once, in columns (one entry per
+word); ``chtg ring-check`` multiplies them in the prefix-product pass of
+``words.enumerate_words``.  The one-word functions (group_ring_check,
 group_conjugate_traces, basis_ring_check, integer_ring_check) multiply with
 ``traces.word_matrix`` and return word 0's verdict as Python values.
 The basis method inverts the power basis in closed form, up to degree 14; a
@@ -38,13 +39,12 @@ import numpy as np
 # trace_combinatorial, trace_polynomial and realize are unused here; the
 # benchmark tracer (bench/tracer.py) patches them under these names
 from .traces import (trace_combinatorial, trace_polynomial,  # noqa: F401
-                     transfer_matrices, word_matrix)
+                     _REFLECTION_FACTORS, _constants, _key, transfer_matrices,
+                     word_matrix)
 from .triangle import (TWO_PI, ExistenceViolation, TriangleParams,  # noqa: F401
                        realize)
 
 INTEGER_ENTRIES = (3, 4, 6, math.inf)
-# f_k in tr prod (I + f_k E_k G) for the reflections; the product is (-1)^n tau
-_REFLECTION_FACTORS = (-2.0, -2.0, -2.0)
 
 
 class IllConditionedBasis(ValueError):
@@ -250,16 +250,14 @@ def _conjugate_transfer(group: GroupWithRotation, q: int) -> np.ndarray:
 def ring_transfer(group: GroupWithRotation):
     """(mats, verdicts): products of ``mats`` give a word's traces, and
     ``verdicts(traces, tol)`` judges every word's at once.  All-integer
-    entries give tau at the group's own parameters, mats (3, 3, 3), and
-    IntegralityVerdict columns.  One extra entry q gives _conjugate_transfer's
-    mats and (experimental) BasisRingVerdict columns, all power bases in one
-    product; the basis is solved first, so an unusable one raises here."""
+    entries give tau at the group's own parameters, as traces' kernel (three
+    read-only 3x3 arrays), and IntegralityVerdict columns.  One extra entry
+    q gives _conjugate_transfer's mats and (experimental) BasisRingVerdict
+    columns, all power bases in one product; the basis is solved first, so
+    an unusable one raises here."""
     specials = sorted({*group.signature, group.n} - set(INTEGER_ENTRIES))
     if not specials:
-        p = group.params
-        ez = cmath.exp(1j * p.alpha / 3.0)
-        return (-transfer_matrices(_REFLECTION_FACTORS, p.r, ez, ez.conjugate()),
-                _integer_verdicts)
+        return _constants(_key(group.params))[0], _integer_verdicts
     if len(specials) > 1:
         raise ValueError("only one entry outside {3,4,6,inf} is supported")
     q = specials[0]
@@ -273,7 +271,7 @@ def ring_transfer(group: GroupWithRotation):
 
 def _word_traces(word, mats) -> np.ndarray:
     """The word's trace at each point of ring_transfer's mats."""
-    m = word_matrix(None, tuple(word), np.moveaxis(mats, -3, 0))
+    m = word_matrix(np.moveaxis(mats, -3, 0), tuple(word))
     return np.trace(m, axis1=-2, axis2=-1)
 
 

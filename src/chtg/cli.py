@@ -215,18 +215,19 @@ def cmd_trace(args) -> int:
         pass
     if not all(map(cmath.isfinite, results.values())):
         raise ValueError("the trace overflows")
-    tau = results["oracle"]
-    deltas = {name: abs(v - tau) for name, v in results.items() if name != "oracle"}
+    deltas = {name: abs(v - results["oracle"]) for name, v in results.items()
+              if name != "oracle"}
     bound = traces.agreement_bound(word, rz)
     worst = max(deltas.values())
     if not worst <= bound:
         raise ValueError(f"method disagreement {worst:.3g} "
                          f"above the rounding bound {bound:.3g}")
+    tau = results["combinatorial"]  # scan's value of this word, bit for bit
     cls = classify(tau, tol=tol)
     payload = {
         "word": words.word_to_str(word),
         "tau": tau,
-        "method": "oracle",
+        "method": "combinatorial",
         "rho": cls.rho,
         "verdict": cls.verdict,
         "methods": results,

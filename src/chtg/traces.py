@@ -5,8 +5,8 @@ iota_{a_n}:
 
 * ``trace_oracle`` multiplies the 3x3 matrices of a realization and takes
   the trace;
-* ``trace_combinatorial`` expands prod(-id + 2 c_k c_k^*) over subsets S of
-  the letter positions, giving
+* ``trace_combinatorial`` multiplies the kernel below, whose product is the
+  expansion of prod(-id + 2 c_k c_k^*) over subsets S of the letter positions,
 
       tau_a = (-1)^n (2 + sum_S (-2)^{|S|} r1^{u1(S)} r2^{u2(S)} r3^{u3(S)}
                               e^{i alpha w(S)}),
@@ -17,12 +17,13 @@ iota_{a_n}:
   operators; base traces are tau() = 3, tau(k) = -1, tau(k,l) = 4 r_m^2 - 1
   for the letter m completing {k, l}, and tau(k,k) = 3.  The words the
   recursion reaches depend only on the word, so ``_recursion_plan`` lists
-  them once, with no parameters, in an LRU cache of 1024 words; each call
+  them once, with no parameters, in an LRU cache of the plans of 1024 words
+  of at most 64 letters (a longer word's plan is built per call); each call
   is one numeric pass over the plan.  Each word reached is a prefix of the
   reduced canonical word plus a tail of at most two letters, keyed by
   (prefix length, tail), so the plan is linear in the word length.
 
-The parameter-only constants (Gram entries, the recursion's base values and
+The parameter-only constants (the kernel, the recursion's base values and
 betas, ``TracePolynomial.evaluate``'s power tables) are computed once per
 (r1, r2, r3, alpha), in one LRU cache keyed by the values of those floats.
 
@@ -36,22 +37,23 @@ product, so
       tr prod_k (I + f_{a_k} E_{a_k} G)
           = 3 + sum_{S nonempty} prod_{k in S} f_{a_k} r^{u(S)} e^{i alpha w(S)}.
 
-Each factor is a rank-one row update, so the sum costs O(n) matrix updates.
-For many words at once, ``transfer_matrices`` builds the three factors
-T_a = I + f_a E_a G as 3x3 matrices, and the prefix-product pass of
-``words.enumerate_words`` multiplies them.  With f = -2 the
-trace is (-1)^n tau_a; with f = mu_k - 1 it is the trace of the
-mu-reflection word,
+``transfer_matrices`` builds the factors T_a = I + f_a E_a G as 3x3
+matrices.  With f = -2 the trace is (-1)^n tau_a, so the kernel -T_a, kept
+read-only per parameter set, multiplies to tau_a: ``trace_combinatorial``
+multiplies it for one word and the prefix-product pass of
+``words.enumerate_words`` for every class of ``scan`` or ``ring-check``.
+With f = mu_k - 1 it is the trace of the mu-reflection word,
 
       tau_a = 2 + sum_S prod_k (mu_k - 1)^{n_k(S)} r_k^{u_k(S)}
                         e^{i alpha w(S)}.
 
-Run over sparse polynomials in (r1, r2, r3, z) instead of numbers, the same
-updates give the Fourier data tau_a = (-1)^n (2 + sum_w q_w e^{i alpha w}).
-``trace_polynomial`` stores each q_w exactly as (8 r1 r2 r3)^{|w|} times an
-integer polynomial P_w in X_k = 4 r_k^2.  ``TracePolynomial.evaluate``
-compiles the float coefficients and exponents once per polynomial; a call
-looks the powers of the X_k and z up and sums the terms in ``coeffs`` order.
+Each T_a updates one row of what it multiplies; run over sparse polynomials
+in (r1, r2, r3, z), the row updates give the Fourier data tau_a = (-1)^n
+(2 + sum_w q_w e^{i alpha w}).  ``trace_polynomial`` stores each q_w exactly
+as (8 r1 r2 r3)^{|w|} times an integer polynomial P_w in X_k = 4 r_k^2.
+``TracePolynomial.evaluate`` compiles the float coefficients and exponents
+once per polynomial; a call looks the powers of the X_k and z up and sums
+the terms in ``coeffs`` order.
 """
 
 from __future__ import annotations
@@ -74,6 +76,10 @@ EXACT_CAP = 48
 # to the bound without it, over signatures, side lengths and raw radii, was 3.6
 _AGREEMENT_C = 64.0
 _EPS = float(np.finfo(float).eps)
+# f_k in tr prod (I + f_k E_k G) for the reflections; the product is (-1)^n tau
+_REFLECTION_FACTORS = (-2.0, -2.0, -2.0)
+# words _recursion_plan caches, at ~4 steps a letter: <= ~256k steps, 37 MiB
+_PLAN_CACHE_LEN = 64
 
 
 class CapExceeded(ValueError):
@@ -99,35 +105,15 @@ _GRAM_SHIFTS = tuple(tuple(u1 + _B * (u2 + _B * (u3 + _B * s))
                            for u1, u2, u3, s in row) for row in _GRAM_KEYS)
 
 
-def _expand(word, factors, gram):
-    """tr prod_k (I + f_{a_k} E_{a_k} G) by rank-one row updates from I."""
-    m = [[1.0 + 0j, 0j, 0j], [0j, 1.0 + 0j, 0j], [0j, 0j, 1.0 + 0j]]
-    for a in word:
-        f = factors[a - 1]
-        g0, g1, g2 = gram[a - 1]
-        for row in m:
-            t = row[a - 1] * f
-            row[0] += t * g0
-            row[1] += t * g1
-            row[2] += t * g2
-    return m[0][0] + m[1][1] + m[2][2]
-
-
-def _gram(r, zp, zn) -> list:
-    """G_ab = r_m z^{chi(b - a)} with z = zp, 1 / z = zn, as nested lists."""
-    z = {-1: zn, 0: 1.0 + 0j, 1: zp}
-    return [[r[0] ** u1 * r[1] ** u2 * r[2] ** u3 * z[s]
-             for u1, u2, u3, s in row] for row in _GRAM_KEYS]
-
-
 def transfer_matrices(factors, r, zp, zn) -> np.ndarray:
-    """The three T_a = I + f_a E_a G at G = _gram(r, zp, zn), shape (3, 3, 3).
-
-    Row a of T_a is e_a + f_a G[a, :] and its other rows are the identity's,
-    so the trace of a word's product of T's is _expand's
-    tr prod_k (I + f E G), summed in matrix-product order.
-    """
-    gram = np.array(_gram(r, zp, zn), dtype=complex)
+    """The three T_a = I + f_a E_a G, shape (3, 3, 3), at the Gram matrix
+    G_ab = r_m z^{chi(b - a)} with z = zp, 1 / z = zn.  Row a of T_a is
+    e_a + f_a G[a, :] and its other rows are the identity's, so the trace of
+    a word's product of T's is tr prod_k (I + f E G)."""
+    z = {-1: zn, 0: 1.0 + 0j, 1: zp}
+    gram = np.array([[r[0] ** u1 * r[1] ** u2 * r[2] ** u3 * z[s]
+                      for u1, u2, u3, s in row] for row in _GRAM_KEYS],
+                    dtype=complex)
     t = np.repeat(np.eye(3, dtype=complex)[None], 3, axis=0)
     for a in range(3):
         t[a, a] += factors[a] * gram[a]
@@ -166,14 +152,15 @@ def _power(x, e):
 
 @functools.lru_cache(maxsize=256)
 def _constants(key: tuple) -> tuple:
-    """The Gram entries at z = e^{i alpha / 3}; the recursion's base values
-    (3, -1, 4 r_k^2 - 1) and _TAILS betas (None at a zero or huge radius);
-    X_k^j for j <= EXACT_CAP // 2, X_k = 4 r_k^2; and {w: Z^w} for
-    |w| <= EXACT_CAP // 3, Z = 8 R e^{i alpha} (conj(Z)^{-w} for w < 0)."""
+    """The kernel -T_a at z = e^{i alpha / 3}, three read-only 3x3 arrays;
+    the recursion's base values (3, -1, 4 r_k^2 - 1) and _TAILS betas (None
+    at a zero or huge radius); X_k^j for j <= EXACT_CAP // 2, X_k = 4 r_k^2;
+    and {w: Z^w}, Z = 8 R e^{i alpha} (conj(Z)^{-w} for w < 0), |w| <= 16."""
     *r, alpha = key
     r1, r2, r3 = r
-    gram = tuple(map(tuple, _gram(r, cmath.exp(1j * alpha / 3.0),
-                                  cmath.exp(-1j * alpha / 3.0))))
+    ez = cmath.exp(1j * alpha / 3.0)
+    kernel = -transfer_matrices(_REFLECTION_FACTORS, r, ez, ez.conjugate())
+    kernel.flags.writeable = False
     ei = cmath.exp(1j * alpha)
     base = (3.0 + 0j, -1.0 + 0j, complex(4.0 * r1 * r1 - 1.0),
             complex(4.0 * r2 * r2 - 1.0), complex(4.0 * r3 * r3 - 1.0))
@@ -187,7 +174,7 @@ def _constants(key: tuple) -> tuple:
     z = 8.0 * (r1 * r2 * r3) * ei
     zs = {w: _power(z, w) if w >= 0 else _power(z.conjugate(), -w)
           for w in range(-(EXACT_CAP // 3), EXACT_CAP // 3 + 1)}
-    return gram, base, betas, xs, zs
+    return tuple(kernel), base, betas, xs, zs
 
 
 def _fourier_terms(word, factors):
@@ -195,7 +182,8 @@ def _fourier_terms(word, factors):
     word = tuple(word)
     if len(word) > EXACT_CAP:
         raise CapExceeded(f"word of length {len(word)} exceeds cap {EXACT_CAP}")
-    # _expand over sparse polynomials {key: coefficient}; G's entries shift keys
+    # tr prod (I + f E G) by rank-one row updates from I, over sparse
+    # polynomials {key: coefficient}; G's entries shift keys
     m = [[{0: 1} if i == j else {} for j in range(3)] for i in range(3)]
     for a in word:
         f, shifts = factors[a - 1], _GRAM_SHIFTS[a - 1]
@@ -219,19 +207,22 @@ def _fourier_terms(word, factors):
 
 
 def trace_combinatorial(word, params) -> TraceValue:
-    """Subset-expansion trace, summed by the transfer-matrix core."""
-    word = tuple(word)
-    tr = _expand(word, (-2.0, -2.0, -2.0), _constants(_key(params))[0])
-    return TraceValue(complex((-1.0) ** len(word) * tr), "combinatorial")
+    """Subset-expansion trace: the product of the cached kernel over the
+    word, summed as words._trace sums, so a scan row's bits."""
+    return TraceValue(_diagonal_sum(word_matrix(
+        _constants(_key(params))[0], word)), "combinatorial")
 
 
 def trace_mu_combinatorial(word, params, mus) -> TraceValue:
-    """Subset-expansion trace for mu-reflection generators."""
+    """Subset-expansion trace for mu-reflection generators: the product of
+    transfer_matrices with factors mu_k - 1 over the word."""
     if any(abs(abs(mu) - 1.0) > 1e-9 for mu in mus):
         raise ValueError("mu factors must be unit complex numbers")
-    factors = tuple(complex(mu) - 1.0 for mu in mus)
-    gram = _constants(_key(params))[0]
-    return TraceValue(complex(_expand(word, factors, gram)), "mu-combinatorial")
+    *r, alpha = _key(params)
+    ez = cmath.exp(1j * alpha / 3.0)
+    mats = transfer_matrices([complex(mu) - 1.0 for mu in mus], r, ez,
+                             ez.conjugate())
+    return TraceValue(_diagonal_sum(word_matrix(mats, word)), "mu-combinatorial")
 
 
 def poly_to_str(poly: dict) -> str:
@@ -320,12 +311,11 @@ _EYE = np.eye(3, dtype=complex)
 _EYE.flags.writeable = False
 
 
-def word_matrix(realization, word, matrices=None) -> np.ndarray:
-    """Matrix of iota_a in the given realization, or of the word in
-    ``matrices`` (M_1, M_2, M_3 on the first axis, any trailing points),
-    from a read-only identity.  ndarray.dot is @'s BLAS product of two 3x3
-    matrices at less call overhead; stacked ones need np.matmul."""
-    mats = realization.iotas if matrices is None else matrices
+def word_matrix(mats, word) -> np.ndarray:
+    """The word's product of ``mats`` (M_1, M_2, M_3 on the first axis, any
+    trailing points) from a read-only identity, in word order.  ndarray.dot
+    is @'s BLAS product of two 3x3 matrices at less call overhead; stacked
+    ones need np.matmul."""
     mul = np.ndarray.dot if mats[0].ndim == 2 else np.matmul
     m = _EYE
     for a in word:
@@ -333,11 +323,16 @@ def word_matrix(realization, word, matrices=None) -> np.ndarray:
     return m
 
 
+def _diagonal_sum(m) -> complex:
+    """words._trace of one 3x3 matrix, as a Python complex: np.trace's sum,
+    from 0j, so a -0.0 diagonal gives +0j."""
+    return 0j + m.item(0) + m.item(4) + m.item(8)
+
+
 def trace_oracle(word, realization) -> TraceValue:
     """Trace of the literal matrix product; no length cap."""
-    m = word_matrix(realization, word)
-    # np.trace's sum, from 0j: a -0.0 diagonal gives +0j
-    return TraceValue(0j + m.item(0) + m.item(4) + m.item(8), "oracle")
+    return TraceValue(_diagonal_sum(word_matrix(realization.iotas, word)),
+                      "oracle")
 
 
 def _reflection_norm(c) -> float:
@@ -380,9 +375,8 @@ def trace_mu(word, realization, mus) -> TraceValue:
     Note: each generator has determinant mu_k, so these are traces of the
     displayed representatives, not of SU(2,1)-normalised ones.
     """
-    mats = realization.mu_iotas(mus)
-    return TraceValue(complex(np.trace(word_matrix(realization, word, mats))),
-                      "mu-oracle")
+    m = word_matrix(realization.mu_iotas(mus), word)
+    return TraceValue(complex(np.trace(m)), "mu-oracle")
 
 
 def _cancel_adjacent(word):
@@ -456,9 +450,9 @@ def trace_recursive(word, params) -> TraceValue:
     cancelling adjacent equal letters as it goes.  Which words it reaches
     depends only on the word, so _recursion_plan walks them once, on an
     explicit stack (the length is not bounded by Python's recursion limit),
-    and keeps the plan for the last 1024 words; each call then evaluates the
-    plan at its parameters in one loop.  A radius below the unit roundoff,
-    such as cos(pi/2), counts as zero.
+    and keeps the plans of the last 1024 words of up to _PLAN_CACHE_LEN
+    letters; each call evaluates the plan at its parameters in one loop.  A
+    radius below the unit roundoff, such as cos(pi/2), counts as zero.
     """
     key = _key(params)
     if min(params.r) <= _EPS:
@@ -467,7 +461,9 @@ def trace_recursive(word, params) -> TraceValue:
     _, base, betas, _, _ = _constants(key)
     if betas is None:
         raise OverflowError("the recursion's coefficients overflow")
-    steps, result = _recursion_plan(tuple(word))
+    word = tuple(word)
+    steps, result = (_recursion_plan if len(word) <= _PLAN_CACHE_LEN
+                     else _recursion_plan.__wrapped__)(word)
     vals = list(base)
     for t, k0, k1, k2, k3, k4, k5, k6 in steps:
         vals.append(-(vals[k0] + vals[k1] + vals[k2])

@@ -92,9 +92,10 @@ def enumerate_words(max_len: int, mats=None):
     ``mats`` (M_1, M_2, M_3 on the third-to-last axis, any leading axes
     independent points) it yields (words, traces): tr(M_{a_1} ... M_{a_n})
     of shape (..., count_n), multiplied from the identity in word order in
-    letter blocks whose rows are trace_oracle's 3x3 products, so bit for
-    bit, and summed as trace_oracle sums.  Raises WordError for
-    max_len outside 1..MAX_LEN when called, before any yield.
+    letter blocks whose rows are traces.word_matrix's 3x3 products, bit for
+    bit, and summed as its traces sum: at traces' kernel, as scan passes it,
+    each is trace_combinatorial's value.  Raises WordError for max_len
+    outside 1..MAX_LEN when called, before any yield.
     """
     if not 1 <= max_len <= MAX_LEN:
         raise WordError(f"word length must be 1..{MAX_LEN}, got {max_len}")
@@ -169,7 +170,7 @@ def _times(prod, parent, j, mats):
 
 
 def _trace(prod):
-    """trace_oracle's diagonal sum of each product, from 0j."""
+    """traces._diagonal_sum of each product, from 0j."""
     return 0j + prod[..., 0, 0] + prod[..., 1, 1] + prod[..., 2, 2]
 
 

@@ -21,14 +21,17 @@ from chtg.arithmetic import (INTEGER_ENTRIES, BasisExpansion, BasisRingVerdict,
                              _conjugate_points, _power_basis_pinv,
                              cos_two_pi_over)
 from chtg.analysis import thresholds
+from chtg.classify import (BOUNDARY_NON_UNIPOTENT, HYPERBOLIC,
+                           REGULAR_ELLIPTIC, UNIPOTENT)
 from chtg.linalg import J, herm
 from chtg.traces import (_EPS, ZeroRadiusUnsupported, _cancel_adjacent,
-                         _expand, _fourier_terms, _gram, sigma_closed,
-                         trace_combinatorial)
+                         _fourier_terms, sigma_closed,
+                         trace_combinatorial, trace_polynomial,
+                         transfer_matrices)
 from chtg.triangle import (TWO_PI, IdealVertexDegenerate, TriangleError,
                            TriangleParams, TriangleRealization, _chart_parallel)
-from chtg.words import (LETTERS, canonical, enumerate_words, psi, v_count,
-                        winding)
+from chtg.words import (LETTERS, canonical, chi, enumerate_words, psi,
+                        v_count, winding)
 
 
 def draw_params(rng, lo=0.55, hi=1.1, margin=0.03, cos_floor=-0.98):
@@ -301,13 +304,38 @@ def recursive_reference(word, params) -> complex:
     return memo[a]
 
 
-def numeric_trace_reference(word, params, factors) -> complex:
-    """_expand at a Gram matrix built for this call: the per-call form that
-    the cached Gram of trace_combinatorial must equal bit for bit."""
+def expand_reference(word, factors, gram):
+    """tr prod_k (I + f_{a_k} E_{a_k} G) by rank-one row updates from I, in
+    Python complex arithmetic: the subset expansion per call, independent of
+    the matrix products of traces."""
+    m = [[1.0 + 0j, 0j, 0j], [0j, 1.0 + 0j, 0j], [0j, 0j, 1.0 + 0j]]
+    for a in word:
+        f = factors[a - 1]
+        g0, g1, g2 = gram[a - 1]
+        for row in m:
+            t = row[a - 1] * f
+            row[0] += t * g0
+            row[1] += t * g1
+            row[2] += t * g2
+    return m[0][0] + m[1][1] + m[2][2]
+
+
+def gram_reference(r, zp, zn):
+    """G_ab = r_m z^{chi(b - a)}, m the letter completing {a, b}, and
+    G_aa = 1, with z = zp and 1 / z = zn, as nested lists."""
+    z = {-1: zn, 0: 1.0, 1: zp}
+    return [[1.0 if a == b else r[5 - a - b] * z[chi(b - a)] for b in LETTERS]
+            for a in LETTERS]
+
+
+def transfer_reference(word, params, factors, sign=1.0) -> complex:
+    """np.trace of the word's product of sign * transfer_matrices, built for
+    this call at z = e^{i alpha / 3}: the form trace_combinatorial (factors
+    -2, sign -1, the kernel) and trace_mu_combinatorial must equal."""
     params._need_alpha()
-    gram = _gram(params.r, cmath.exp(1j * params.alpha / 3.0),
-                 cmath.exp(-1j * params.alpha / 3.0))
-    return _expand(tuple(word), factors, gram)
+    ez = cmath.exp(1j * params.alpha / 3.0)
+    mats = sign * transfer_matrices(factors, params.r, ez, ez.conjugate())
+    return complex(np.trace(product_reference(mats, word)))
 
 
 def product_reference(mats, word) -> np.ndarray:
@@ -353,9 +381,33 @@ def evaluate_reference(poly, params) -> complex:
     return (-1.0) ** poly.n * (2.0 + total)
 
 
+def verdict_reference(word, params, tol=1e-9):
+    """(tau, rho, verdict) at 60 digits: the word's exact Fourier data
+    evaluated in mpmath at the same float parameters, classified by
+    classify's rules.  Independent of every float product; needs mpmath."""
+    import mpmath
+    with mpmath.workdps(60):
+        r = [mpmath.mpf(x) for x in params.r]
+        z = 8 * r[0] * r[1] * r[2] * mpmath.expj(mpmath.mpf(params.alpha))
+        terms = substituted(trace_polynomial(word), [4 * x * x for x in r], z,
+                            mpmath.conj(z))
+        tau = (-1) ** len(word) * (2 + mpmath.fsum(terms.values()))
+        a2 = abs(tau) ** 2
+        rho = a2 * a2 - 8 * (tau ** 3).real + 18 * a2 - 27
+        if rho < -tol:
+            verdict = REGULAR_ELLIPTIC
+        elif rho > tol:
+            verdict = HYPERBOLIC
+        elif abs(tau ** 3 - 27) <= tol:
+            verdict = UNIPOTENT
+        else:
+            verdict = BOUNDARY_NON_UNIPOTENT
+        return +tau, +rho, verdict
+
+
 def conjugate_traces_reference(group, word, q):
     """(tau, tau-bar) at each Galois conjugate, m = 1 first, one scalar
-    _expand run per pair member: the per-word loop that the stacked
+    expand_reference run per pair member: the per-word loop that the stacked
     group_conjugate_traces must match to rounding."""
     sign = (-1.0) ** len(word)
     pairs = []
@@ -369,7 +421,7 @@ def conjugate_traces_reference(group, word, q):
         r = [math.sqrt(xk) / 2.0 for xk in xs]
         zp = (z / math.sqrt(q_val)) ** (1.0 / 3.0)
         pairs.append(tuple(
-            sign * _expand(word, (-2.0,) * 3, _gram(r, a, b))
+            sign * expand_reference(word, (-2.0,) * 3, gram_reference(r, a, b))
             for a, b in ((zp, 1.0 / zp), (1.0 / zp, zp))))
     return pairs
 

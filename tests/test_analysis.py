@@ -12,12 +12,13 @@ from chtg.analysis import (OUT_OF_CRITERION, TYPE_B, TYPE_B_PRODUCT_BOUND,
                            rho_123_weighted, scan_elliptic, t_of_alpha,
                            t_of_cos, thresholds)
 from chtg.classify import HYPERBOLIC, INDETERMINATE, REGULAR_ELLIPTIC, classify
-from chtg.traces import sigma_closed, trace_oracle
+from chtg.traces import sigma_closed, trace_combinatorial, trace_oracle
 from chtg.triangle import TriangleParams, realize
 
 from helpers import (_alternation_index, classes_up_to, draw_params, draw_word,
                      family_c_a_printed, family_c_a_report, scan_rows,
-                     sigma_lower_bound_check, stacked_traces)
+                     sigma_lower_bound_check, stacked_traces,
+                     verdict_reference)
 
 
 def test_t_alpha_conversions():
@@ -280,15 +281,14 @@ _SCAN_CASES = {
 
 @pytest.mark.parametrize("name", sorted(_SCAN_CASES))
 def test_scan_rows_equal_per_word_oracle(name):
-    # the stacked products give trace_oracle's values bit for bit, and each
-    # row carries classify's verdict and the alternation filter
+    # the stacked products give trace_combinatorial's values bit for bit, and
+    # each row carries classify's verdict and the alternation filter
     p = _SCAN_CASES[name]
     tol = 1e-9
-    rz = realize(p)
     rows = scan_rows(scan_elliptic(p, 12, tol=tol))
     assert [r.word for r in rows] == classes_up_to(12)
     for row in rows:
-        assert row.tau == trace_oracle(row.word, rz).value
+        assert row.tau == trace_combinatorial(row.word, p).value
         cls = classify(row.tau, tol=tol)
         assert (row.rho, row.verdict) == (cls.rho, cls.verdict)
         k = _alternation_index(row.word)
@@ -298,6 +298,24 @@ def test_scan_rows_equal_per_word_oracle(name):
         flagged = _hits(scan_rows(
             scan_elliptic(p, 12, skip_alternating=False, tol=tol)))
         assert {r.word for r in flagged} > {r.word for r in _hits(rows)}
+
+
+def test_scan_verdicts_equal_60_digit_verdicts():
+    # every class up to 12 letters at (10,10,inf) t = 0.5, where (12)^4,
+    # (12)^5, (12)^6 are unipotent and (13)^5 has rho ~ -1e-28, and the two
+    # length-19 rows at (4,5,6) t = 1 whose 60-digit rho is below 1e-25
+    pytest.importorskip("mpmath")
+    p = TriangleParams.from_signature(10, 10, math.inf).with_t(0.5)
+    rows = scan_rows(scan_elliptic(p, 12, skip_alternating=False))
+    assert len(rows) == 492
+    for row in rows:
+        assert row.verdict == verdict_reference(row.word, p)[2], row.word
+    p = _SCAN_CASES["456"]
+    *_, block = scan_elliptic(p, 19)
+    rows = {r.word: r for r in scan_rows([block])}
+    for w in ("1212313212313131313", "1213131313132132123"):
+        w = words.parse_word(w)
+        assert rows[w].verdict == verdict_reference(w, p)[2], w
 
 
 def test_scan_rows_independent_of_chunk_size(monkeypatch):

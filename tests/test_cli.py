@@ -17,12 +17,12 @@ from chtg.arithmetic import (_power_basis_pinv, group_with_rotation,
                              ring_transfer)
 from chtg.classify import classify
 from chtg.cli import _floats, _scalar, dumps_stable, main
-from chtg.traces import trace_oracle
-from chtg.triangle import TriangleParams, realize
+from chtg.traces import trace_combinatorial
+from chtg.triangle import TriangleParams
 from chtg.words import MAX_LEN, enumerate_words, word_strs, word_to_str
 
 from helpers import (brute_classes, classes_up_to, ring_check_reference,
-                     ring_row_dict, scan_rows, verdict_rows)
+                     ring_row_dict, scan_rows, verdict_reference, verdict_rows)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -54,8 +54,23 @@ def test_trace_ideal_near_pi(capsys):
     want = 8 * complex(math.cos(3.14159), math.sin(3.14159)) - 9
     assert data["tau"]["re"] == pytest.approx(want.real, abs=1e-9)
     assert data["tau"]["im"] == pytest.approx(want.imag, abs=1e-9)
-    assert data["method"] == "oracle"
+    assert data["method"] == "combinatorial"
     assert set(data["methods"]) == {"oracle", "combinatorial", "recursive"}
+
+
+def test_trace_reports_the_scan_rows_verdict(capsys):
+    # (13)^5 at (10,10,inf) t = 0.5 is a complex reflection, 60-digit rho
+    # -1.1e-28: trace classifies the value its scan row has, bit for bit
+    pytest.importorskip("mpmath")
+    p = TriangleParams.from_signature(10, 10, math.inf).with_t(0.5)
+    w = (1, 3) * 5
+    code, out, _ = run(capsys, "trace", "--word", "1313131313", "--p", "10",
+                       "10", "inf", "--t", "0.5", "--json")
+    assert code == 0
+    data = json.loads(out)
+    row = {r.word: r for r in scan_rows(scan_elliptic(p, 10))}[w]
+    assert complex(data["tau"]["re"], data["tau"]["im"]) == row.tau
+    assert data["verdict"] == row.verdict == verdict_reference(w, p)[2]
 
 
 def test_trace_identity_word(capsys):
@@ -160,11 +175,10 @@ def test_ring_check_csv_equals_per_word_reference(capsys, n):
                          ids=["456", "44inf"])
 def test_scan_csv_equals_per_word_reference(capsys, sig, t):
     p = TriangleParams.from_signature(*map(float, sig.split())).with_t(float(t))
-    rz = realize(p)
     want = ["word,re_tau,im_tau,rho,verdict"]
     for n in range(1, 13):
         for w in brute_classes(n):
-            tau = trace_oracle(w, rz).value
+            tau = trace_combinatorial(w, p).value
             cls = classify(tau)
             want.append(",".join([word_to_str(w), *(format(x, ".17g") for x in
                                   (tau.real, tau.imag, cls.rho)), cls.verdict]))
@@ -296,7 +310,9 @@ def test_byte_identical_reruns(capsys):
 
 # sha256 of stdout for the JSON, CSV and human forms of each subcommand that
 # writes rows or payloads, recorded before scan and ring-check streamed their
-# rows and before the payloads carried complex values as such
+# rows and before the payloads carried complex values as such.  The scan and
+# trace digests were re-recorded when both moved from the realization's
+# reflections to traces' kernel, which changes last bits and five verdicts
 _S = "scan --p 4 5 6 --t 1.0 --max-len 10"
 _R = "ring-check --p 4 4 inf --max-len 8 --n"
 _T = "trace --word 2321 --p 4 5 6 --t 0.8"
@@ -305,18 +321,18 @@ _T16 = "trace --word 1213121323123212"
 _S16 = "scan --p 4 5 6 --t 1.0 --max-len 16"
 _R14 = "ring-check --p 4 4 inf --max-len 14 --n"
 GOLDEN_STDOUT = {
-    f"{_S} --json": (2, "dd80ea6ee16257e39d120c08ca690f0dd80bdf8d814d02d13c515f4aea646b5d"),
-    f"{_S} --csv": (2, "e564c8aa188c776739e09825d1e75a0e0467b63c18ad542f8bc6bdc38f52a152"),
-    _S: (2, "df85345e1050c2a7e07a87d371bf2072491df4973d0504fe82a96711321a46e0"),
+    f"{_S} --json": (2, "de2f99b0702bf98f52cecf7310dcfbbfb20fa6cbd64209491c6f6fb3fee24ebd"),
+    f"{_S} --csv": (2, "dd12bec2b76103665330d76ad1d98980e53893a6dbbdfbaf667a31172efb84e7"),
+    _S: (2, "93404cc1f465817eb5595f3d1a53679df543f43c8949ec8363bbceeb88236cb6"),
     f"{_R} 5 --json": (0, "7774f7e7fda9e0591beac031720ea11dfaf0c59e6e1fb38ef332e5a643777e28"),
     f"{_R} 5 --csv": (0, "2a056b489d545df984b93480ab14de5974cbb0757e5fb04cd5fd81669015f0f2"),
     f"{_R} 5": (0, "058aec931f1a04b27eb65c031128ee1e872515dcf6e3bb14d9d546cd101574d9"),
     f"{_R} inf --json": (0, "88462e12c473f28c23af59638462682adde160f0c90910dee9863999e8be8477"),
     f"{_R} inf --csv": (0, "2a056b489d545df984b93480ab14de5974cbb0757e5fb04cd5fd81669015f0f2"),
     f"{_R} inf": (0, "058aec931f1a04b27eb65c031128ee1e872515dcf6e3bb14d9d546cd101574d9"),
-    f"{_T} --json --fourier": (0, "cdf6812879f77f09d7cb0ad5690be5a2e582a203c1e9269f5d620cec053bc550"),
-    f"{_T} --csv": (0, "ffa6e688e72f9abebf2bd5c56656f5332fd9604645a5453b642355df7cc2dcf4"),
-    _T: (0, "523a844553eacdce69a5ff146c282d91b1f930a81d591dedfd9e101514cabea2"),
+    f"{_T} --json --fourier": (0, "7ce9fd5387064b22ddec770b8426fa98bc96b3cf44d4617fdd84b3dd0904c1a8"),
+    f"{_T} --csv": (0, "0760328951f326eb147bb49ba6babc025f8bc10c5f2d939cc6485eab751a4253"),
+    _T: (0, "e02131d1fe65abb127855146b3cf7e4d774ce97b6e6531eec1dae9b415d7eafa"),
     "invariants --p 4 5 6 --t 0.8 --json":
         (0, "ccecff51d9f29f98f717caff3602fc161eee82b455255bf48baabf0d9e181057"),
     "invariants --p 4 5 6 --t 0.8":
@@ -327,27 +343,27 @@ GOLDEN_STDOUT = {
         (0, "037c79536f1a2101cb6215545e78408ea1f21e05a8d5d65998518d85b647e0ae"),
     # recorded before scan and ring-check ran on the level-wise prefix pass;
     # the (10,10,inf) scan has rows in the |rho| <= tol band
-    f"{_S4} --csv": (2, "aec36eaa8801ed49855cedfecf8ae6aa404e3a938b34202dc8d2fe10ff766678"),
-    f"{_S4} --json": (2, "6e2670d953bd05fa5f9fe2e2f07902fcceb1ea14abf0327cc3dacda75da7b722"),
-    _S4: (2, "bb754570172727a3e4a55f6dac6fd081d79ef4dba16df56e01bf2e87788410ea"),
+    f"{_S4} --csv": (2, "c920dbfd1552275d0d7f5f33f3b82fea0c9ad073185e1a0485a312724ee78574"),
+    f"{_S4} --json": (2, "d3696da648551aa4a65d845c92362805a72b0701f2834ce6b8f9f71adda1377f"),
+    _S4: (2, "a7b33e2bb7aa2dc8c59548cbed0482bcee48161ed814dc32aac47d3973671c6c"),
     "scan --p 10 10 inf --t 0.5 --max-len 10 --include-alternating --csv":
-        (2, "f3019c289d62d67f03728aad50ad56e5b09014c462c81f1f745a8e9b480e46bc"),
+        (2, "ffeda5dbdb522b9f942a45be0a9a67fa7504c01e9a580459f6dd2cd4fb54b8b7"),
     "ring-check --p 4 4 inf --n 5 --max-len 12 --csv":
         (0, "4dcbf9166c4661927b64ee74042223a31018420b12a2cbf9989ac6978dce1edf"),
     # recorded before the trace routes cached their per-parameter constants;
     # the CSV prints every route at 17 digits, so any changed bit shows
     f"{_T16} --p 4 5 6 --t 0.8 --csv":
-        (0, "14bec3a5e309f7aab9614947f03ba98c502038dcc01dbff79cabd81422627652"),
+        (0, "3c4ff4afa2cbb68e6b76d8ef962539796bbee984ff7103ff5b954a727991735b"),
     f"{_T16} --p inf inf inf --t 0.8 --csv":
-        (0, "8915f7e91f125ce239b5342adec2a270a9ad7c418194bf89f9cafc911129fc60"),
+        (0, "3a019a41fd35c2b0eb6fd21184c57e25987abefe97450ee2ef123ecff67060d0"),
     f"{_T16} --lengths 1 1.5 2 --t 0.8 --csv":
-        (0, "fc8a1d912d22d1edb856e074c8b22b77eff6f785a9db7d527afe60bf90ab2429"),
+        (0, "ad4556777fdc4fd0d6be689d17814d6512ab46c3585c05c852553c7c913ad154"),
     "trace --word 123121321323 --p 4 5 6 --t 0.8 --json --fourier":
-        (0, "fcceae80698563be40fcff0050a9613c0e0b2cd97120f754306d80f2c5fff89b"),
+        (0, "7ef804bb23055fdb972e54a8862adc6801dc1689b09cc5fd6cb1b69263e25435"),
     # recorded before the prefix pass multiplied one block per letter and
     # ring-check wrote its rows per length; at 16 letters a letter's block
     # first passes words.CHUNK parents, and the n = 5 run fails one row at 20
-    f"{_S16} --csv": (2, "973d646ff1160607e56713147d414eb31f1701cd0316bd0e7ae09dce454135ad"),
+    f"{_S16} --csv": (2, "bd5bc3ac22240b1c702b6079f429c9a8195fb2dedf26341cc46f6287dfdb1dd3"),
     f"{_R14} 8 --json": (0, "3aaccef5eb1df1ca4daff2082d2605579d9c3da0d2141879fbe2d056078c3790"),
     f"{_R14} inf --json": (0, "6855d3eaac7af185d253a2fe5ec8d214b8434de37f2f2424953be4525d567978"),
     "ring-check --p 4 4 inf --n 5 --max-len 20":
@@ -355,7 +371,7 @@ GOLDEN_STDOUT = {
     # a -0 radius is stored as 0: this is the digest of --r 0 1 1 (with -0
     # kept as given it printed "r1":-0, sha256 6949e7e1...)
     "trace --word 23 --r -0 1 1 --cos-alpha -0.5 --json":
-        (0, "543583c883322e0f16d5d7a2abe9fac8672b28fa9201a8123d3bf433ab8e4949"),
+        (0, "c4d1f1556886f0a9ab398ea6cc422ba197c97b7eee511054641d24d26355e4ae"),
 }
 
 

@@ -8,18 +8,18 @@ import pytest
 
 from chtg import traces
 from chtg.traces import (_TAILS, EXACT_CAP, CapExceeded, TracePolynomial,
-                         TraceValue, ZeroRadiusUnsupported, _constants, _gram,
-                         _key, _recursion_plan, poly_to_str, sigma_closed,
+                         TraceValue, ZeroRadiusUnsupported, _constants, _key,
+                         _recursion_plan, poly_to_str, sigma_closed,
                          sigma_word, tau_123_closed, trace_combinatorial,
                          trace_mu, trace_mu_combinatorial, trace_oracle,
-                         trace_polynomial, trace_recursive)
+                         trace_polynomial, trace_recursive, transfer_matrices)
 from chtg.triangle import TriangleError, TriangleParams, realize
 from chtg.words import canonical, winding
 
 from helpers import (classes_up_to, draw_params, draw_word, evaluate_reference,
-                     ideal_sum, n_count, numeric_trace_reference,
-                     oracle_reference, poly_mul, poly_sub, power_word,
-                     product_reference, recursive_reference, reference_plan,
+                     expand_reference, gram_reference, ideal_sum, n_count, oracle_reference,
+                     poly_mul, poly_sub, power_word, product_reference,
+                     recursive_reference, reference_plan, transfer_reference,
                      trace_mu_polynomial, u_count)
 
 
@@ -404,6 +404,26 @@ def test_recursion_plan_memory_is_linear():
     assert peak < 16 * 2 ** 20
 
 
+def test_recursion_plan_cache_keeps_no_long_plans(rng):
+    # plans of words over 64 letters are built per call, not cached: five
+    # 1,500-letter plans kept 4.3 MiB alive in the cache (tuple free lists
+    # keep about 0.4 MiB); 20,000 letters would take 45 s under tracemalloc
+    p = RECURSION_PARAMS["456"]
+    ws = [draw_reduced_word(rng, 1500) for _ in range(5)]
+    _constants(_key(p))
+    tracemalloc.start()
+    try:
+        for w in ws:
+            trace_recursive(w, p)
+        alive = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert alive < 2 * 2 ** 20
+    _recursion_plan.cache_clear()
+    trace_recursive((1, 2, 3, 1, 3, 2, 1, 2, 3, 2, 3, 1, 2, 1, 3, 2), p)
+    assert _recursion_plan.cache_info().currsize == 1
+
+
 def test_zero_radius_raises_before_planning():
     _recursion_plan.cache_clear()
     with pytest.raises(ZeroRadiusUnsupported):
@@ -486,9 +506,8 @@ def reference_bits(w, p, poly=None):
     """route_bits by the per-call references."""
     mu_factors = tuple(complex(mu) - 1.0 for mu in BIT_MUS)
     rz = realize(p)
-    out = {"combinatorial": complex((-1.0) ** len(w) * numeric_trace_reference(
-               w, p, (-2.0, -2.0, -2.0))),
-           "mu": complex(numeric_trace_reference(w, p, mu_factors)),
+    out = {"combinatorial": transfer_reference(w, p, (-2.0, -2.0, -2.0), -1.0),
+           "mu": transfer_reference(w, p, mu_factors),
            "oracle": oracle_reference(w, rz),
            "mu-oracle": complex(np.trace(product_reference(
                rz.mu_iotas(BIT_MUS), w)))}
@@ -507,11 +526,27 @@ def test_routes_equal_per_call_references(name):
         assert route_bits(w, p, poly) == reference_bits(w, p, poly), w
 
 
+@pytest.mark.parametrize("name", sorted(BIT_POINTS))
+def test_kernel_products_equal_subset_expansion(name):
+    # the per-call subset expansion in Python complex arithmetic, to rounding
+    p = BIT_POINTS[name]
+    ez = cmath.exp(1j * p.alpha / 3.0)
+    gram = gram_reference(p.r, ez, ez.conjugate())
+    for w in classes_up_to(10):
+        want = (-1) ** len(w) * expand_reference(w, (-2.0, -2.0, -2.0), gram)
+        got = trace_combinatorial(w, p).value
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), w
+        want = expand_reference(w, [mu - 1.0 for mu in BIT_MUS], gram)
+        got = trace_mu_combinatorial(w, p, BIT_MUS).value
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), w
+
+
 def test_oracle_trace_of_negative_zero_diagonal():
     # np.trace sums from +0: a -0.0 diagonal gives +0j, not -0j
     m = -0.0 * np.eye(3, dtype=complex)
     rz = type("Mats", (), {"iotas": (m, m, m)})()
-    assert math.copysign(1.0, traces.word_matrix(rz, (1,))[0, 0].real) == -1.0
+    assert math.copysign(1.0, traces.word_matrix(rz.iotas, (1,))[0, 0].real) \
+        == -1.0
     got = trace_oracle((1,), rz).value
     assert bits(got) == bits(oracle_reference((1,), rz)) == bits(0j)
 
@@ -550,10 +585,12 @@ def test_negative_zero_radius_is_zero():
     pos = TriangleParams(0.0, 1.0, 1.0, alpha=1.0)
     neg = TriangleParams(-0.0, 1.0, 1.0, alpha=1.0)
     assert neg == pos and bits(neg.r1) == bits(0.0)
-    want = [list(map(bits, row)) for row in _gram(
-        pos.r, cmath.exp(1j * pos.alpha / 3.0), cmath.exp(-1j * pos.alpha / 3.0))]
+    ez = cmath.exp(1j * pos.alpha / 3.0)
+    want = [[list(map(bits, row)) for row in m.tolist()] for m in
+            -transfer_matrices((-2.0, -2.0, -2.0), pos.r, ez, ez.conjugate())]
     for p in (pos, neg):
-        assert [list(map(bits, row)) for row in _constants(_key(p))[0]] == want
+        assert [[list(map(bits, row)) for row in m.tolist()]
+                for m in _constants(_key(p))[0]] == want
     for w in classes_up_to(6):
         assert route_bits(w, neg) == route_bits(w, pos) == reference_bits(w, pos)
 
@@ -570,8 +607,8 @@ def test_powers_out_of_range_fail_only_where_used():
             call()
     huge = TriangleParams(1e160, 1.0, 1.0, alpha=0.5)
     w = (1, 2, 3, 1, 3, 2)
-    assert bits(trace_combinatorial(w, huge).value) == bits(complex(
-        numeric_trace_reference(w, huge, (-2.0, -2.0, -2.0))))
+    assert bits(trace_combinatorial(w, huge).value) == bits(
+        transfer_reference(w, huge, (-2.0, -2.0, -2.0), -1.0))
     with pytest.raises(OverflowError):
         trace_recursive(w, huge)
 

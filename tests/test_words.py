@@ -229,7 +229,7 @@ def test_level_traces_with_ring_matrices_equal_stacked_traces(n):
     # leading (rows, 2) axes at q = 5 and 8; one point at n = inf
     mats, _ = ring_transfer(group_with_rotation(4, 4, math.inf, n))
     for ws, taus in enumerate_words(10, mats):
-        assert taus.shape == (*mats.shape[:-3], len(ws))
+        assert taus.shape == (*np.shape(mats)[:-3], len(ws))
         assert taus.tobytes() == stacked_traces(ws, mats).tobytes()
 
 
