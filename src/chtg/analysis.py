@@ -196,11 +196,11 @@ def non_discreteness_certificate(params: TriangleParams,
                                  tol: float = 1e-9) -> Certificate | None:
     """Certificate naming the (3,2,3,1)-class when |t| > t_A; None otherwise.
 
-    The closed-form threshold decision is double-checked by classifying
-    trace_oracle's product of the realization's reflections: a geometric
-    check of t_A, independent of the kernel that scan multiplies.  Absence
-    of a certificate says nothing about discreteness.  At R = r1 r2 r3 = 0 the trace of (3,2,3,1) is constant,
-    16 r1^2 r2^2 + 4 r3^2 - 1, and t_A is -inf or +inf as that is < 3 or not.
+    The closed-form decision is double-checked by classifying trace_oracle's
+    product of the realization's reflections, a geometric check independent
+    of scan's kernel.  Absence of a certificate proves nothing.  At R = 0 the
+    trace of (3,2,3,1) is constant, 16 r1^2 r2^2 + 4 r3^2 - 1, and t_A is
+    -inf or +inf as that is < 3 or not.
     """
     r1, r2, r3 = params.r
     if r1 * r2 * r3 == 0.0:

@@ -1,13 +1,14 @@
 """Shared draw helpers, word counts and inverses, projective points, the
 brute-force class list, scan rows, the stacked-product and alternation
 references, reference polynomial arithmetic, the reference deletion
-recursion and its plan, the per-call trace routes and matrix products and
-exact substitution, the reference per-word ring check, the per-row ring
-verdicts and JSON rows, and the closed forms and checks that only the tests
-call (the sigma bound, the family c_A shortcut, Brehm's sigma,
-Hakim-Sandler's eta, the U(2,1) test and random element, reduction and
-straightening of cyclic words, the canonical alpha, a realization's moved
-copy and invariant checks, and the explicit (p1, p2, inf) realization)."""
+recursion and its plan, the per-call trace routes, subset expansion and
+matrix products, exact substitution and the 60-digit verdicts, the
+reference per-word ring check, the per-row ring verdicts and JSON rows, and
+the closed forms and checks that only the tests call (the sigma bound, the
+family c_A shortcut, Brehm's sigma, Hakim-Sandler's eta, the U(2,1) test
+and random element, reduction and straightening of cyclic words, the
+canonical alpha, a realization's moved copy and invariant checks, and the
+explicit (p1, p2, inf) realization)."""
 
 import cmath
 import itertools
@@ -328,14 +329,15 @@ def gram_reference(r, zp, zn):
             for a in LETTERS]
 
 
-def transfer_reference(word, params, factors, sign=1.0) -> complex:
-    """np.trace of the word's product of sign * transfer_matrices, built for
-    this call at z = e^{i alpha / 3}: the form trace_combinatorial (factors
-    -2, sign -1, the kernel) and trace_mu_combinatorial must equal."""
+def transfer_reference(word, params, factors, negate=False) -> complex:
+    """np.trace of the word's product of transfer_matrices (negated with
+    ``negate``), built for this call at z = e^{i alpha / 3}: the form
+    trace_combinatorial (factors -2, negated: the kernel) and
+    trace_mu_combinatorial must equal."""
     params._need_alpha()
     ez = cmath.exp(1j * params.alpha / 3.0)
-    mats = sign * transfer_matrices(factors, params.r, ez, ez.conjugate())
-    return complex(np.trace(product_reference(mats, word)))
+    mats = transfer_matrices(factors, params.r, ez, ez.conjugate())
+    return complex(np.trace(product_reference(-mats if negate else mats, word)))
 
 
 def product_reference(mats, word) -> np.ndarray:
