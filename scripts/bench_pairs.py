@@ -10,7 +10,9 @@ after the other; the side that goes first alternates from pair to pair, so
 slow drift of the machine hits both sides alike.  The file records every
 run's end-to-end metrics and CLI stdout sha256, and per metric each side's
 median and quartiles, the median ratio head / base, and in how many pairs
-the head was better.  Standard library only.
+the head was better.  A ``--base`` or ``--head`` that is not the top of a
+git checkout holding bench/run.py, or an ``--out`` in no directory, exits 2
+with one line on stderr before any run.  Standard library only.
 """
 
 from __future__ import annotations
@@ -48,6 +50,19 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return out
 
 
+def checkout_label(path: Path) -> str | None:
+    """``git rev-parse --short HEAD`` of a git checkout's top directory that
+    holds bench/run.py; None for any other path."""
+    if not (path / "bench" / "run.py").is_file():
+        return None
+    proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "--short", "HEAD"],
+                          cwd=path, capture_output=True, text=True)
+    lines = proc.stdout.split()
+    if proc.returncode or len(lines) != 2 or Path(lines[0]) != path:
+        return None
+    return lines[1]
+
+
 def summarize(values) -> dict:
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3}
@@ -59,16 +74,23 @@ def main(argv=None) -> int:
     parser.add_argument("--head", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    sides = {"base": args.base.resolve(), "head": args.head.resolve()}
+    labels = {s: checkout_label(path) for s, path in sides.items()}
+    for side, label in labels.items():
+        if label is None:
+            print(f"bench_pairs.py: --{side} {getattr(args, side)} is not the top "
+                  "of a git checkout holding bench/run.py", file=sys.stderr)
+            return 2
+    if not args.out.resolve().parent.is_dir():
+        print(f"bench_pairs.py: --out {args.out}: no such directory",
+              file=sys.stderr)
+        return 2
     spec = json.loads((args.head / "BENCHMARK.json").read_text())
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
-    sides = {"base": args.base.resolve(), "head": args.head.resolve()}
     report = {
         "command": f"bench/run.py --workload W --seed i --seconds {SECONDS} "
                    f"--trace 0, {PAIRS} alternating pairs",
-        "labels": {s: subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=path,
-            capture_output=True, text=True, check=True).stdout.strip()
-            for s, path in sides.items()},
+        "labels": labels,
         "machine": {"platform": platform.platform(), "nproc": os.cpu_count()},
         "workloads": {},
     }

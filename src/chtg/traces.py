@@ -25,7 +25,8 @@ iota_{a_n}:
 
 The parameter-only constants (the kernel, the recursion's base values and
 betas, ``TracePolynomial.evaluate``'s power tables) are computed once per
-(r1, r2, r3, alpha), in one LRU cache keyed by the values of those floats.
+(r1, r2, r3, alpha), in one LRU cache keyed by the values of those floats;
+``trace_mu_combinatorial``'s matrices are kept likewise per parameters and mus.
 
 The subset sum is never enumerated.  In the balanced gauge the polar vectors
 have the Gram matrix G with G_kk = 1 and G_ab = r_m z^{chi(b - a)}, where
@@ -51,9 +52,9 @@ Each T_a updates one row of what it multiplies; run over sparse polynomials
 in (r1, r2, r3, z), the row updates give the Fourier data tau_a = (-1)^n
 (2 + sum_w q_w e^{i alpha w}).  ``trace_polynomial`` stores each q_w exactly
 as (8 r1 r2 r3)^{|w|} times an integer polynomial P_w in X_k = 4 r_k^2.
-``TracePolynomial.evaluate`` compiles the float coefficients and exponents
-once per polynomial; a call looks the powers of the X_k and z up and sums
-the terms in ``coeffs`` order.
+The canonical path moves only alpha, so ``TracePolynomial.evaluate`` keeps
+each P_w(X), summed from the power tables in ``coeffs`` order, for the radii
+of its last call; a call at the same radii sums only P_w(X) z^w.
 """
 
 from __future__ import annotations
@@ -216,13 +217,21 @@ def trace_combinatorial(word, params) -> TraceValue:
 def trace_mu_combinatorial(word, params, mus) -> TraceValue:
     """Subset-expansion trace for mu-reflection generators: the product of
     transfer_matrices with factors mu_k - 1 over the word."""
-    if any(abs(abs(mu) - 1.0) > 1e-9 for mu in mus):
+    if any(not abs(abs(mu) - 1.0) <= 1e-9 for mu in mus):
         raise ValueError("mu factors must be unit complex numbers")
-    *r, alpha = _key(params)
-    ez = cmath.exp(1j * alpha / 3.0)
-    mats = transfer_matrices([complex(mu) - 1.0 for mu in mus], r, ez,
-                             ez.conjugate())
+    mats = _mu_matrices(_key(params), tuple(complex(mu) for mu in mus))
     return TraceValue(_diagonal_sum(word_matrix(mats, word)), "mu-combinatorial")
+
+
+@functools.lru_cache(maxsize=256)
+def _mu_matrices(key: tuple, mus: tuple) -> tuple:
+    """transfer_matrices with factors mu_k - 1 at z = e^{i alpha / 3}, three
+    read-only 3x3 arrays per (r1, r2, r3, alpha) and mus."""
+    *r, alpha = key
+    ez = cmath.exp(1j * alpha / 3.0)
+    mats = transfer_matrices([mu - 1.0 for mu in mus], r, ez, ez.conjugate())
+    mats.flags.writeable = False
+    return tuple(mats)
 
 
 def poly_to_str(poly: dict) -> str:
@@ -259,20 +268,26 @@ class TracePolynomial:
         return sorted(self.coeffs)
 
     @functools.cached_property
-    def _compiled(self) -> tuple:
-        """coeffs as (w, ((float(c), j1, j2, j3), ...)) in coeffs order; a
-        negative j_k, which would index evaluate's tables from the end, raises."""
-        if any(min(mono) < 0 for poly in self.coeffs.values() for mono in poly):
-            raise LookupError("a negative exponent of X_k")
-        return tuple((w, tuple((float(c), *mono) for mono, c in poly.items()))
-                     for w, poly in self.coeffs.items())
+    def _path(self) -> list:
+        """[(r1, r2, r3), ((w, P_w(X)), ...)] of the last evaluate: along the
+        canonical path only alpha moves, so each P_w(X) is summed once."""
+        return [None, ()]
 
     def evaluate(self, params) -> complex:
         """Reassemble tau at the given parameters: q_w e^{i alpha w} is P_w(X)
-        z^w, or P_w(X) conj(z)^{-w} for w < 0, with z = 8 R e^{i alpha}."""
-        _, _, _, (p1, p2, p3), zs = _constants(_key(params))
-        total = sum(sum(c * p1[j1] * p2[j2] * p3[j3] for c, j1, j2, j3 in ts)
-                    * zs[w] for w, ts in self._compiled)
+        z^w, or P_w(X) conj(z)^{-w} for w < 0, with z = 8 R e^{i alpha}.  A
+        negative exponent, which would index the X tables from the end, raises."""
+        key = _key(params)
+        _, _, _, (p1, p2, p3), zs = _constants(key)
+        path = self._path
+        if path[0] != key[:3]:
+            if any(min(mono) < 0 for poly in self.coeffs.values() for mono in poly):
+                raise LookupError("a negative exponent of X_k")
+            path[:] = key[:3], tuple(
+                (w, sum(float(c) * p1[j1] * p2[j2] * p3[j3]
+                        for (j1, j2, j3), c in poly.items()))
+                for w, poly in self.coeffs.items())
+        total = sum(pw * zs[w] for w, pw in path[1])
         return (-1.0) ** self.n * (2.0 + total)
 
     def to_json_dict(self) -> dict:

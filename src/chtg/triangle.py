@@ -195,7 +195,7 @@ def mu_reflection(c, mu) -> np.ndarray:
     mu must be a unit complex number; determinant mu, trace 2 + mu.  mu = -1
     recovers the ordinary reflection.
     """
-    if abs(abs(mu) - 1.0) > 1e-9:
+    if not abs(abs(mu) - 1.0) <= 1e-9:
         raise TriangleError("mu must lie on the unit circle")
     h = herm(c, c).real
     if h <= _ONE_TOL:

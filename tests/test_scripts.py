@@ -1,4 +1,5 @@
-"""Each analysis script in scripts/ runs at its defaults."""
+"""Each analysis script in scripts/ runs at its defaults; bench_pairs.py
+refuses bad paths before any benchmark run."""
 
 import os
 import subprocess
@@ -19,3 +20,32 @@ def test_script_runs_at_defaults(script):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def bench_pairs(*args):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
+                           *map(str, args)], cwd=ROOT, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_bench_pairs_help():
+    proc = bench_pairs("--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: bench_pairs.py")
+
+
+def test_bench_pairs_refuses_bad_paths_before_running(tmp_path):
+    plain = tmp_path / "plain"  # holds bench/run.py but is no git checkout
+    (plain / "bench").mkdir(parents=True)
+    (plain / "bench" / "run.py").write_text("raise SystemExit(1)\n")
+    out = tmp_path / "out.json"
+    for args in (("--base", tmp_path / "missing", "--head", ROOT),
+                 ("--base", ROOT, "--head", plain),
+                 ("--base", ROOT, "--head", ROOT / "src"),
+                 ("--base", ROOT, "--head", ROOT, "--out", tmp_path / "no" / "x.json")):
+        if "--out" not in args:
+            args += ("--out", out)
+        proc = bench_pairs(*args)
+        assert proc.returncode == 2, args
+        assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1, args
+        assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -461,8 +461,10 @@ def test_evaluate_refuses_exponents_beyond_its_tables():
                    {-(EXACT_CAP // 3) - 1: {(0, 0, 0): 1}},
                    {0: {(0, EXACT_CAP // 2 + 1, 0): 1}},
                    {0: {(-1, 0, 0): 1}}):  # not X1^24 from the table's end
-        with pytest.raises(LookupError):
-            TracePolynomial((), 0, coeffs).evaluate(p)
+        poly = TracePolynomial((), 0, coeffs)
+        for _ in range(2):  # a refused call leaves nothing behind
+            with pytest.raises(LookupError):
+                poly.evaluate(p)
 
 
 def test_polynomial_json():
@@ -612,6 +614,83 @@ def test_powers_out_of_range_fail_only_where_used():
             transfer_reference(w, huge, (-2.0,) * 3, negate=True))
     with pytest.raises(OverflowError):
         trace_recursive(w, huge)
+
+
+# t = cot(alpha / 2) along the canonical path of (4,5,6), and a second radii
+# triple to alternate with it
+PATH = TriangleParams.from_signature(4, 5, 6)
+PATH_TS = [i / 40 for i in range(200)]
+OTHER_RADII = TriangleParams.from_lengths(1.0, 1.5, 2.0)
+
+
+def test_evaluate_along_the_path_equals_reference_bits():
+    for w in (*classes_up_to(8), (2, 3) * 24, (1, 2, 3) * 16):
+        poly = trace_polynomial(w)
+        for t in PATH_TS:
+            p = PATH.with_t(t)
+            assert bits(poly.evaluate(p)) == bits(evaluate_reference(poly, p)), w
+        for i, t in enumerate(PATH_TS):
+            p = (OTHER_RADII if i % 2 else PATH).with_t(t)
+            assert bits(poly.evaluate(p)) == bits(evaluate_reference(poly, p)), w
+
+
+def test_evaluate_sums_each_coefficient_once_per_radii(monkeypatch):
+    polys = [trace_polynomial(w) for w in
+             ((1, 2, 1, 3, 2, 3), (2, 3) * 24, (1, 2, 3) * 16)]
+    for poly in polys:
+        poly.evaluate(PATH.with_t(PATH_TS[0]))
+
+    class Unread:
+        def __getitem__(self, j):
+            raise AssertionError("an X_k table was read on the same radii")
+
+    constants = traces._constants
+
+    def unread_tables(key):
+        kernel, base, betas, _, zs = constants(key)
+        return kernel, base, betas, (Unread(),) * 3, zs
+
+    monkeypatch.setattr(traces, "_constants", unread_tables)
+    for t in PATH_TS[1:11]:
+        p = PATH.with_t(t)
+        for poly in polys:
+            assert bits(poly.evaluate(p)) == bits(evaluate_reference(poly, p))
+
+
+def test_failed_evaluate_leaves_no_radii_behind():
+    big = TriangleParams(1e7, 2.0, 3.0, alpha=1.0)  # X1^24 overflows
+    sane = BIT_POINTS["456"]
+    long_ = trace_polynomial((2, 3) * 24)
+    with pytest.raises(OverflowError):
+        long_.evaluate(big)
+    assert bits(long_.evaluate(sane)) == bits(evaluate_reference(long_, sane))
+    with pytest.raises(OverflowError):
+        long_.evaluate(big)
+
+
+def test_mu_factors_refuse_nan():
+    p = BIT_POINTS["456"]
+    mus = (math.nan, 1j, -1)
+    with pytest.raises(ValueError):
+        trace_mu_combinatorial((1, 2, 3), p, mus)
+    with pytest.raises(TriangleError):
+        trace_mu((1, 2, 3), realize(p), mus)
+
+
+def test_mu_matrices_are_built_once_per_parameters_and_mus(monkeypatch):
+    p = PATH.with_t(0.37)
+    w = (1, 2, 1, 3, 2, 3, 1, 3)
+    want = bits(transfer_reference(w, p, [mu - 1 for mu in BIT_MUS]))
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return transfer_matrices(*args)
+
+    monkeypatch.setattr(traces, "transfer_matrices", counted)
+    for _ in range(50):
+        assert bits(trace_mu_combinatorial(w, p, BIT_MUS).value) == want
+    assert len(built) == 1
 
 
 def test_constants_keep_their_errors():

@@ -155,6 +155,13 @@ def test_reflection_traces_and_mu():
         mu_reflection(c, 2.0)
 
 
+def test_mu_reflection_refuses_nan():
+    c = np.array([0.3, 1.1, 0.2], dtype=complex)
+    for mu in (math.nan, complex(math.nan, 0.0), complex(0.0, math.nan)):
+        with pytest.raises(TriangleError):
+            mu_reflection(c, mu)
+
+
 def test_cartan_matches_half_angle(rng):
     for _ in range(100):
         c = rng.uniform(-0.98, 0.98)
