@@ -57,7 +57,7 @@ def checkout_label(path: Path) -> str | None:
         return None
     proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "--short", "HEAD"],
                           cwd=path, capture_output=True, text=True)
-    lines = proc.stdout.split()
+    lines = proc.stdout.splitlines()
     if proc.returncode or len(lines) != 2 or Path(lines[0]) != path:
         return None
     return lines[1]

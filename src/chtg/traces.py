@@ -25,8 +25,7 @@ iota_{a_n}:
 
 The parameter-only constants (the kernel, the recursion's base values and
 betas, ``TracePolynomial.evaluate``'s power tables) are computed once per
-(r1, r2, r3, alpha), in one LRU cache keyed by the values of those floats;
-``trace_mu_combinatorial``'s matrices are kept likewise per parameters and mus.
+(r1, r2, r3, alpha), in one LRU cache keyed by the values of those floats.
 
 The subset sum is never enumerated.  In the balanced gauge the polar vectors
 have the Gram matrix G with G_kk = 1 and G_ab = r_m z^{chi(b - a)}, where
@@ -219,19 +218,11 @@ def trace_mu_combinatorial(word, params, mus) -> TraceValue:
     transfer_matrices with factors mu_k - 1 over the word."""
     if any(not abs(abs(mu) - 1.0) <= 1e-9 for mu in mus):
         raise ValueError("mu factors must be unit complex numbers")
-    mats = _mu_matrices(_key(params), tuple(complex(mu) for mu in mus))
-    return TraceValue(_diagonal_sum(word_matrix(mats, word)), "mu-combinatorial")
-
-
-@functools.lru_cache(maxsize=256)
-def _mu_matrices(key: tuple, mus: tuple) -> tuple:
-    """transfer_matrices with factors mu_k - 1 at z = e^{i alpha / 3}, three
-    read-only 3x3 arrays per (r1, r2, r3, alpha) and mus."""
-    *r, alpha = key
+    *r, alpha = _key(params)
     ez = cmath.exp(1j * alpha / 3.0)
-    mats = transfer_matrices([mu - 1.0 for mu in mus], r, ez, ez.conjugate())
-    mats.flags.writeable = False
-    return tuple(mats)
+    mats = transfer_matrices([complex(mu) - 1.0 for mu in mus], r, ez,
+                             ez.conjugate())
+    return TraceValue(_diagonal_sum(word_matrix(mats, word)), "mu-combinatorial")
 
 
 def poly_to_str(poly: dict) -> str:
@@ -279,15 +270,16 @@ class TracePolynomial:
         negative exponent, which would index the X tables from the end, raises."""
         key = _key(params)
         _, _, _, (p1, p2, p3), zs = _constants(key)
-        path = self._path
-        if path[0] != key[:3]:
-            if any(min(mono) < 0 for poly in self.coeffs.values() for mono in poly):
+        radii, pws = path = self._path
+        if radii != key[:3]:
+            if radii is None and any(
+                    min(mono) < 0 for poly in self.coeffs.values() for mono in poly):
                 raise LookupError("a negative exponent of X_k")
-            path[:] = key[:3], tuple(
-                (w, sum(float(c) * p1[j1] * p2[j2] * p3[j3]
-                        for (j1, j2, j3), c in poly.items()))
-                for w, poly in self.coeffs.items())
-        total = sum(pw * zs[w] for w, pw in path[1])
+            pws = tuple((w, sum(float(c) * p1[j1] * p2[j2] * p3[j3]
+                                for (j1, j2, j3), c in poly.items()))
+                        for w, poly in self.coeffs.items())
+            path[:] = key[:3], pws
+        total = sum(pw * zs[w] for w, pw in pws)
         return (-1.0) ** self.n * (2.0 + total)
 
     def to_json_dict(self) -> dict:

@@ -49,3 +49,18 @@ def test_bench_pairs_refuses_bad_paths_before_running(tmp_path):
         assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1, args
         assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_bench_pairs_accepts_a_checkout_with_a_space(tmp_path):
+    spaced = tmp_path / "a checkout"
+    (spaced / "bench").mkdir(parents=True)
+    (spaced / "bench" / "run.py").write_text("raise SystemExit(1)\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c",
+           "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "."], ["commit", "-qm", "x"]):
+        subprocess.run(git + args, cwd=spaced, check=True, capture_output=True)
+    # both sides pass; the bad --out is refused next, still before any run
+    proc = bench_pairs("--base", spaced, "--head", spaced,
+                       "--out", tmp_path / "no" / "x.json")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("bench_pairs.py: --out "), proc.stderr

@@ -677,22 +677,6 @@ def test_mu_factors_refuse_nan():
         trace_mu((1, 2, 3), realize(p), mus)
 
 
-def test_mu_matrices_are_built_once_per_parameters_and_mus(monkeypatch):
-    p = PATH.with_t(0.37)
-    w = (1, 2, 1, 3, 2, 3, 1, 3)
-    want = bits(transfer_reference(w, p, [mu - 1 for mu in BIT_MUS]))
-    built = []
-
-    def counted(*args):
-        built.append(args)
-        return transfer_matrices(*args)
-
-    monkeypatch.setattr(traces, "transfer_matrices", counted)
-    for _ in range(50):
-        assert bits(trace_mu_combinatorial(w, p, BIT_MUS).value) == want
-    assert len(built) == 1
-
-
 def test_constants_keep_their_errors():
     loose = TriangleParams(0.9, 0.9, 0.9)
     poly = trace_polynomial((1, 2, 3))
