@@ -20,6 +20,7 @@ import argparse
 import cmath
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
@@ -49,6 +50,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -12 and -1.5 for values, not -1e-3 or -61/64;
+        # no option here starts with "-" and a digit or "."
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
     def error(self, message):
         raise UsageError(message)
 

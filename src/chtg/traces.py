@@ -23,8 +23,7 @@ iota_{a_n}:
   reduced canonical word plus a tail of at most two letters, keyed by
   (prefix length, tail), so the plan is linear in the word length.
 
-The parameter-only constants (the kernel, the recursion's base values and
-betas, ``TracePolynomial.evaluate``'s power tables) are computed once per
+The kernel and the recursion's base values and betas are computed once per
 (r1, r2, r3, alpha), in one LRU cache keyed by the values of those floats.
 
 The subset sum is never enumerated.  In the balanced gauge the polar vectors
@@ -52,8 +51,8 @@ in (r1, r2, r3, z), the row updates give the Fourier data tau_a = (-1)^n
 (2 + sum_w q_w e^{i alpha w}).  ``trace_polynomial`` stores each q_w exactly
 as (8 r1 r2 r3)^{|w|} times an integer polynomial P_w in X_k = 4 r_k^2.
 The canonical path moves only alpha, so ``TracePolynomial.evaluate`` keeps
-each P_w(X), summed from the power tables in ``coeffs`` order, for the radii
-of its last call; a call at the same radii sums only P_w(X) z^w.
+each P_w(X), summed in ``coeffs`` order, for the radii of its last call; a
+call at the same radii sums only P_w(X) z^w, its powers of z computed per call.
 """
 
 from __future__ import annotations
@@ -134,28 +133,11 @@ _TAIL_EXPONENTS = tuple((*(v_count(k, t) for k in LETTERS), winding(t))
                         for t in _TAILS)
 
 
-class _OutOfRange:
-    """A power that overflowed in _constants: only a call using it fails."""
-
-    def __mul__(self, other):
-        raise OverflowError("a power of the parameters is out of range")
-
-    __rmul__ = __mul__
-
-
-def _power(x, e):
-    try:
-        return x ** e
-    except OverflowError:
-        return _OutOfRange()
-
-
 @functools.lru_cache(maxsize=256)
 def _constants(key: tuple) -> tuple:
     """The kernel -T_a at z = e^{i alpha / 3}, three read-only 3x3 arrays;
-    the recursion's base values (3, -1, 4 r_k^2 - 1) and _TAILS betas (None
-    at a zero or huge radius); X_k^j for j <= EXACT_CAP // 2, X_k = 4 r_k^2;
-    and {w: Z^w}, Z = 8 R e^{i alpha} (conj(Z)^{-w} for w < 0), |w| <= 16."""
+    the recursion's base values (3, -1, 4 r_k^2 - 1); and its _TAILS betas
+    (None at a zero or huge radius)."""
     *r, alpha = key
     r1, r2, r3 = r
     ez = cmath.exp(1j * alpha / 3.0)
@@ -169,12 +151,7 @@ def _constants(key: tuple) -> tuple:
                       for v1, v2, v3, w in _TAIL_EXPONENTS)
     except (OverflowError, ZeroDivisionError):
         betas = None
-    xs = tuple(tuple(_power(x, j) for j in range(EXACT_CAP // 2 + 1))
-               for x in (4.0 * r * r for r in r))
-    z = 8.0 * (r1 * r2 * r3) * ei
-    zs = {w: _power(z, w) if w >= 0 else _power(z.conjugate(), -w)
-          for w in range(-(EXACT_CAP // 3), EXACT_CAP // 3 + 1)}
-    return tuple(kernel), base, betas, xs, zs
+    return tuple(kernel), base, betas
 
 
 def _fourier_terms(word, factors):
@@ -216,8 +193,9 @@ def trace_combinatorial(word, params) -> TraceValue:
 def trace_mu_combinatorial(word, params, mus) -> TraceValue:
     """Subset-expansion trace for mu-reflection generators: the product of
     transfer_matrices with factors mu_k - 1 over the word."""
-    if any(not abs(abs(mu) - 1.0) <= 1e-9 for mu in mus):
-        raise ValueError("mu factors must be unit complex numbers")
+    mus = tuple(mus)
+    if len(mus) != 3 or any(not abs(abs(mu) - 1.0) <= 1e-9 for mu in mus):
+        raise ValueError("mu factors must be three unit complex numbers")
     *r, alpha = _key(params)
     ez = cmath.exp(1j * alpha / 3.0)
     mats = transfer_matrices([complex(mu) - 1.0 for mu in mus], r, ez,
@@ -266,20 +244,23 @@ class TracePolynomial:
 
     def evaluate(self, params) -> complex:
         """Reassemble tau at the given parameters: q_w e^{i alpha w} is P_w(X)
-        z^w, or P_w(X) conj(z)^{-w} for w < 0, with z = 8 R e^{i alpha}.  A
-        negative exponent, which would index the X tables from the end, raises."""
-        key = _key(params)
-        _, _, _, (p1, p2, p3), zs = _constants(key)
+        z^w, or P_w(X) conj(z)^{-w} for w < 0, with z = 8 R e^{i alpha}.  An
+        exponent that no word within EXACT_CAP has raises LookupError."""
+        r1, r2, r3, alpha = _key(params)
         radii, pws = path = self._path
-        if radii != key[:3]:
-            if radii is None and any(
-                    min(mono) < 0 for poly in self.coeffs.values() for mono in poly):
-                raise LookupError("a negative exponent of X_k")
-            pws = tuple((w, sum(float(c) * p1[j1] * p2[j2] * p3[j3]
+        if radii != (r1, r2, r3):
+            if radii is None and any(abs(w) > EXACT_CAP // 3 or any(
+                    not 0 <= j <= EXACT_CAP // 2 for mono in poly for j in mono)
+                    for w, poly in self.coeffs.items()):
+                raise LookupError("an exponent beyond EXACT_CAP's words")
+            x1, x2, x3 = (4.0 * r * r for r in (r1, r2, r3))
+            pws = tuple((w, sum(float(c) * x1 ** j1 * x2 ** j2 * x3 ** j3
                                 for (j1, j2, j3), c in poly.items()))
                         for w, poly in self.coeffs.items())
-            path[:] = key[:3], pws
-        total = sum(pw * zs[w] for w, pw in pws)
+            path[:] = (r1, r2, r3), pws
+        z = 8.0 * (r1 * r2 * r3) * cmath.exp(1j * alpha)
+        total = sum(pw * (z ** w if w >= 0 else z.conjugate() ** -w)
+                    for w, pw in pws)
         return (-1.0) ** self.n * (2.0 + total)
 
     def to_json_dict(self) -> dict:
@@ -382,6 +363,9 @@ def trace_mu(word, realization, mus) -> TraceValue:
     Note: each generator has determinant mu_k, so these are traces of the
     displayed representatives, not of SU(2,1)-normalised ones.
     """
+    mus = tuple(mus)
+    if len(mus) != 3:
+        raise ValueError("mu factors must be three unit complex numbers")
     m = word_matrix(realization.mu_iotas(mus), word)
     return TraceValue(complex(np.trace(m)), "mu-oracle")
 
@@ -465,7 +449,7 @@ def trace_recursive(word, params) -> TraceValue:
     if min(params.r) <= _EPS:
         raise ZeroRadiusUnsupported(
             "recursion undefined at r_k = 0; use the oracle or the expansion")
-    _, base, betas, _, _ = _constants(key)
+    _, base, betas = _constants(key)
     if betas is None:
         raise OverflowError("the recursion's coefficients overflow")
     word = tuple(word)

@@ -2,12 +2,16 @@
 
 bench/tracer.py wraps the functions listed in its PATCHES table, and
 bench/worker.py calls the trace routes directly.  A name removed from chtg
-would only show up when the benchmark runs; these tests catch it first.
+would only show up when the benchmark runs; these tests catch it first, and
+the last one runs the harness's smoke mode end to end.
 """
 
 import importlib.util
 import inspect
 import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -15,7 +19,8 @@ import chtg
 import chtg.cli
 from chtg import traces, triangle
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _load_tracer():
@@ -52,3 +57,20 @@ def test_worker_trace_calls():
                   traces.trace_recursive(w, params).value,
                   traces.trace_polynomial(w, mode="exact").evaluate(params)):
         assert abs(value - tau) <= 1e-9 * max(1.0, abs(tau))
+
+
+def test_bench_smoke_runs(tmp_path):
+    # the harness's smoke mode, on a copy so the checkout gains no
+    # .bench_out/; its environment probe imports scipy
+    pytest.importorskip("scipy")
+    for name in ("bench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run([sys.executable, "bench/run.py", "--smoke"],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6 and all(line.startswith("ok ") for line in lines), \
+        proc.stdout

@@ -452,6 +452,24 @@ def test_usage_errors(capsys):
         assert code == 64
 
 
+@pytest.mark.parametrize("flag,value", [("--cos-alpha", "-61/64"),
+                                        ("--t", "-1e-3"),
+                                        ("--alpha", "-1e-1")])
+def test_negative_values_read_as_values(capsys, flag, value):
+    # a value after its flag reads as in the "=" spelling, fractions and
+    # exponents too
+    argv = ("trace", "--p", "4", "5", "6", "--word", "123")
+    spaced = run(capsys, *argv, flag, value)
+    assert spaced[:2] == run(capsys, *argv, f"{flag}={value}")[:2]
+    assert spaced[0] != 64
+
+
+def test_negative_radius_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "trace", "--r", "-1e-3", "1", "1", "--t", "1",
+                         "--word", "123")
+    assert (code, out) == (65, "") and err.startswith("domain error: ")
+
+
 _BAD_ARGUMENTS = [
     ("thresholds", "--p", "4", "x", "6"),
     ("thresholds", "--p", "4", "4", "inf", "--alpha", "foo"),

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -634,27 +635,25 @@ def test_evaluate_along_the_path_equals_reference_bits():
             assert bits(poly.evaluate(p)) == bits(evaluate_reference(poly, p)), w
 
 
-def test_evaluate_sums_each_coefficient_once_per_radii(monkeypatch):
-    polys = [trace_polynomial(w) for w in
-             ((1, 2, 1, 3, 2, 3), (2, 3) * 24, (1, 2, 3) * 16)]
+def test_evaluate_sums_each_coefficient_once_per_radii():
+    # after the first call on these radii the coefficients are never read:
+    # swap them for a mapping that raises when it is
+    class Unread(Mapping):
+        def __getitem__(self, *_):
+            raise AssertionError("P_w was summed again on the same radii")
+
+        __iter__ = __len__ = __getitem__
+
+    originals = [trace_polynomial(w) for w in
+                 ((1, 2, 1, 3, 2, 3), (2, 3) * 24, (1, 2, 3) * 16)]
+    polys = [TracePolynomial(o.word, o.n, o.coeffs) for o in originals]
     for poly in polys:
         poly.evaluate(PATH.with_t(PATH_TS[0]))
-
-    class Unread:
-        def __getitem__(self, j):
-            raise AssertionError("an X_k table was read on the same radii")
-
-    constants = traces._constants
-
-    def unread_tables(key):
-        kernel, base, betas, _, zs = constants(key)
-        return kernel, base, betas, (Unread(),) * 3, zs
-
-    monkeypatch.setattr(traces, "_constants", unread_tables)
+        object.__setattr__(poly, "coeffs", Unread())
     for t in PATH_TS[1:11]:
         p = PATH.with_t(t)
-        for poly in polys:
-            assert bits(poly.evaluate(p)) == bits(evaluate_reference(poly, p))
+        for poly, original in zip(polys, originals):
+            assert bits(poly.evaluate(p)) == bits(evaluate_reference(original, p))
 
 
 def test_failed_evaluate_leaves_no_radii_behind():
@@ -675,6 +674,25 @@ def test_mu_factors_refuse_nan():
         trace_mu_combinatorial((1, 2, 3), p, mus)
     with pytest.raises(TriangleError):
         trace_mu((1, 2, 3), realize(p), mus)
+
+
+def test_mu_routes_read_their_factors_once():
+    p = BIT_POINTS["456"]
+    rz = realize(p)
+    w = (1, 2, 3, 1, 3, 2)
+    assert trace_mu_combinatorial(w, p, iter(BIT_MUS)) == \
+        trace_mu_combinatorial(w, p, BIT_MUS)
+    assert trace_mu(w, rz, iter(BIT_MUS)) == trace_mu(w, rz, BIT_MUS)
+
+
+@pytest.mark.parametrize("mus", [BIT_MUS[:2], BIT_MUS + (1j,)],
+                         ids=["two", "four"])
+def test_mu_routes_take_exactly_three_factors(mus):
+    p = BIT_POINTS["456"]
+    for call in (lambda: trace_mu_combinatorial((1, 2, 3), p, mus),
+                 lambda: trace_mu((1, 2, 3), realize(p), mus)):
+        with pytest.raises(ValueError, match="three"):
+            call()
 
 
 def test_constants_keep_their_errors():
