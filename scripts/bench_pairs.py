@@ -10,7 +10,8 @@ after the other; the side that goes first alternates from pair to pair, so
 slow drift of the machine hits both sides alike.  The file records every
 run's end-to-end metrics and CLI stdout sha256, and per metric each side's
 median and quartiles, the median ratio head / base, and in how many pairs
-the head was better.  A ``--base`` or ``--head`` that is not the top of a
+the head was better; per workload, in how many pairs the two stdout digests
+were equal, null for ``sweep``, which prints nothing.  A ``--base`` or ``--head`` that is not the top of a
 git checkout holding bench/run.py, or an ``--out`` in no directory, exits 2
 with one line on stderr before any run.  Standard library only.
 """
@@ -125,7 +126,9 @@ def main(argv=None) -> int:
         report["workloads"][workload] = {
             "env": {s: pairs[0][s].get("env") for s in sides},
             "summary": summary,
-            "stdout_equal_pairs": sum(p["stdout_equal"] is True for p in pairs),
+            # None for a workload that prints nothing, as for each pair
+            "stdout_equal_pairs": (None if pairs[0]["stdout_equal"] is None else
+                                   sum(p["stdout_equal"] is True for p in pairs)),
             "pairs": pairs,
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n")

@@ -1,6 +1,8 @@
 """Each analysis script in scripts/ runs at its defaults; bench_pairs.py
-refuses bad paths before any benchmark run."""
+refuses bad paths before any benchmark run and summarises its pairs."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -51,16 +53,54 @@ def test_bench_pairs_refuses_bad_paths_before_running(tmp_path):
     assert not out.exists()
 
 
-def test_bench_pairs_accepts_a_checkout_with_a_space(tmp_path):
-    spaced = tmp_path / "a checkout"
-    (spaced / "bench").mkdir(parents=True)
-    (spaced / "bench" / "run.py").write_text("raise SystemExit(1)\n")
+def checkout(path):
+    """A one-commit git checkout at path holding a bench/run.py that fails
+    and a copy of BENCHMARK.json."""
+    (path / "bench").mkdir(parents=True)
+    (path / "bench" / "run.py").write_text("raise SystemExit(1)\n")
+    (path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c",
            "commit.gpgsign=false"]
     for args in (["init", "-q"], ["add", "."], ["commit", "-qm", "x"]):
-        subprocess.run(git + args, cwd=spaced, check=True, capture_output=True)
+        subprocess.run(git + args, cwd=path, check=True, capture_output=True)
+    return path
+
+
+def test_bench_pairs_accepts_a_checkout_with_a_space(tmp_path):
+    spaced = checkout(tmp_path / "a checkout")
     # both sides pass; the bad --out is refused next, still before any run
     proc = bench_pairs("--base", spaced, "--head", spaced,
                        "--out", tmp_path / "no" / "x.json")
     assert proc.returncode == 2
     assert proc.stderr.startswith("bench_pairs.py: --out "), proc.stderr
+
+
+def test_bench_pairs_counts_equal_stdout_only_where_there_is_one(tmp_path,
+                                                                 monkeypatch):
+    # canned runs: sweep prints nothing, so it has no digest to compare
+    spec = importlib.util.spec_from_file_location(
+        "_bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    calls = []
+
+    def run_once(path, workload, seed):
+        calls.append((path.name, workload, seed))
+        out = {"metrics": {"items_per_s": 100.0 + seed, "setup_s": 0.2,
+                           "peak_rss_mb": 35.0, "ok_frac": 1.0},
+               "attempted": 10, "failed": 0}
+        if workload != "sweep":
+            out["stdout_sha256"] = [f"{workload}-digest"]
+        return out
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    base, head = checkout(tmp_path / "base"), checkout(tmp_path / "head")
+    out = tmp_path / "BENCH_x.json"
+    assert module.main(["--base", str(base), "--head", str(head),
+                        "--out", str(out)]) == 0
+    assert len(calls) == 2 * module.PAIRS * len(module.WORKLOADS)
+    report = json.loads(out.read_text())
+    got = {w: r["stdout_equal_pairs"] for w, r in report["workloads"].items()}
+    assert got == {"scan": 10, "ring": 10, "sweep": None}
+    assert all(p["stdout_equal"] is None
+               for p in report["workloads"]["sweep"]["pairs"])
