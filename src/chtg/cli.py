@@ -35,7 +35,6 @@ EXIT_OK = 0
 EXIT_FOUND = 2
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
-ROW_SLICE = 4096  # scan and ring rows made into Python objects at a time
 _JSON_ROW = ('%s{"word":"%s","tau":{"re":%s,"im":%s},"rho":%s,"verdict":"%s",'
              '"filtered":%s}')
 _RING_JSON_ROW = ('{"word":"%s","ok":%s,"two_re":%s,"abs_sq":%s,'
@@ -330,15 +329,13 @@ def cmd_scan(args) -> int:
     hits = []
 
     def slices():
-        """Each length's rows, ROW_SLICE at a time, as lists (word, tau, rho,
-        verdict, filtered, hit); records the word of every hit."""
-        for block in blocks:
-            for s in range(0, len(block.words), ROW_SLICE):
-                b = block._make(x[s:s + ROW_SLICE] for x in block)
-                hit = (b.verdict == REGULAR_ELLIPTIC) & ~b.filtered
-                ws = words.word_strs(b.words)
-                hits.extend(compress(ws, hit))
-                yield ws, *(x.tolist() for x in (*b[1:], hit))
+        """Each block's rows as lists (word, tau, rho, verdict, filtered,
+        hit); records the word of every hit."""
+        for b in blocks:
+            hit = (b.verdict == REGULAR_ELLIPTIC) & ~b.filtered
+            ws = words.word_strs(b.words)
+            hits.extend(compress(ws, hit))
+            yield ws, *(x.tolist() for x in (*b[1:], hit))
 
     out = sys.stdout
     if cfg.fmt == "json":
@@ -409,18 +406,15 @@ def cmd_ring_check(args) -> int:
         out.write(dumps_stable(head)[:-1] + ',"rows":[')
     elif cfg.fmt == "csv":
         out.write("word,ok\n")
-    join = "," if cfg.fmt == "json" else ""  # between rows and slices
+    join = "," if cfg.fmt == "json" else ""  # between rows and blocks
     sep, all_ok = "", True
-    for ws, taus in levels:  # each length is written before the next is made
+    for ws, taus in levels:  # each block is written before the next is made
         v = verdicts(taus, ring_tol)
         all_ok &= bool(v.ok.all())
         template, cols = _ring_columns(v, cfg.fmt)
-        for s in range(0, len(ws), ROW_SLICE):
-            part = slice(s, s + ROW_SLICE)
-            rows = zip(words.word_strs(ws[part]),
-                       *(strs(c[part]) for c, strs in cols))
-            out.write(sep + join.join(map(template.__mod__, rows)))
-            sep = join
+        rows = zip(words.word_strs(ws), *(strs(c) for c, strs in cols))
+        out.write(sep + join.join(map(template.__mod__, rows)))
+        sep = join
     # the tail and the exit code come after the last row
     if cfg.fmt == "json":
         out.write("]}\n")

@@ -128,12 +128,12 @@ def _levels(max_len: int, mats):
                level[2][..., s:s + step, :, :])
         for n, part in enumerate(parts, start=top + 1):
             sub, out = _grow(*sub, mats, n, n == max_len)
-            part.append(out)
+            if len(out[0]):
+                part.append(out)
     del level, sub
-    while parts:  # each length's slices are freed before it is read
-        ws, trs = zip(*parts.pop(0))
-        ws, trs = np.concatenate(ws), np.concatenate(trs, axis=-1)
-        yield ws, trs
+    for part in parts:
+        while part:  # each slice is freed once it is read
+            yield part.pop(0)
 
 
 def _grow(words, period, prod, mats, n, last):

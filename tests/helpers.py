@@ -127,7 +127,7 @@ class ScanRow:
 
 
 def scan_rows(blocks):
-    """The rows of scan_elliptic's per-length blocks, in order."""
+    """The rows of scan_elliptic's blocks, in order."""
     return [ScanRow(*row) for b in blocks for row in zip(
         map(tuple, b.words.tolist()), b.tau.tolist(), b.rho.tolist(),
         b.verdict.tolist(), b.filtered.tolist())]

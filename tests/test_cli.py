@@ -202,12 +202,17 @@ def test_ring_json_rows_equal_per_row_dicts(capsys, n):
 
 
 @pytest.mark.parametrize("fmt", ["--json", "--csv", "--human"])
-def test_ring_rows_independent_of_row_slice(capsys, monkeypatch, fmt):
-    # 3 rows a slice: JSON commas between slices, and short last slices
-    argv = ["ring-check", "--p", "4", "4", "inf", "--n", "5", "--max-len", "8",
-            *([fmt] if fmt != "--human" else [])]
+@pytest.mark.parametrize("command", [
+    ["scan", "--p", "4", "5", "6", "--t", "1.0"],
+    ["ring-check", "--p", "4", "4", "inf", "--n", "5"],
+    ["ring-check", "--p", "4", "4", "inf", "--n", "inf"]])
+def test_rows_independent_of_block_size(capsys, monkeypatch, command, fmt):
+    # levels 5-9 come in slices of 2 level-4 prefixes, some of which keep no
+    # class: JSON commas between blocks, and no block without rows
+    argv = [*command, "--max-len", "9", *([fmt] if fmt != "--human" else [])]
     want = run(capsys, *argv)
-    monkeypatch.setattr(cli, "ROW_SLICE", 3)
+    monkeypatch.setattr(words, "CHUNK_LEVEL", 4)
+    monkeypatch.setattr(words, "CHUNK", 2)
     assert run(capsys, *argv) == want
 
 

@@ -235,7 +235,10 @@ def test_level_traces_with_ring_matrices_equal_stacked_traces(n):
 
 def test_chunked_levels_equal_unchunked(monkeypatch):
     # max_len 9 is four levels past a chunk level of 5; 3 prefixes per chunk
-    # leave a short last chunk, and at 4 ring points each chunk is 1 prefix
+    # leave a short last chunk, and at 4 ring points each chunk is 1 prefix.
+    # Past the chunk level each slice is its own block: every block is
+    # non-empty and of one length, the blocks come in length, then lex
+    # order, and each length's blocks concatenate to its unchunked block
     mats = [None, realize(_PASS_POINTS["finite"]).iotas,
             ring_transfer(group_with_rotation(4, 4, math.inf, 5))[0]]
     whole = [list(enumerate_words(9, m)) for m in mats]
@@ -243,11 +246,18 @@ def test_chunked_levels_equal_unchunked(monkeypatch):
     monkeypatch.setattr(words, "CHUNK", 3)
     for m, want in zip(mats, whole):
         got = list(enumerate_words(9, m))
-        assert len(got) == len(want) == 9
+        assert len(want) == 9 and len(got) > 9
         if m is None:  # words alone, not (words, traces) pairs
             got, want = [(a,) for a in got], [(b,) for b in want]
-        for a, b in zip(got, want):
-            for x, y in zip(a, b, strict=True):
+        for ws, *trs in got:
+            assert ws.ndim == 2 and len(ws) > 0
+            assert all(t.shape[-1] == len(ws) for t in trs)
+        keys = [(len(w), w) for ws, *_ in got for w in map(tuple, ws.tolist())]
+        assert keys == sorted(set(keys))
+        for n, b in enumerate(want, start=1):
+            blocks = [a for a in got if a[0].shape[1] == n]
+            for i, y in enumerate(b):
+                x = np.concatenate([a[i] for a in blocks], axis=-1 if i else 0)
                 assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
