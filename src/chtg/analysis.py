@@ -218,8 +218,8 @@ def non_discreteness_certificate(params: TriangleParams,
 
 
 class ScanBlock(NamedTuple):
-    """One length's classes: int8 words (count, n), traces, discriminants,
-    verdict names (an object array) and the alternation filter."""
+    """Some classes of one length: int8 words (count, n), traces,
+    discriminants, verdict names (an object array), alternation filter."""
 
     words: np.ndarray
     tau: np.ndarray
@@ -230,7 +230,8 @@ class ScanBlock(NamedTuple):
 
 def scan_elliptic(params: TriangleParams, max_len: int,
                   skip_alternating: bool = True, tol: float = 1e-9):
-    """Classify every cyclic class up to max_len, one ScanBlock per length.
+    """Classify every cyclic class up to max_len, in ScanBlocks, one or
+    more per length: one per block of ``enumerate_words``.
 
     Bad input raises at the call, before the first block; blocks are made,
     from the prefix products of traces' kernel in ``enumerate_words``, as

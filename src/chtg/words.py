@@ -4,7 +4,8 @@ A word is a tuple of letters from {1, 2, 3}; the empty tuple is the identity.
 Cyclic words are represented by their lexicographically minimal rotation.
 Words serialise as digit strings ("123123"); the empty word serialises as
 "e".  ``enumerate_words`` multiplies each level's products as its parents'
-times a letter, one BLAS call per letter and block of CHUNK parents.
+times a letter, one BLAS call per letter and block of CHUNK parents, and
+yields each length's classes in one or more blocks.
 """
 
 from __future__ import annotations
@@ -83,15 +84,16 @@ def canonical(word):
 
 
 def enumerate_words(max_len: int, mats=None):
-    """Every cyclically reduced class up to max_len, one array per length.
+    """Every cyclically reduced class up to max_len, in blocks of one length.
 
-    Yields, for n = 1..max_len, an int8 array (count_n, n) of the least
-    rotations, in lex order, of the words with no two cyclically adjacent
-    letters equal (single letters count), one per class up to inversion: a
-    necklace w is kept iff w <= the least rotation of reversed(w).  With
+    Yields, for n = 1..max_len, one or more non-empty int8 arrays (count,
+    n), one per prefix slice past CHUNK_LEVEL, of the least rotations, in
+    lex order, of the words with no two cyclically adjacent letters equal
+    (single letters count), one per class up to inversion: a necklace w is
+    kept iff w <= the least rotation of reversed(w).  With
     ``mats`` (M_1, M_2, M_3 on the third-to-last axis, any leading axes
     independent points) it yields (words, traces): tr(M_{a_1} ... M_{a_n})
-    of shape (..., count_n), multiplied from the identity in word order in
+    of shape (..., count), multiplied from the identity in word order in
     letter blocks whose rows are traces.word_matrix's 3x3 products, bit for
     bit, and summed as its traces sum: at traces' kernel, as scan passes it,
     each is trace_combinatorial's value.  Raises WordError for max_len
@@ -112,8 +114,8 @@ def _levels(max_len: int, mats):
     a forbidden substring as in Ruskey-Sawada, COCOON 2000); its product is
     its parent's times M_j.  The necklaces of length n are the rows with
     n % p == 0 whose first and last letters differ.  Past CHUNK_LEVEL each
-    lex-ordered slice of that level is descended alone, and the kept rows
-    of the slices are concatenated, which keeps lex order."""
+    lex-ordered slice of that level is descended alone; its kept rows of a
+    length, if any, are one block, yielded in slice order."""
     level = (_LETTERS[:, None], np.ones(3, dtype=np.int8),
              np.eye(3, dtype=complex) @ mats)
     yield level[0], _trace(level[2])

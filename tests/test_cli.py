@@ -205,7 +205,8 @@ def test_ring_json_rows_equal_per_row_dicts(capsys, n):
 @pytest.mark.parametrize("command", [
     ["scan", "--p", "4", "5", "6", "--t", "1.0"],
     ["ring-check", "--p", "4", "4", "inf", "--n", "5"],
-    ["ring-check", "--p", "4", "4", "inf", "--n", "inf"]])
+    ["ring-check", "--p", "4", "4", "inf", "--n", "inf"]],
+    ids=["scan", "ring-n5", "ring-ninf"])
 def test_rows_independent_of_block_size(capsys, monkeypatch, command, fmt):
     # levels 5-9 come in slices of 2 level-4 prefixes, some of which keep no
     # class: JSON commas between blocks, and no block without rows
