@@ -10,10 +10,11 @@ after the other; the side that goes first alternates from pair to pair, so
 slow drift of the machine hits both sides alike.  The file records every
 run's end-to-end metrics and CLI stdout sha256, and per metric each side's
 median and quartiles, the median ratio head / base, and in how many pairs
-the head was better; per workload, in how many pairs the two stdout digests
-were equal, null for ``sweep``, which prints nothing.  A ``--base`` or ``--head`` that is not the top of a
-git checkout holding bench/run.py, or an ``--out`` in no directory, exits 2
-with one line on stderr before any run.  Standard library only.
+the head was better; per workload, in how many pairs the two stdout
+digests were equal, null for ``sweep``, which prints nothing.  A ``--base``
+or ``--head`` that is not the top of a git checkout holding bench/run.py,
+or an ``--out`` in no directory, exits 2 with one line on stderr before any
+run.  Standard library only.
 """
 
 from __future__ import annotations
