@@ -92,13 +92,13 @@ def _floats(xs):
     return map(_NON_FINITE.get, strs, strs)
 
 
-def _parse_p(token: str):
+def _parse_p(token: str, what: str = "signature entry"):
     if token in ("inf", "oo"):
         return math.inf
     try:
         return int(token)
     except ValueError:
-        raise UsageError(f"bad signature entry {token!r}") from None
+        raise UsageError(f"bad {what} {token!r}") from None
 
 
 def _parse_alpha(token: str) -> float:
@@ -169,7 +169,7 @@ def _resolve(args, need_angle=True) -> RunConfig:
     elif args.t is not None:
         params = base.with_t(args.t)
     elif args.n is not None:
-        n = _parse_p(args.n)
+        n = _parse_p(args.n, "rotation order")
         if args.p is None:
             raise UsageError("--n needs a --p signature")
         group = arithmetic.group_with_rotation(*ps, n)

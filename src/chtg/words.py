@@ -3,9 +3,10 @@
 A word is a tuple of letters from {1, 2, 3}; the empty tuple is the identity.
 Cyclic words are represented by their lexicographically minimal rotation.
 Words serialise as digit strings ("123123"); the empty word serialises as
-"e".  ``enumerate_words`` multiplies each level's products as its parents'
-times a letter, one BLAS call per letter and block of CHUNK parents, and
-yields each length's classes in one or more blocks.
+"e".  ``enumerate_words`` carries each prefix as base-4 ints of it and of its
+reversal, multiplies each level's products as its parents' times a letter,
+one BLAS call per letter and block of CHUNK parents, and yields each length's
+classes in one or more blocks of int8 rows.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 LETTERS = (1, 2, 3)
-_LETTERS = np.array(LETTERS, dtype=np.int8)
+_LETTERS = np.array(LETTERS, dtype=np.int64)
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-MAX_LEN = 24  # longest word any scan enumerates; packed words fit in int64
+MAX_LEN = 24  # longest word enumerated; base 4 it fills 48 bits of an int64
 # levels past CHUNK_LEVEL grow from slices of CHUNK of its rows (over the
 # number of points), so level 24's 1.46M prefix products are never all held
 CHUNK_LEVEL = 18
@@ -107,52 +108,55 @@ def enumerate_words(max_len: int, mats=None):
 
 
 def _levels(max_len: int, mats):
-    """Level t holds the prenecklaces of length t without equal neighbours,
-    in lex order, their periods p and their prefix products.  A child
-    appends j >= a[t-p] with j != a[t-1] and keeps p iff j == a[t-p], else
-    p = t+1 (the FKM rule, Ruskey-Savage-Wang, J. Algorithms 13, 1992, with
-    a forbidden substring as in Ruskey-Sawada, COCOON 2000); its product is
-    its parent's times M_j.  The necklaces of length n are the rows with
-    n % p == 0 whose first and last letters differ.  Past CHUNK_LEVEL each
-    lex-ordered slice of that level is descended alone; its kept rows of a
-    length, if any, are one block, yielded in slice order."""
-    level = (_LETTERS[:, None], np.ones(3, dtype=np.int8),
+    """Level t holds the prenecklaces a of length t without equal neighbours,
+    in lex order, as base-4 ints of a and of reversed(a), their periods p and
+    their prefix products.  A child appends j >= a[t-p] with j != a[t-1] and
+    keeps p iff j == a[t-p], else p = t+1 (the FKM rule, Ruskey-Savage-Wang,
+    J. Algorithms 13, 1992, with a forbidden substring as in Ruskey-Sawada,
+    COCOON 2000); its product is its parent's times M_j.  The necklaces of
+    length n are the rows with n % p == 0 whose first and last letters
+    differ.  Past CHUNK_LEVEL each lex-ordered slice of that level is
+    descended alone; its kept rows of a length, if any, are one block, held
+    packed and yielded, as int8 rows like every block, in slice order."""
+    level = (_LETTERS, _LETTERS, np.ones(3, dtype=np.int8),
              np.eye(3, dtype=complex) @ mats)
-    yield level[0], _trace(level[2])
+    yield _rows(level[0], 1), _trace(level[3])
     top = min(max_len, CHUNK_LEVEL)
     for n in range(2, top + 1):
-        level, out = _grow(*level, mats, n, n == max_len)
-        yield out
+        level, (kept, traces) = _grow(*level, mats, n, n == max_len)
+        yield _rows(kept, n), traces
     step = max(1, CHUNK // max(1, mats.size // 27))
     parts = [[] for _ in range(top, max_len)]
     for s in range(0, len(level[0]), step):
-        sub = (level[0][s:s + step], level[1][s:s + step],
-               level[2][..., s:s + step, :, :])
+        sub = (*(a[s:s + step] for a in level[:3]),
+               level[3][..., s:s + step, :, :])
         for n, part in enumerate(parts, start=top + 1):
             sub, out = _grow(*sub, mats, n, n == max_len)
             if len(out[0]):
                 part.append(out)
     del level, sub
-    for part in parts:
+    for n, part in enumerate(parts, start=top + 1):
         while part:  # each slice is freed once it is read
-            yield part.pop(0)
+            kept, traces = part.pop(0)
+            yield _rows(kept, n), traces
 
 
-def _grow(words, period, prod, mats, n, last):
-    """Level n from level n - 1, and its kept necklaces with their traces;
-    on the last level only the kept rows are multiplied."""
-    base = words[np.arange(len(words)), n - 1 - period]
+def _grow(packed, rev, period, prod, mats, n, last):
+    """Level n from level n - 1, and its kept necklaces, packed, with their
+    traces; on the last level only the kept rows are multiplied."""
+    base = (packed >> 2 * (period - 1)) & 3
     # row-major nonzero keeps parents in order, then letters ascending
     parent, j = np.nonzero((_LETTERS >= base[:, None])
-                           & (_LETTERS != words[:, -1:]))
+                           & (_LETTERS != (packed & 3)[:, None]))
     period = np.where(_LETTERS[j] == base[parent], period[parent], n)
-    words = np.concatenate((words[parent], _LETTERS[j, None]), axis=1)
-    keep = _kept(words, period, n)
+    packed = packed[parent] * 4 + (j + 1)
+    rev = rev[parent] + ((j + 1) << 2 * (n - 1))
+    keep = _kept(packed, rev, period, n)
     if last:
         parent, j = parent[keep], j[keep]
     prod = _times(prod, parent, j, mats)
-    return (words, period, prod), (words[keep],
-                                   _trace(prod if last else prod[..., keep, :, :]))
+    traces = _trace(prod if last else prod[..., keep, :, :])
+    return (packed, rev, period, prod), (packed[keep], traces)
 
 
 def _times(prod, parent, j, mats):
@@ -176,30 +180,25 @@ def _trace(prod):
     return 0j + prod[..., 0, 0] + prod[..., 1, 1] + prod[..., 2, 2]
 
 
-def _packed(words) -> np.ndarray:
-    """Each row as a base-4 int64 (Horner), so lex order is numeric order."""
-    acc = np.zeros(len(words), dtype=np.int64)
-    for i in range(words.shape[1]):
-        acc *= 4
-        acc += words[:, i]
-    return acc
+def _rows(packed, n) -> np.ndarray:
+    """Base-4 ints of n digits as int8 word rows (count, n)."""
+    return ((packed[:, None] >> np.arange(2 * n - 2, -1, -2)) & 3).astype(np.int8)
 
 
-def _kept(words, period, n) -> np.ndarray:
+def _kept(packed, rev, period, n) -> np.ndarray:
     """Indices of the necklaces w of length n among the rows, those with
-    packed(w) <= min rotation of packed(reversed w)."""
-    idx = np.flatnonzero((n % period == 0) & (words[:, 0] != words[:, -1]))
-    necklaces = words[idx]
-    top = 4 ** (n - 1)
-    rot = _packed(necklaces[:, ::-1])
+    packed(w) <= the least rotation of packed(reversed w), rotated in place."""
+    shift = 2 * (n - 1)
+    idx = np.flatnonzero((n % period == 0) & ((packed >> shift) != (packed & 3)))
+    rot = rev[idx]
     least = rot.copy()
     for _ in range(n - 1):
-        lead = rot // top
-        rot %= top
-        rot *= 4
-        rot += lead
+        lead = rot >> shift
+        rot &= (1 << shift) - 1
+        rot <<= 2
+        rot |= lead
         np.minimum(least, rot, out=least)
-    return idx[_packed(necklaces) <= least]
+    return idx[packed[idx] <= least]
 
 
 def word_to_str(word) -> str:

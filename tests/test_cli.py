@@ -424,6 +424,9 @@ GOLDEN_USAGE_ERRORS = {
     "ring-check --p 4 4 inf --n 5 --json --csv":
         "argument --csv: not allowed with argument --json",
     "scan --p 4 5 6 --t 1 --bogus": "unrecognized arguments: --bogus",
+    "ring-check --p 4 4 inf --n 5.5": "bad rotation order '5.5'",
+    "ring-check --p 4 4 inf --n 1e400": "bad rotation order '1e400'",
+    "thresholds --p 4 4 inf --n x": "bad rotation order 'x'",
 }
 
 

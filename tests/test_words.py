@@ -205,6 +205,50 @@ def test_enumerate_matches_bruteforce():
         assert list(map(tuple, got.tolist())) == brute_classes(n)
 
 
+
+@pytest.fixture(scope="module")
+def classes_to_max_len():
+    """Each length's rows of enumerate_words(MAX_LEN), concatenated."""
+    blocks = {}
+    for ws in enumerate_words(MAX_LEN):
+        blocks.setdefault(ws.shape[1], []).append(ws)
+    return {n: np.concatenate(b) for n, b in blocks.items()}
+
+
+def _bracelets(n):
+    """Burnside's count of the proper 3-colourings of the n-cycle up to
+    rotation and reflection; a single letter is a class of its own."""
+    if n == 1:
+        return 3
+    phi = [sum(math.gcd(k, m) == 1 for k in range(1, m + 1)) for m in range(n + 1)]
+    rotations = sum(phi[n // d] * (2 ** d + 2 * (-1) ** d)
+                    for d in range(1, n + 1) if n % d == 0) // n
+    reflections = 3 * 2 ** (n // 2 - 1) if n % 2 == 0 else 0
+    return (rotations + reflections) // 2
+
+
+def test_class_counts_equal_burnside(classes_to_max_len):
+    # every length up to MAX_LEN, where a word and its reversal take all
+    # 2 MAX_LEN bits of the packed ints
+    counts = [len(classes_to_max_len[n]) for n in range(1, MAX_LEN + 1)]
+    assert counts == [_bracelets(n) for n in range(1, MAX_LEN + 1)]
+    assert (sum(counts[:12]), sum(counts[:14]), counts[-1]) == (492, 1494, 352698)
+
+
+def test_full_width_representatives_are_rows(classes_to_max_len):
+    # the least rotation of a reduced word or of its reversal, by brute
+    # force, is a row of its length's blocks, past CHUNK_LEVEL to MAX_LEN
+    rng = np.random.default_rng(24)
+    for n in range(words.CHUNK_LEVEL + 1, MAX_LEN + 1):
+        rows = classes_to_max_len[n]
+        for _ in range(20):
+            w = [int(rng.integers(1, 4))]
+            for i in range(1, n):
+                banned = (w[-1], w[0]) if i == n - 1 else (w[-1],)
+                w.append(int(rng.choice([a for a in LETTERS if a not in banned])))
+            rep = min(least_rotation(w), least_rotation(w[::-1]))
+            assert (rows == np.array(rep, dtype=np.int8)).all(axis=1).any(), rep
+
 _PASS_POINTS = {
     "finite": TriangleParams.from_signature(4, 5, 6).with_t(1.0),
     "ideal": TriangleParams(1, 1, 1).with_cos_alpha(61 / 64),
