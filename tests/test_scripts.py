@@ -1,6 +1,8 @@
 """Each analysis script in scripts/ runs at its defaults; bench_pairs.py
-refuses bad paths before any benchmark run and summarises its pairs."""
+refuses bad paths before any benchmark run and summarises its pairs;
+long_runs.py reports each run's exit code and stdout digest."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -75,13 +77,35 @@ def test_bench_pairs_accepts_a_checkout_with_a_space(tmp_path):
     assert proc.stderr.startswith("bench_pairs.py: --out "), proc.stderr
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(f"_{name}",
+                                                  ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_long_runs_reports_exit_and_stdout_digest(capsys, monkeypatch):
+    module = load_script("long_runs")
+    command = "scan --p 4 4 inf --t 1.9 --max-len 4 --csv"
+    monkeypatch.setattr(module, "LONG_RUNS", (command,))
+    want = subprocess.run([sys.executable, "-m", "chtg", *command.split()],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, timeout=60)
+    assert want.returncode == 2 and want.stdout
+    assert module.main(["--base", str(ROOT), "--head", str(ROOT), "--runs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" | ")[1].split(":")[0] for line in lines] == [
+        "base run 1", "head run 1", "head run 2", "base run 2", "base", "head"]
+    digest = hashlib.sha256(want.stdout).hexdigest()[:12]
+    assert all("exit 2, " in line and line.endswith(digest) for line in lines[:4])
+    assert all(f"exit [2], stdout ['{digest}']" in line for line in lines[4:])
+
+
 def test_bench_pairs_counts_equal_stdout_only_where_there_is_one(tmp_path,
                                                                  monkeypatch):
     # canned runs: sweep prints nothing, so it has no digest to compare
-    spec = importlib.util.spec_from_file_location(
-        "_bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script("bench_pairs")
     calls = []
 
     def run_once(path, workload, seed):

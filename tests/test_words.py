@@ -205,7 +205,6 @@ def test_enumerate_matches_bruteforce():
         assert list(map(tuple, got.tolist())) == brute_classes(n)
 
 
-
 @pytest.fixture(scope="module")
 def classes_to_max_len():
     """Each length's rows of enumerate_words(MAX_LEN), concatenated."""
@@ -248,6 +247,7 @@ def test_full_width_representatives_are_rows(classes_to_max_len):
                 w.append(int(rng.choice([a for a in LETTERS if a not in banned])))
             rep = min(least_rotation(w), least_rotation(w[::-1]))
             assert (rows == np.array(rep, dtype=np.int8)).all(axis=1).any(), rep
+
 
 _PASS_POINTS = {
     "finite": TriangleParams.from_signature(4, 5, 6).with_t(1.0),
