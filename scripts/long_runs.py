@@ -1,9 +1,9 @@
 """Wall time, peak RSS and stdout sha256 of the 24-letter CLI runs, on two
 checkouts, in alternating fresh processes.
 
-    python3 scripts/long_runs.py --base ../parent --head . [--runs 5]
+    python3 scripts/long_runs.py --base ../parent --head .
 
-For each command in ``LONG_RUNS``, run i (i = 1..runs) starts ``python -m
+For each command in ``LONG_RUNS``, run i (i = 1..``RUNS``) starts ``python -m
 chtg ...`` once in each checkout, with that checkout's ``src`` on
 PYTHONPATH; the side that goes first alternates from run to run.  Each
 child writes its stdout to a file, which is hashed in 1 MiB chunks, and its
@@ -31,6 +31,7 @@ LONG_RUNS = (
     "ring-check --p 4 4 inf --n inf --max-len 24 --csv",
     "ring-check --p 4 4 inf --n 5 --max-len 22 --json",
 )
+RUNS = 5
 
 
 def run_once(checkout: Path, command: str, out_path: Path) -> dict:
@@ -56,13 +57,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True)
     parser.add_argument("--head", type=Path, required=True)
-    parser.add_argument("--runs", type=int, default=5)
     args = parser.parse_args(argv)
     sides = {"base": args.base.resolve(), "head": args.head.resolve()}
     with tempfile.TemporaryDirectory() as tmp:
         for command in LONG_RUNS:
             runs = {side: [] for side in sides}
-            for i in range(args.runs):
+            for i in range(RUNS):
                 for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
                     r = run_once(sides[side], command, Path(tmp) / "stdout")
                     runs[side].append(r)

@@ -89,11 +89,12 @@ def test_long_runs_reports_exit_and_stdout_digest(capsys, monkeypatch):
     module = load_script("long_runs")
     command = "scan --p 4 4 inf --t 1.9 --max-len 4 --csv"
     monkeypatch.setattr(module, "LONG_RUNS", (command,))
+    monkeypatch.setattr(module, "RUNS", 2)
     want = subprocess.run([sys.executable, "-m", "chtg", *command.split()],
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                           capture_output=True, timeout=60)
     assert want.returncode == 2 and want.stdout
-    assert module.main(["--base", str(ROOT), "--head", str(ROOT), "--runs", "2"]) == 0
+    assert module.main(["--base", str(ROOT), "--head", str(ROOT)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" | ")[1].split(":")[0] for line in lines] == [
         "base run 1", "head run 1", "head run 2", "base run 2", "base", "head"]
