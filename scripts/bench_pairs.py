@@ -9,12 +9,17 @@ labelled by its ``git rev-parse --short HEAD``.  For each of the ``scan``,
 after the other; the side that goes first alternates from pair to pair, so
 slow drift of the machine hits both sides alike.  The file records every
 run's end-to-end metrics and CLI stdout sha256, and per metric each side's
-median and quartiles, the median ratio head / base, and in how many pairs
-the head was better; per workload, in how many pairs the two stdout
-digests were equal, null for ``sweep``, which prints nothing.  A ``--base``
-or ``--head`` that is not the top of a git checkout holding bench/run.py,
-or an ``--out`` in no directory, exits 2 with one line on stderr before any
-run.  Standard library only.
+median and quartiles, the median ratio head / base, in how many pairs the
+head was better, the base side's quartile spread ``base_iqr`` (q3 - q1),
+``gain_resolved`` (the head better in at least nine tenths of the pairs,
+ties counting for neither side, and its median better than the base median
+by more than ``base_iqr``) and ``within_bound`` (the head median no worse
+than the base median by more than the metric's BENCHMARK.json bound, a share
+of the base median; null for a metric with no bound); per workload, in how
+many pairs the two stdout digests were equal, null for ``sweep``, which
+prints nothing.  A ``--base`` or ``--head`` that is not the top of a git
+checkout holding bench/run.py, or an ``--out`` in no directory, exits 2
+with one line on stderr before any run.  Standard library only.
 """
 
 from __future__ import annotations
@@ -89,6 +94,7 @@ def main(argv=None) -> int:
         return 2
     spec = json.loads((args.head / "BENCHMARK.json").read_text())
     higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     report = {
         "command": f"bench/run.py --workload W --seed i --seconds {SECONDS} "
                    f"--trace 0, {PAIRS} alternating pairs",
@@ -116,13 +122,19 @@ def main(argv=None) -> int:
         for name in pairs[0]["base"]["metrics"]:
             vals = {s: [p[s]["metrics"][name] for p in pairs] for s in sides}
             sign = 1.0 if higher.get(name, True) else -1.0
+            sides_summary = {s: summarize(v) for s, v in vals.items()}
+            base, head = (sides_summary[s]["median"] for s in ("base", "head"))
+            iqr = sides_summary["base"]["q3"] - sides_summary["base"]["q1"]
+            wins = sum(sign * (h - b) > 0 for h, b in zip(vals["head"], vals["base"]))
+            bound = bounds.get(name)
             summary[name] = {
-                **{s: summarize(v) for s, v in vals.items()},
-                "median_ratio_head_over_base": (
-                    statistics.median(vals["head"]) / statistics.median(vals["base"])
-                    if statistics.median(vals["base"]) else None),
-                "head_better_pairs": sum(sign * (h - b) > 0 for h, b in
-                                         zip(vals["head"], vals["base"])),
+                **sides_summary,
+                "median_ratio_head_over_base": head / base if base else None,
+                "head_better_pairs": wins,
+                "base_iqr": iqr,
+                "gain_resolved": wins >= 0.9 * PAIRS and sign * (head - base) > iqr,
+                "within_bound": (None if bound is None else
+                                 sign * (head - base) >= -bound * abs(base)),
             }
         report["workloads"][workload] = {
             "env": {s: pairs[0][s].get("env") for s in sides},

@@ -42,6 +42,9 @@ _RING_JSON_ROW = ('{"word":"%s","ok":%s,"two_re":%s,"abs_sq":%s,'
 _RING_ROWS = {"csv": "%s,%d\n", "human": "%-10s ok=%s\n"}
 _NON_FINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 _BOOLS = ("false", "true")
+# argparse takes only -12 and -1.5 for values, not -1e-3 or -61/64; no
+# option here starts with "-" and a digit or "."
+_NEGATIVE = re.compile(r"^-[\d.]")
 
 
 class UsageError(Exception):
@@ -51,9 +54,7 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse takes only -12 and -1.5 for values, not -1e-3 or -61/64;
-        # no option here starts with "-" and a digit or "."
-        self._negative_number_matcher = re.compile(r"^-[\d.]")
+        self._negative_number_matcher = _NEGATIVE
 
     def error(self, message):
         raise UsageError(message)
@@ -128,29 +129,6 @@ class RunConfig:
     params: TriangleParams
     group: arithmetic.GroupWithRotation | None
     fmt: str
-
-
-def _add_common(sub, csv=True):
-    src = sub.add_mutually_exclusive_group(required=True)
-    src.add_argument("--p", nargs=3, metavar=("P1", "P2", "P3"),
-                     help="signature (integers or inf)")
-    src.add_argument("--lengths", nargs=3, type=float, metavar=("L1", "L2", "L3"),
-                     help="ultra-parallel side distances")
-    src.add_argument("--r", nargs=3, type=float, metavar=("R1", "R2", "R3"),
-                     help="raw radius triple")
-    ang = sub.add_mutually_exclusive_group(required=False)
-    ang.add_argument("--alpha", help="angular invariant in radians (or 'pi')")
-    ang.add_argument("--cos-alpha", dest="cos_alpha",
-                     help="cos(alpha), fractions like 61/64 allowed")
-    ang.add_argument("--t", type=float, help="t = cot(alpha/2)")
-    ang.add_argument("--n", help="rotation order for the (3,1,3,2) element")
-    out = sub.add_mutually_exclusive_group(required=False)
-    out.add_argument("--json", action="store_true")
-    if csv:
-        out.add_argument("--csv", action="store_true")
-    else:
-        sub.set_defaults(csv=False)
-    return sub
 
 
 def _resolve(args, need_angle=True) -> RunConfig:
@@ -423,41 +401,51 @@ def cmd_ring_check(args) -> int:
     return EXIT_OK if all_ok else EXIT_FOUND
 
 
-def _tol_flag(sub):
-    sub.add_argument("--tol", default=None,
-                     help="classification tolerance (default 1e-9 or CHTG_TOL)")
+# every flag, declared once: name: (value tokens, 0 for a switch; type of
+# each value; default; exclusive group; required, of its group where it has
+# one; metavar; help).  Its dest is the name without "--", "-" read as "_".
+_FLAGS = {
+    "--p": (3, str, None, "source", True, ("P1", "P2", "P3"),
+            "signature (integers or inf)"),
+    "--lengths": (3, float, None, "source", True, ("L1", "L2", "L3"),
+                  "ultra-parallel side distances"),
+    "--r": (3, float, None, "source", True, ("R1", "R2", "R3"),
+            "raw radius triple"),
+    "--alpha": (1, str, None, "angle", False, None,
+                "angular invariant in radians (or 'pi')"),
+    "--cos-alpha": (1, str, None, "angle", False, None,
+                    "cos(alpha), fractions like 61/64 allowed"),
+    "--t": (1, float, None, "angle", False, None, "t = cot(alpha/2)"),
+    "--n": (1, str, None, "angle", False, None,
+            "rotation order for the (3,1,3,2) element"),
+    "--json": (0, bool, False, "output", False, None, None),
+    "--csv": (0, bool, False, "output", False, None, None),
+    "--word": (1, str, None, None, True, None, "digit string, 'e' = identity"),
+    "--fourier": (0, bool, False, None, False, None,
+                  "include the exact Fourier data (--json only)"),
+    "--tol": (1, str, None, None, False, None,
+              "classification tolerance (default 1e-9 or CHTG_TOL)"),
+    "--max-len": (1, int, 6, None, False, None, None),
+    "--include-alternating": (0, bool, False, None, False, None,
+                              "also flag two-letter alternation powers"),
+    "--ring-tol": (1, str, "1e-7", None, False, None,
+                   "integrality tolerance, a finite number >= 0"),
+}
+_COMMON = ("--p", "--lengths", "--r", "--alpha", "--cos-alpha", "--t", "--n",
+           "--json")
 
-
-def _trace_flags(sub):
-    sub.add_argument("--word", required=True, help="digit string, 'e' = identity")
-    sub.add_argument("--fourier", action="store_true",
-                     help="include the exact Fourier data (--json only)")
-    _tol_flag(sub)
-
-
-def _scan_flags(sub):
-    sub.add_argument("--max-len", type=int, default=6)
-    sub.add_argument("--include-alternating", action="store_true",
-                     help="also flag two-letter alternation powers")
-    _tol_flag(sub)
-
-
-def _ring_flags(sub):
-    sub.add_argument("--max-len", type=int, default=6)
-    sub.add_argument("--ring-tol", default="1e-7",
-                     help="integrality tolerance, a finite number >= 0")
-
-
-# name: (help, --csv allowed, the command's own flags after the common ones,
-# handler), in the order help lists them
+# name: (help, the command's own flags after the common ones, --csv first
+# where it is allowed; handler), in the order help lists them
 _COMMANDS = {
-    "trace": ("trace of one word", True, _trace_flags, cmd_trace),
-    "thresholds": ("existence/ellipticity thresholds", False, None, cmd_thresholds),
-    "family": ("distinguished family membership and type", False, None,
-               cmd_thresholds),
-    "invariants": ("angular and vertex invariants", False, None, cmd_invariants),
-    "scan": ("classify all short words", True, _scan_flags, cmd_scan),
-    "ring-check": ("integrality of trace data", True, _ring_flags, cmd_ring_check),
+    "trace": ("trace of one word", ("--csv", "--word", "--fourier", "--tol"),
+              cmd_trace),
+    "thresholds": ("existence/ellipticity thresholds", (), cmd_thresholds),
+    "family": ("distinguished family membership and type", (), cmd_thresholds),
+    "invariants": ("angular and vertex invariants", (), cmd_invariants),
+    "scan": ("classify all short words",
+             ("--csv", "--max-len", "--include-alternating", "--tol"), cmd_scan),
+    "ring-check": ("integrality of trace data", ("--csv", "--max-len", "--ring-tol"),
+                   cmd_ring_check),
 }
 
 
@@ -467,19 +455,66 @@ def build_parser(names=None) -> _Parser:
                      description="complex hyperbolic triangle group toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS if names is None else names:
-        text, csv, flags, func = _COMMANDS[name]
-        sub = _add_common(subs.add_parser(name, help=text), csv=csv)
-        if flags is not None:
-            flags(sub)
-        sub.set_defaults(func=func)
+        text, own, func = _COMMANDS[name]
+        sub = subs.add_parser(name, help=text)
+        groups = {None: sub}
+        for flag in (*_COMMON, *own):
+            nargs, type_, default, group, required, metavar, help_ = _FLAGS[flag]
+            if group not in groups:
+                groups[group] = sub.add_mutually_exclusive_group(required=required)
+            if nargs:
+                groups[group].add_argument(
+                    flag, nargs=None if nargs == 1 else nargs, type=type_,
+                    default=default, required=required and group is None,
+                    metavar=metavar, help=help_)
+            else:
+                groups[group].add_argument(flag, action="store_true", help=help_)
+        sub.set_defaults(func=func, csv=False)
     return parser
+
+
+def _read(argv):
+    """The namespace argparse gives a well-formed argv, read straight off
+    ``_FLAGS``: a subcommand, then its exact flags, each with its number of
+    values, none of which looks like an option; one flag at most of each
+    group, the required ones given, every value of its type.  None for any
+    other argv, which argparse reads, so help, usage and every error text
+    come from argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, own, func = _COMMANDS[argv[0]]
+    flags = (*_COMMON, *own)
+    values = {flag: _FLAGS[flag][2] for flag in flags}
+    seen, i = {}, 1
+    while i < len(argv):
+        flag = argv[i]
+        if flag not in values:
+            return None
+        nargs, type_, _, group, *_ = _FLAGS[flag]
+        tokens = argv[i + 1:i + 1 + nargs]
+        i += 1 + nargs
+        if (seen.setdefault(group or flag, flag) != flag or len(tokens) < nargs
+                or any(t[:1] == "-" and not _NEGATIVE.match(t) for t in tokens)):
+            return None
+        try:
+            got = list(map(type_, tokens))
+        except ValueError:
+            return None
+        values[flag] = True if nargs == 0 else got[0] if nargs == 1 else got
+    if any(_FLAGS[flag][4] and (_FLAGS[flag][3] or flag) not in seen
+           for flag in flags):
+        return None
+    return argparse.Namespace(command=argv[0], func=func, **({"csv": False} | {
+        flag[2:].replace("-", "_"): v for flag, v in values.items()}))
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _read(argv)
+        if args is None:
+            args = build_parser(argv[:1] if argv and argv[0] in _COMMANDS
+                                else None).parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

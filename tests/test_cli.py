@@ -1,8 +1,10 @@
 import argparse
 import hashlib
+import importlib.util
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -903,19 +905,114 @@ _PARITY_CASES = [
 ]
 
 
+@pytest.mark.parametrize("forced", ["full-parser", "no-reader"])
 @pytest.mark.parametrize("argv, env", _PARITY_CASES, ids=[
     " ".join(argv) + (f" CHTG_TOL={env}" if env else "") or "no-command"
     for argv, env in _PARITY_CASES])
 def test_one_subcommand_parser_runs_as_the_full_parser(capsys, monkeypatch,
-                                                       argv, env):
-    # main builds only the named subcommand; forced to build all six, it
-    # gives the same exit code, stdout and stderr
+                                                       argv, env, forced):
+    # main reads a well-formed argv itself and builds only the named
+    # subcommand for any other; with its reader off, and for "full-parser"
+    # with all six subcommands built, it gives the same exit code, stdout
+    # and stderr
     if env is not None:
         monkeypatch.setenv("CHTG_TOL", env)
     want = run(capsys, *argv)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda names=None: full())
+    monkeypatch.setattr(cli, "_read", lambda argv: None)
+    if forced == "full-parser":
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda names=None: full())
     assert run(capsys, *argv) == want
+
+
+# values of the reader corpus: numbers, non-finite and bad text, negative
+# numbers argparse takes as values, and tokens that look like options
+_CORPUS_VALUES = ["4", "inf", "nan", "x", "-1e-3", "-61/64", "-", "", "--"]
+
+
+def _corpus_argv(rng):
+    """One argv: a subcommand, then flags of cli._FLAGS (mostly the
+    command's own) with values of _CORPUS_VALUES; some flags repeated,
+    abbreviated, spelled with "=" or given too few values."""
+    command = rng.choice([*cli._COMMANDS, "bogus"])
+    _, own, _ = cli._COMMANDS.get(command, ("", (), None))
+    mine = (*cli._COMMON, *own)
+    argv = [command]
+    if rng.random() < 0.7:
+        argv += [rng.choice(("--p", "--lengths", "--r")), "4", "4", "inf"]
+    if "--word" in mine and rng.random() < 0.8:
+        argv += ["--word", "123"]
+    for _ in range(rng.randrange(5)):
+        flag = rng.choice(mine if rng.random() < 0.9 else list(cli._FLAGS))
+        nargs = cli._FLAGS[flag][0]
+        values = [rng.choice(_CORPUS_VALUES) if rng.random() < 0.6 else "4"
+                  for _ in range(nargs)]
+        if values and rng.random() < 0.1:
+            values.pop()
+        spelling = rng.random()
+        if spelling < 0.1:
+            flag = flag[:rng.randrange(3, len(flag) + 1)]
+        elif spelling < 0.2 and len(values) == 1:
+            flag, values = f"{flag}={values[0]}", []
+        argv += [flag, *values] * (2 if rng.random() < 0.1 else 1)
+    return argv
+
+
+def test_reader_gives_argparses_namespace(capsys):
+    # wherever the reader returns a namespace, argparse's full parser reads
+    # the argv to the same one, value for value (repr, so nan matches nan)
+    rng, parser = random.Random(29), cli.build_parser()
+    read = 0
+    for _ in range(2500):
+        argv = _corpus_argv(rng)
+        got = cli._read(argv)
+        try:
+            want = parser.parse_args(argv)
+        except (cli.UsageError, SystemExit):
+            want = None
+        if got is not None:
+            read += 1
+            assert want is not None, argv
+            assert ({k: repr(v) for k, v in vars(got).items()}
+                    == {k: repr(v) for k, v in vars(want).items()}), argv
+    capsys.readouterr()
+    assert 400 < read < 2100  # both paths are well exercised
+
+
+def _workload_argvs():
+    spec = importlib.util.spec_from_file_location(
+        "_bench_workloads", Path(SRC).parent / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [module.make_inputs(w, seed)["argv"] for w in ("scan", "ring")
+            for seed in range(1, 11)]
+
+
+def test_main_builds_a_parser_only_off_the_well_formed_path(capsys,
+                                                            monkeypatch):
+    made = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: made.append(1) or init(self, *a, **k))
+    for argv in [*map(str.split, GOLDEN_STDOUT), *_workload_argvs()]:
+        run(capsys, *argv)
+        assert made == [], argv
+    # help, errors and unusual spellings go to argparse, and read as it reads
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    assert made and hashlib.sha256(
+        capsys.readouterr().out.encode()).hexdigest() == GOLDEN_HELP["-h"]
+    for command in ("bogus", ""):
+        made.clear()
+        want = (64, "", f"usage error: {GOLDEN_USAGE_ERRORS[command]}\n")
+        assert run(capsys, *command.split()) == want and made
+    for argv in (("scan", "--p", "4", "5", "6", "--t", "1", "--max", "3"),
+                 ("scan", "--p", "4", "5", "6", "--t=1", "--max-len", "3")):
+        made.clear()
+        got = run(capsys, *argv)
+        assert made
+        assert got == run(capsys, *_SCAN3[:-1])
 
 
 def _subcommands(parser):
@@ -928,17 +1025,6 @@ def test_build_parser_adds_only_the_named_subcommands():
     assert _subcommands(cli.build_parser(["scan"])) == ["scan"]
     assert _subcommands(cli.build_parser()) == [
         "trace", "thresholds", "family", "invariants", "scan", "ring-check"]
-
-
-def test_main_builds_the_parser_of_the_named_subcommand(capsys, monkeypatch):
-    calls = []
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda names=None: calls.append(names) or full(names))
-    run(capsys, "thresholds", "--p", "4", "4", "inf", "--json")
-    run(capsys, "bogus", "--p", "4", "4", "inf")
-    run(capsys)
-    assert calls == [["thresholds"], None, None]
 
 
 def test_import_builds_no_parser():
