@@ -1,9 +1,10 @@
 """Command line interface: the ``chtg`` tool.
 
 Subcommands: trace, thresholds, scan, ring-check, invariants, family, each
-declared once in ``_COMMANDS``.  A run builds the parser of only the
-subcommand it names; ``chtg``, ``chtg -h`` and a mistyped name get all six,
-so help and error texts are the same as with the full parser.
+declared once in ``_COMMANDS`` and every flag once in ``_FLAGS``.  ``main``
+reads a well-formed argv off that table (``_read``) with no parser built;
+any other goes to argparse, with the parser of only the named subcommand,
+or of all six for ``chtg``, ``chtg -h`` and a mistyped name.
 Output formats: --json (one object), --csv (header + rows; trace, scan and
 ring-check only), default human table.  Floats in machine formats are printed
 with 17 significant digits and field order is fixed, so identical
@@ -23,7 +24,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 
 import numpy as np
 
@@ -401,38 +402,36 @@ def cmd_ring_check(args) -> int:
     return EXIT_OK if all_ok else EXIT_FOUND
 
 
-# every flag, declared once: name: (value tokens, 0 for a switch; type of
-# each value; default; exclusive group; required, of its group where it has
-# one; metavar; help).  Its dest is the name without "--", "-" read as "_".
+# every flag, once: name: (values after it, 0 for a switch; type of each
+# value; default; exclusive group; metavar; help); dest is name[2:], "-" as "_"
 _FLAGS = {
-    "--p": (3, str, None, "source", True, ("P1", "P2", "P3"),
+    "--p": (3, str, None, "source", ("P1", "P2", "P3"),
             "signature (integers or inf)"),
-    "--lengths": (3, float, None, "source", True, ("L1", "L2", "L3"),
+    "--lengths": (3, float, None, "source", ("L1", "L2", "L3"),
                   "ultra-parallel side distances"),
-    "--r": (3, float, None, "source", True, ("R1", "R2", "R3"),
-            "raw radius triple"),
-    "--alpha": (1, str, None, "angle", False, None,
+    "--r": (3, float, None, "source", ("R1", "R2", "R3"), "raw radius triple"),
+    "--alpha": (1, str, None, "angle", None,
                 "angular invariant in radians (or 'pi')"),
-    "--cos-alpha": (1, str, None, "angle", False, None,
+    "--cos-alpha": (1, str, None, "angle", None,
                     "cos(alpha), fractions like 61/64 allowed"),
-    "--t": (1, float, None, "angle", False, None, "t = cot(alpha/2)"),
-    "--n": (1, str, None, "angle", False, None,
-            "rotation order for the (3,1,3,2) element"),
-    "--json": (0, bool, False, "output", False, None, None),
-    "--csv": (0, bool, False, "output", False, None, None),
-    "--word": (1, str, None, None, True, None, "digit string, 'e' = identity"),
-    "--fourier": (0, bool, False, None, False, None,
+    "--t": (1, float, None, "angle", None, "t = cot(alpha/2)"),
+    "--n": (1, str, None, "angle", None, "rotation order for the (3,1,3,2) element"),
+    "--json": (0, bool, False, "output", None, None),
+    "--csv": (0, bool, False, "output", None, None),
+    "--word": (1, str, None, None, None, "digit string, 'e' = identity"),
+    "--fourier": (0, bool, False, None, None,
                   "include the exact Fourier data (--json only)"),
-    "--tol": (1, str, None, None, False, None,
+    "--tol": (1, str, None, None, None,
               "classification tolerance (default 1e-9 or CHTG_TOL)"),
-    "--max-len": (1, int, 6, None, False, None, None),
-    "--include-alternating": (0, bool, False, None, False, None,
+    "--max-len": (1, int, 6, None, None, None),
+    "--include-alternating": (0, bool, False, None, None,
                               "also flag two-letter alternation powers"),
-    "--ring-tol": (1, str, "1e-7", None, False, None,
+    "--ring-tol": (1, str, "1e-7", None, None,
                    "integrality tolerance, a finite number >= 0"),
 }
 _COMMON = ("--p", "--lengths", "--r", "--alpha", "--cos-alpha", "--t", "--n",
            "--json")
+_REQUIRED = {"source", "--word"}  # the group and the flag to be given
 
 # name: (help, the command's own flags after the common ones, --csv first
 # where it is allowed; handler), in the order help lists them
@@ -459,13 +458,14 @@ def build_parser(names=None) -> _Parser:
         sub = subs.add_parser(name, help=text)
         groups = {None: sub}
         for flag in (*_COMMON, *own):
-            nargs, type_, default, group, required, metavar, help_ = _FLAGS[flag]
+            nargs, type_, default, group, metavar, help_ = _FLAGS[flag]
             if group not in groups:
-                groups[group] = sub.add_mutually_exclusive_group(required=required)
+                groups[group] = sub.add_mutually_exclusive_group(
+                    required=group in _REQUIRED)
             if nargs:
                 groups[group].add_argument(
                     flag, nargs=None if nargs == 1 else nargs, type=type_,
-                    default=default, required=required and group is None,
+                    default=default, required=flag in _REQUIRED,
                     metavar=metavar, help=help_)
             else:
                 groups[group].add_argument(flag, action="store_true", help=help_)
@@ -474,25 +474,21 @@ def build_parser(names=None) -> _Parser:
 
 
 def _read(argv):
-    """The namespace argparse gives a well-formed argv, read straight off
-    ``_FLAGS``: a subcommand, then its exact flags, each with its number of
-    values, none of which looks like an option; one flag at most of each
-    group, the required ones given, every value of its type.  None for any
-    other argv, which argparse reads, so help, usage and every error text
-    come from argparse."""
+    """argparse's namespace for a well-formed argv: a subcommand, then exact
+    flags, each with its values, none like an option ("-" not before a digit
+    or "."), one flag at most of each group, the required ones given, every
+    value of its type.  None for any other argv (help, abbreviations,
+    "--t=1", "--", every error), which argparse reads."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     _, own, func = _COMMANDS[argv[0]]
-    flags = (*_COMMON, *own)
-    values = {flag: _FLAGS[flag][2] for flag in flags}
-    seen, i = {}, 1
-    while i < len(argv):
-        flag = argv[i]
+    values = {flag: _FLAGS[flag][2] for flag in (*_COMMON, *own)}
+    seen, rest = {}, iter(argv[1:])
+    for flag in rest:
         if flag not in values:
             return None
-        nargs, type_, _, group, *_ = _FLAGS[flag]
-        tokens = argv[i + 1:i + 1 + nargs]
-        i += 1 + nargs
+        nargs, type_, _, group, _, _ = _FLAGS[flag]
+        tokens = list(islice(rest, nargs))
         if (seen.setdefault(group or flag, flag) != flag or len(tokens) < nargs
                 or any(t[:1] == "-" and not _NEGATIVE.match(t) for t in tokens)):
             return None
@@ -501,8 +497,7 @@ def _read(argv):
         except ValueError:
             return None
         values[flag] = True if nargs == 0 else got[0] if nargs == 1 else got
-    if any(_FLAGS[flag][4] and (_FLAGS[flag][3] or flag) not in seen
-           for flag in flags):
+    if not _REQUIRED.intersection(_FLAGS[f][3] or f for f in values) <= seen.keys():
         return None
     return argparse.Namespace(command=argv[0], func=func, **({"csv": False} | {
         flag[2:].replace("-", "_"): v for flag, v in values.items()}))

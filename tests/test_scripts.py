@@ -1,6 +1,7 @@
-"""Each analysis script in scripts/ runs at its defaults; bench_pairs.py
-refuses bad paths before any benchmark run and summarises its pairs;
-long_runs.py reports each run's exit code and stdout digest."""
+"""Each analysis script in scripts/ runs at its defaults, and trace_table.py
+refuses a signature chtg refuses; bench_pairs.py refuses bad paths before
+any benchmark run and summarises its pairs, saying whether a gain is
+resolved; long_runs.py reports each run's exit code and stdout digest."""
 
 import hashlib
 import importlib.util
@@ -24,6 +25,19 @@ def test_script_runs_at_defaults(script):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("p", [("4", "4", "4.5"), ("4", "4", "-7"),
+                               ("4", "4", "1")], ids=["fraction", "negative", "one"])
+def test_trace_table_reads_the_signature_as_chtg_does(p):
+    # 4.5 is no chtg signature entry, -7 and 1 no triangle (0 is not inf)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "trace_table.py"),
+                           "--p", *p, "--max-len", "2"], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("trace_table.py: ")
 
 
 def bench_pairs(*args):
@@ -129,3 +143,34 @@ def test_bench_pairs_counts_equal_stdout_only_where_there_is_one(tmp_path,
     assert got == {"scan": 10, "ring": 10, "sweep": None}
     assert all(p["stdout_equal"] is None
                for p in report["workloads"]["sweep"]["pairs"])
+
+
+def test_bench_pairs_says_whether_a_gain_is_resolved(tmp_path, monkeypatch):
+    # canned runs, base items/s 101..110 (quartiles 103.25 and 107.75): on
+    # scan the head is 20 items/s faster, on ring only 1; the head's setup
+    # is 50 % slower, past the 25 % bound; peak RSS ties in every pair
+    module = load_script("bench_pairs")
+    gains = {"scan": 20.0, "ring": 1.0, "sweep": 0.0}
+
+    def run_once(path, workload, seed):
+        head = path.name == "head"
+        return {"metrics": {"items_per_s": 100.0 + seed + head * gains[workload],
+                            "setup_s": 0.3 if head else 0.2,
+                            "peak_rss_mb": 35.0, "ok_frac": 1.0},
+                "attempted": 10, "failed": 0}
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    base, head = checkout(tmp_path / "base"), checkout(tmp_path / "head")
+    out = tmp_path / "BENCH_x.json"
+    assert module.main(["--base", str(base), "--head", str(head),
+                        "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["workloads"]
+    got = {w: {m: (s["head_better_pairs"], s["gain_resolved"], s["within_bound"])
+               for m, s in r["summary"].items()} for w, r in report.items()}
+    assert got["scan"] == {"items_per_s": (10, True, True),
+                           "setup_s": (0, False, False),
+                           "peak_rss_mb": (0, False, True),
+                           "ok_frac": (0, False, True)}
+    assert got["ring"]["items_per_s"] == (10, False, True)
+    assert got["sweep"]["items_per_s"] == (0, False, True)
+    assert report["ring"]["summary"]["items_per_s"]["base_iqr"] == 4.5
