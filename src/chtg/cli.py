@@ -3,15 +3,15 @@
 Subcommands: trace, thresholds, scan, ring-check, invariants, family, each
 declared once in ``_COMMANDS`` and every flag once in ``_FLAGS``.  ``main``
 reads a well-formed argv off that table (``_read``) with no parser built;
-any other goes to argparse, with the parser of only the named subcommand,
-or of all six for ``chtg``, ``chtg -h`` and a mistyped name.
+any other goes to argparse, which builds all six subcommands.
 Output formats: --json (one object), --csv (header + rows; trace, scan and
 ring-check only), default human table.  Floats in machine formats are printed
 with 17 significant digits and field order is fixed, so identical
 configurations give byte-identical output.
 
 Exit codes: 0 ok; 2 a certificate / elliptic hit / failed ring check was
-found (scripting convenience); 64 usage error; 65 math domain error.
+found (scripting convenience); 64 usage error; 65 math domain error;
+141 (128 + SIGPIPE) stdout closed early, as by ``chtg scan ... | head``.
 The environment variable CHTG_TOL overrides the classification tolerance.
 """
 
@@ -36,6 +36,7 @@ EXIT_OK = 0
 EXIT_FOUND = 2
 EXIT_USAGE = 64
 EXIT_DOMAIN = 65
+EXIT_PIPE = 141
 _JSON_ROW = ('%s{"word":"%s","tau":{"re":%s,"im":%s},"rho":%s,"verdict":"%s",'
              '"filtered":%s}')
 _RING_JSON_ROW = ('{"word":"%s","ok":%s,"two_re":%s,"abs_sq":%s,'
@@ -448,13 +449,12 @@ _COMMANDS = {
 }
 
 
-def build_parser(names=None) -> _Parser:
-    """The chtg parser with the named subcommands, or with all of them."""
+def build_parser() -> _Parser:
+    """The chtg parser, with every subcommand."""
     parser = _Parser(prog="chtg",
                      description="complex hyperbolic triangle group toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS if names is None else names:
-        text, own, func = _COMMANDS[name]
+    for name, (text, own, func) in _COMMANDS.items():
         sub = subs.add_parser(name, help=text)
         groups = {None: sub}
         for flag in (*_COMMON, *own):
@@ -508,15 +508,19 @@ def main(argv=None) -> int:
     try:
         args = _read(argv)
         if args is None:
-            args = build_parser(argv[:1] if argv and argv[0] in _COMMANDS
-                                else None).parse_args(argv)
-        return args.func(args)
+            args = build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except ValueError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return EXIT_DOMAIN
+    except BrokenPipeError:  # the reader left; the flush at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -235,6 +235,9 @@ def test_ring_rows_written_per_length(monkeypatch, fmt):
         def write(self, s):
             events.append(("write", s))
 
+        def flush(self):
+            pass
+
     monkeypatch.setattr(words, "enumerate_words", spy_levels)
     monkeypatch.setattr(sys, "stdout", Stdout())
     argv = ["ring-check", "--p", "4", "4", "inf", "--n", "5", "--max-len", "6"]
@@ -610,6 +613,9 @@ def test_scan_json_is_written_in_pieces(monkeypatch):
             for line in lines:
                 self.write(line)
 
+        def flush(self):
+            pass
+
     monkeypatch.setattr(sys, "stdout", Out())
     code = main(["scan", "--p", "4", "5", "6", "--t", "1.0", "--max-len", "10",
                  "--json"])
@@ -879,6 +885,31 @@ def test_subprocess_entry_point():
     assert data["word"] == "1212"
 
 
+def test_closed_stdout_exits_141_quietly():
+    # as under "| head": 14 letters of CSV (about 120 KB) overfill the pipe
+    # (64 KiB), so the child is still writing when the reader closes it
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chtg", "scan", "--p", "4", "5", "6", "--t", "1",
+         "--max-len", "14", "--csv"], env=dict(os.environ, PYTHONPATH=SRC),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"word,re_tau,im_tau,rho,verdict\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_command_to_a_closed_pipe_exits_141(capsys, monkeypatch, command):
+    # the reader is gone before the first write, whether that write fills
+    # the buffer or is the flush at the end of main
+    r, w = os.pipe()
+    os.close(r)
+    with open(w, "w") as gone:
+        monkeypatch.setattr(sys, "stdout", gone)
+        assert main(command.split()) == 141
+    assert capsys.readouterr().err == ""
+
+
 def test_trace_of_a_long_word_is_linear():
     # 65,000 letters: canonical form, recursion plan and both other routes
     # are linear in the word length
@@ -905,23 +936,18 @@ _PARITY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("forced", ["full-parser", "no-reader"])
 @pytest.mark.parametrize("argv, env", _PARITY_CASES, ids=[
     " ".join(argv) + (f" CHTG_TOL={env}" if env else "") or "no-command"
     for argv, env in _PARITY_CASES])
 def test_one_subcommand_parser_runs_as_the_full_parser(capsys, monkeypatch,
-                                                       argv, env, forced):
-    # main reads a well-formed argv itself and builds only the named
-    # subcommand for any other; with its reader off, and for "full-parser"
-    # with all six subcommands built, it gives the same exit code, stdout
-    # and stderr
+                                                       argv, env):
+    # main reads a well-formed argv itself and leaves any other to argparse;
+    # with its reader off, so that argparse reads every argv, it gives the
+    # same exit code, stdout and stderr
     if env is not None:
         monkeypatch.setenv("CHTG_TOL", env)
     want = run(capsys, *argv)
     monkeypatch.setattr(cli, "_read", lambda argv: None)
-    if forced == "full-parser":
-        full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda names=None: full())
     assert run(capsys, *argv) == want
 
 
@@ -998,8 +1024,7 @@ def test_main_builds_a_parser_only_off_the_well_formed_path(capsys,
         run(capsys, *argv)
         assert made == [], argv
     # help, errors and unusual spellings go to argparse, and read as it
-    # reads: with all six subcommands (seven parsers) where none is named,
-    # else with the named one (two)
+    # reads, with all six subcommands (seven parsers)
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit):
         main(["-h"])
@@ -1013,20 +1038,8 @@ def test_main_builds_a_parser_only_off_the_well_formed_path(capsys,
                  ("scan", "--p", "4", "5", "6", "--t=1", "--max-len", "3")):
         made.clear()
         got = run(capsys, *argv)
-        assert len(made) == 2
+        assert len(made) == 7
         assert got == run(capsys, *_SCAN3[:-1])
-
-
-def _subcommands(parser):
-    (subs,) = [a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction)]
-    return list(subs.choices)
-
-
-def test_build_parser_adds_only_the_named_subcommands():
-    assert _subcommands(cli.build_parser(["scan"])) == ["scan"]
-    assert _subcommands(cli.build_parser()) == [
-        "trace", "thresholds", "family", "invariants", "scan", "ring-check"]
 
 
 def test_import_builds_no_parser():

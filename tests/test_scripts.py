@@ -1,7 +1,8 @@
 """Each analysis script in scripts/ runs at its defaults, and trace_table.py
-refuses a signature chtg refuses; bench_pairs.py refuses bad paths before
-any benchmark run and summarises its pairs, saying whether a gain is
-resolved; long_runs.py reports each run's exit code and stdout digest."""
+reads --p and --cos-alpha as chtg does; bench_pairs.py refuses bad paths
+before any run, pairs the long CLI runs (exit code, stdout digest, wall time
+and peak RSS) and the benchmark workloads, and summarises each group's
+pairs, saying whether a gain is resolved."""
 
 import hashlib
 import importlib.util
@@ -27,17 +28,31 @@ def test_script_runs_at_defaults(script):
     assert proc.stdout.strip()
 
 
+def trace_table(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "trace_table.py"),
+                           *args], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
 @pytest.mark.parametrize("p", [("4", "4", "4.5"), ("4", "4", "-7"),
                                ("4", "4", "1")], ids=["fraction", "negative", "one"])
 def test_trace_table_reads_the_signature_as_chtg_does(p):
     # 4.5 is no chtg signature entry, -7 and 1 no triangle (0 is not inf)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "trace_table.py"),
-                           "--p", *p, "--max-len", "2"], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = trace_table("--p", *p, "--max-len", "2")
     assert (proc.returncode, proc.stdout) == (1, "")
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("trace_table.py: ")
+
+
+def test_trace_table_reads_cos_alpha_as_chtg_does():
+    args = ("--p", "inf", "inf", "inf", "--max-len", "3", "--cos-alpha")
+    got, want = trace_table(*args, "61/64"), trace_table(*args, "0.953125")
+    assert (got.returncode, got.stderr) == (0, "")
+    assert got.stdout == want.stdout and want.returncode == 0
+    bad = trace_table(*args, "1/0")
+    assert (bad.returncode, bad.stdout) == (1, "")
+    assert bad.stderr == "trace_table.py: bad fraction '1/0'\n"
 
 
 def bench_pairs(*args):
@@ -51,14 +66,32 @@ def test_bench_pairs_help():
     assert proc.returncode == 0 and proc.stdout.startswith("usage: bench_pairs.py")
 
 
+def checkout(path, src=True):
+    """A one-commit git checkout at path holding a bench/run.py that fails,
+    a copy of BENCHMARK.json and, for src, a link to this repository's src."""
+    (path / "bench").mkdir(parents=True)
+    (path / "bench" / "run.py").write_text("raise SystemExit(1)\n")
+    (path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    if src:
+        (path / "src").symlink_to(ROOT / "src")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c",
+           "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "."], ["commit", "-qm", "x"]):
+        subprocess.run(git + args, cwd=path, check=True, capture_output=True)
+    return path
+
+
 def test_bench_pairs_refuses_bad_paths_before_running(tmp_path):
     plain = tmp_path / "plain"  # holds bench/run.py but is no git checkout
     (plain / "bench").mkdir(parents=True)
     (plain / "bench" / "run.py").write_text("raise SystemExit(1)\n")
+    good = checkout(tmp_path / "good")
+    no_src = checkout(tmp_path / "no src", src=False)
     out = tmp_path / "out.json"
     for args in (("--base", tmp_path / "missing", "--head", ROOT),
                  ("--base", ROOT, "--head", plain),
                  ("--base", ROOT, "--head", ROOT / "src"),
+                 ("--base", good, "--head", no_src),
                  ("--base", ROOT, "--head", ROOT, "--out", tmp_path / "no" / "x.json")):
         if "--out" not in args:
             args += ("--out", out)
@@ -67,19 +100,6 @@ def test_bench_pairs_refuses_bad_paths_before_running(tmp_path):
         assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1, args
         assert "Traceback" not in proc.stderr
     assert not out.exists()
-
-
-def checkout(path):
-    """A one-commit git checkout at path holding a bench/run.py that fails
-    and a copy of BENCHMARK.json."""
-    (path / "bench").mkdir(parents=True)
-    (path / "bench" / "run.py").write_text("raise SystemExit(1)\n")
-    (path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
-    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c",
-           "commit.gpgsign=false"]
-    for args in (["init", "-q"], ["add", "."], ["commit", "-qm", "x"]):
-        subprocess.run(git + args, cwd=path, check=True, capture_output=True)
-    return path
 
 
 def test_bench_pairs_accepts_a_checkout_with_a_space(tmp_path):
@@ -99,22 +119,66 @@ def load_script(name):
     return module
 
 
-def test_long_runs_reports_exit_and_stdout_digest(capsys, monkeypatch):
-    module = load_script("long_runs")
+def canned_workload(metrics, calls):
+    """A workload_run that logs each call and returns metrics(path, workload,
+    seed) with a CLI digest (none for sweep), starting no child."""
+    def workload_run(path, workload, seed, out_path):
+        calls.append((path.name, workload))
+        out = {"metrics": metrics(path, workload, seed),
+               "attempted": 10, "failed": 0}
+        if workload != "sweep":
+            out["stdout_sha256"] = [f"{workload}-digest"]
+        return out
+    return workload_run
+
+
+def test_bench_pairs_pairs_the_long_runs(tmp_path, monkeypatch):
+    # one 4-letter scan, run for real in two pairs, before the canned
+    # workloads; the head's wall time and peak RSS are halved, so it is
+    # better in both pairs where lower is better
+    module = load_script("bench_pairs")
     command = "scan --p 4 4 inf --t 1.9 --max-len 4 --csv"
+    argv = ["-m", "chtg", *command.split()]
     monkeypatch.setattr(module, "LONG_RUNS", (command,))
-    monkeypatch.setattr(module, "RUNS", 2)
-    want = subprocess.run([sys.executable, "-m", "chtg", *command.split()],
+    monkeypatch.setattr(module, "PAIRS", 2)
+    calls = []
+    monkeypatch.setattr(module, "workload_run", canned_workload(
+        lambda path, workload, seed: {"items_per_s": 100.0, "setup_s": 0.2,
+                                      "peak_rss_mb": 35.0, "ok_frac": 1.0},
+        calls))
+    run_once = module.run_once
+
+    def halved(path, args, out_path):
+        calls.append((path.name, args))
+        run = run_once(path, args, out_path)
+        if path.name == "head":
+            run["metrics"] = {k: v / 2 for k, v in run["metrics"].items()}
+        return run
+
+    monkeypatch.setattr(module, "run_once", halved)
+    base, head = checkout(tmp_path / "base"), checkout(tmp_path / "head")
+    out = tmp_path / "BENCH_x.json"
+    assert module.main(["--base", str(base), "--head", str(head),
+                        "--out", str(out)]) == 0
+    assert calls[:4] == [("base", argv), ("head", argv), ("head", argv),
+                         ("base", argv)]
+    assert len(calls) == 4 + 2 * 2 * len(module.WORKLOADS)
+    want = subprocess.run([sys.executable, *argv], capture_output=True,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-                          capture_output=True, timeout=60)
+                          timeout=60)
     assert want.returncode == 2 and want.stdout
-    assert module.main(["--base", str(ROOT), "--head", str(ROOT)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(" | ")[1].split(":")[0] for line in lines] == [
-        "base run 1", "head run 1", "head run 2", "base run 2", "base", "head"]
-    digest = hashlib.sha256(want.stdout).hexdigest()[:12]
-    assert all("exit 2, " in line and line.endswith(digest) for line in lines[:4])
-    assert all(f"exit [2], stdout ['{digest}']" in line for line in lines[4:])
+    report = json.loads(out.read_text())
+    assert list(report["workloads"]) == list(module.WORKLOADS)
+    group = report["long_runs"][command]
+    assert [(p[s]["exit"], p[s]["stdout_sha256"]) for p in group["pairs"]
+            for s in ("base", "head")] == [
+        (2, hashlib.sha256(want.stdout).hexdigest())] * 4
+    assert group["stdout_equal_pairs"] == 2
+    summary = group["summary"]
+    assert summary["peak_rss_mb"]["within_bound"] is True
+    assert summary["wall_s"]["within_bound"] is None
+    assert [summary[m]["head_better_pairs"] for m in ("wall_s", "peak_rss_mb")
+            ] == [2, 2]
 
 
 def test_bench_pairs_counts_equal_stdout_only_where_there_is_one(tmp_path,
@@ -122,17 +186,11 @@ def test_bench_pairs_counts_equal_stdout_only_where_there_is_one(tmp_path,
     # canned runs: sweep prints nothing, so it has no digest to compare
     module = load_script("bench_pairs")
     calls = []
-
-    def run_once(path, workload, seed):
-        calls.append((path.name, workload, seed))
-        out = {"metrics": {"items_per_s": 100.0 + seed, "setup_s": 0.2,
-                           "peak_rss_mb": 35.0, "ok_frac": 1.0},
-               "attempted": 10, "failed": 0}
-        if workload != "sweep":
-            out["stdout_sha256"] = [f"{workload}-digest"]
-        return out
-
-    monkeypatch.setattr(module, "run_once", run_once)
+    monkeypatch.setattr(module, "LONG_RUNS", ())
+    monkeypatch.setattr(module, "workload_run", canned_workload(
+        lambda path, workload, seed: {"items_per_s": 100.0 + seed,
+                                      "setup_s": 0.2, "peak_rss_mb": 35.0,
+                                      "ok_frac": 1.0}, calls))
     base, head = checkout(tmp_path / "base"), checkout(tmp_path / "head")
     out = tmp_path / "BENCH_x.json"
     assert module.main(["--base", str(base), "--head", str(head),
@@ -152,14 +210,14 @@ def test_bench_pairs_says_whether_a_gain_is_resolved(tmp_path, monkeypatch):
     module = load_script("bench_pairs")
     gains = {"scan": 20.0, "ring": 1.0, "sweep": 0.0}
 
-    def run_once(path, workload, seed):
+    def metrics(path, workload, seed):
         head = path.name == "head"
-        return {"metrics": {"items_per_s": 100.0 + seed + head * gains[workload],
-                            "setup_s": 0.3 if head else 0.2,
-                            "peak_rss_mb": 35.0, "ok_frac": 1.0},
-                "attempted": 10, "failed": 0}
+        return {"items_per_s": 100.0 + seed + head * gains[workload],
+                "setup_s": 0.3 if head else 0.2,
+                "peak_rss_mb": 35.0, "ok_frac": 1.0}
 
-    monkeypatch.setattr(module, "run_once", run_once)
+    monkeypatch.setattr(module, "LONG_RUNS", ())
+    monkeypatch.setattr(module, "workload_run", canned_workload(metrics, []))
     base, head = checkout(tmp_path / "base"), checkout(tmp_path / "head")
     out = tmp_path / "BENCH_x.json"
     assert module.main(["--base", str(base), "--head", str(head),
