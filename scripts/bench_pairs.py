@@ -1,5 +1,4 @@
-"""Paired before/after runs of the benchmark and of the 24-letter CLI runs,
-written to one BENCH_*.json.
+"""Paired before/after long CLI runs and benchmark runs, in one BENCH_*.json.
 
     python3 scripts/bench_pairs.py --base ../parent --head . --out BENCH_x.json
 
@@ -124,7 +123,7 @@ def summarize(pairs, spec) -> dict:
     summary = {}
     for name in pairs[0]["base"]["metrics"]:
         vals = {s: [p[s]["metrics"][name] for p in pairs] for s in ("base", "head")}
-        sign = 1.0 if higher.get(name) else -1.0  # wall_s, not in spec: lower
+        sign = 1.0 if higher.get(name) else -1.0  # wall_s: not in spec, lower
         sides = {}
         for s, v in vals.items():
             q1, med, q3 = statistics.quantiles(v, n=4, method="inclusive")

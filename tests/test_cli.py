@@ -939,8 +939,7 @@ _PARITY_CASES = [
 @pytest.mark.parametrize("argv, env", _PARITY_CASES, ids=[
     " ".join(argv) + (f" CHTG_TOL={env}" if env else "") or "no-command"
     for argv, env in _PARITY_CASES])
-def test_one_subcommand_parser_runs_as_the_full_parser(capsys, monkeypatch,
-                                                       argv, env):
+def test_argparse_runs_as_the_reader(capsys, monkeypatch, argv, env):
     # main reads a well-formed argv itself and leaves any other to argparse;
     # with its reader off, so that argparse reads every argv, it gives the
     # same exit code, stdout and stderr
