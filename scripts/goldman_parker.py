@@ -6,21 +6,23 @@ closed quartic, and recovers the root by bisection: t^2 = 125/3, i.e.
 cos(alpha) = 61/64.
 """
 
-import argparse
+import sys
 
 import numpy as np
 
 from chtg.analysis import bisect, cos_of_t, family_quartic, rho_123_weighted
+from chtg.cli import _Parser, run
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--tmax", type=float, default=10.0)
     ap.add_argument("--steps", type=int, default=21)
     args = ap.parse_args()
+    ts = np.linspace(0.0, args.tmax, args.steps)  # checks --steps first
 
     print(f"{'t':>8} {'rho*(t^2+1)^3':>18} {'closed form':>18}")
-    for t in np.linspace(0.0, args.tmax, args.steps):
+    for t in ts:
         got = rho_123_weighted((1.0, 1.0, 1.0), float(t))
         want = family_quartic(1.0, float(t))
         print(f"{t:8.3f} {got:18.6f} {want:18.6f}")
@@ -32,4 +34,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run(main))

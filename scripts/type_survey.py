@@ -6,10 +6,11 @@ the thresholds t_A and t_B-, and the sufficient type-B verdict.  The verdict
 column never asserts type A; below the criterion it stays OutOfCriterion.
 """
 
-import argparse
 import math
+import sys
 
 from chtg.analysis import family_membership, family_type, thresholds
+from chtg.cli import _Parser, run
 from chtg.triangle import TriangleParams
 
 
@@ -22,7 +23,7 @@ def row(tag, params):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)
     ap.add_argument("--pmax", type=int, default=20)
     args = ap.parse_args()
 
@@ -38,4 +39,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run(main))

@@ -12,18 +12,17 @@ configurations give byte-identical output.
 Exit codes: 0 ok; 2 a certificate / elliptic hit / failed ring check was
 found (scripting convenience); 64 usage error; 65 math domain error;
 141 (128 + SIGPIPE) stdout closed early, as by ``chtg scan ... | head``.
+``run`` maps them, for chtg and the scripts in scripts/ alike.
 The environment variable CHTG_TOL overrides the classification tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 
 import numpy as np
@@ -126,14 +125,7 @@ def _parse_fraction(token: str) -> float:
         raise UsageError(f"bad number {token!r}") from None
 
 
-@dataclass
-class RunConfig:
-    params: TriangleParams
-    group: arithmetic.GroupWithRotation | None
-    fmt: str
-
-
-def _resolve(args, need_angle=True) -> RunConfig:
+def _resolve(args, need_angle=True) -> tuple:
     group = None
     if args.p is not None:
         ps = tuple(_parse_p(tok) for tok in args.p)
@@ -159,7 +151,7 @@ def _resolve(args, need_angle=True) -> RunConfig:
             raise UsageError("this command needs one of --alpha/--cos-alpha/--t/--n")
         params = base
     fmt = "json" if args.json else ("csv" if args.csv else "human")
-    return RunConfig(params, group, fmt)
+    return params, group, fmt
 
 
 def _nonneg_float(raw: str, source: str) -> float:
@@ -187,27 +179,9 @@ def _emit(lines):
 
 def cmd_trace(args) -> int:
     tol = _tol(args)
-    cfg = _resolve(args)
+    params, _, fmt = _resolve(args)
     word = words.parse_word(args.word)
-    params = cfg.params
-    rz = triangle.realize(params)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        results = {"oracle": traces.trace_oracle(word, rz).value,
-                   "combinatorial": traces.trace_combinatorial(word, params).value}
-    try:  # the recursion runs only where the other two routes are finite
-        if all(map(cmath.isfinite, results.values())):
-            results["recursive"] = traces.trace_recursive(word, params).value
-    except traces.ZeroRadiusUnsupported:
-        pass
-    if not all(map(cmath.isfinite, results.values())):
-        raise ValueError("the trace overflows")
-    deltas = {name: abs(v - results["oracle"]) for name, v in results.items()
-              if name != "oracle"}
-    bound = traces.agreement_bound(word, rz)
-    worst = max(deltas.values())
-    if not worst <= bound:
-        raise ValueError(f"method disagreement {worst:.3g} "
-                         f"above the rounding bound {bound:.3g}")
+    results, deltas = traces.cross_check(word, triangle.realize(params))
     tau = results["combinatorial"]  # scan's value of this word, bit for bit
     cls = classify(tau, tol=tol)
     payload = {
@@ -220,15 +194,15 @@ def cmd_trace(args) -> int:
         "deltas": deltas,
         "params": params.to_json_dict(),
     }
-    if args.fourier and cfg.fmt == "json":
+    if args.fourier and fmt == "json":
         try:
             payload["fourier"] = traces.trace_polynomial(word).to_json_dict()
         except traces.CapExceeded as exc:
             payload["fourier"] = None
             sys.stderr.write(f"fourier skipped: {exc} (EXACT_CAP)\n")
-    if cfg.fmt == "json":
+    if fmt == "json":
         _emit([dumps_stable(payload)])
-    elif cfg.fmt == "csv":
+    elif fmt == "csv":
         _emit(chain(["method,re_tau,im_tau"],
                     (f"{name},{v.real:.17g},{v.imag:.17g}"
                      for name, v in results.items())))
@@ -241,8 +215,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    cfg = _resolve(args, need_angle=False)
-    params = cfg.params
+    params, _, fmt = _resolve(args, need_angle=False)
     th = analysis.thresholds(params)
     payload = {
         "params": params.to_json_dict(),
@@ -258,7 +231,7 @@ def cmd_thresholds(args) -> int:
         payload["t_b_plus"] = th.t_b_plus
     if params.n is not None:
         payload["n"] = params.n
-    if cfg.fmt == "json":
+    if fmt == "json":
         _emit([dumps_stable(payload)])
     else:
         lines = [f"r = ({params.r1:.12g}, {params.r2:.12g}, {params.r3:.12g})"]
@@ -274,8 +247,7 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    cfg = _resolve(args)
-    params = cfg.params
+    params, _, fmt = _resolve(args)
     rz = triangle.realize(params)
     payload = {"params": params.to_json_dict(),
                "alpha": params.alpha, "t": params.t,
@@ -286,7 +258,7 @@ def cmd_invariants(args) -> int:
             payload[key] = invariant(rz)
         except TriangleError:
             payload[key] = None
-    if cfg.fmt == "json":
+    if fmt == "json":
         _emit([dumps_stable(payload)])
     else:
         _emit([f"alpha  = {params.alpha:.12g}",
@@ -301,11 +273,11 @@ def cmd_invariants(args) -> int:
 
 def cmd_scan(args) -> int:
     tol = _tol(args)
-    cfg = _resolve(args)
+    params, _, fmt = _resolve(args)
     blocks = analysis.scan_elliptic(
-        cfg.params, args.max_len, skip_alternating=not args.include_alternating,
+        params, args.max_len, skip_alternating=not args.include_alternating,
         tol=tol)
-    cert = analysis.non_discreteness_certificate(cfg.params, tol=tol)
+    cert = analysis.non_discreteness_certificate(params, tol=tol)
     hits = []
 
     def slices():
@@ -318,8 +290,8 @@ def cmd_scan(args) -> int:
             yield ws, *(x.tolist() for x in (*b[1:], hit))
 
     out = sys.stdout
-    if cfg.fmt == "json":
-        head = {"params": cfg.params.to_json_dict(), "max_len": args.max_len}
+    if fmt == "json":
+        head = {"params": params.to_json_dict(), "max_len": args.max_len}
         out.write(dumps_stable(head)[:-1] + ',"rows":[')
         sep = ""  # one row a write, each after its separator
         for ws, tau, rho, verdict, filtered, _ in slices():
@@ -333,7 +305,7 @@ def cmd_scan(args) -> int:
             "word": words.word_to_str(cert.word), "tau": cert.tau,
             "rho": cert.rho, "t": cert.t, "t_a": cert.t_a}}
         out.write("]," + dumps_stable(tail)[1:] + "\n")
-    elif cfg.fmt == "csv":
+    elif fmt == "csv":
         out.write("word,re_tau,im_tau,rho,verdict\n")
         for ws, tau, rho, verdict, *_ in slices():
             out.write("".join(map("%s,%.17g,%.17g,%.17g,%s\n".__mod__, zip(
@@ -375,30 +347,29 @@ def cmd_ring_check(args) -> int:
     if args.p is None or args.n is None:
         raise UsageError("ring-check needs --p and --n")
     ring_tol = _nonneg_float(args.ring_tol, "--ring-tol")
-    cfg = _resolve(args)
-    group = cfg.group
+    _, group, fmt = _resolve(args)
     mats, verdicts = arithmetic.ring_transfer(group)
     levels = words.enumerate_words(args.max_len, mats)
     out = sys.stdout
-    if cfg.fmt == "json":
+    if fmt == "json":
         head = {"params": group.params.to_json_dict(), "n": group.n,
                 "max_len": args.max_len}
         out.write(dumps_stable(head)[:-1] + ',"rows":[')
-    elif cfg.fmt == "csv":
+    elif fmt == "csv":
         out.write("word,ok\n")
-    join = "," if cfg.fmt == "json" else ""  # between rows and blocks
+    join = "," if fmt == "json" else ""  # between rows and blocks
     sep, all_ok = "", True
     for ws, taus in levels:  # each block is written before the next is made
         v = verdicts(taus, ring_tol)
         all_ok &= bool(v.ok.all())
-        template, cols = _ring_columns(v, cfg.fmt)
+        template, cols = _ring_columns(v, fmt)
         rows = zip(words.word_strs(ws), *(strs(c) for c, strs in cols))
         out.write(sep + join.join(map(template.__mod__, rows)))
         sep = join
     # the tail and the exit code come after the last row
-    if cfg.fmt == "json":
+    if fmt == "json":
         out.write("]}\n")
-    elif cfg.fmt == "human":
+    elif fmt == "human":
         out.write(f"all passed: {all_ok}\n")
     return EXIT_OK if all_ok else EXIT_FOUND
 
@@ -503,13 +474,11 @@ def _read(argv):
         flag[2:].replace("-", "_"): v for flag, v in values.items()}))
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+def run(command) -> int:
+    """command()'s exit code, stdout flushed; a UsageError, ValueError or
+    closed stdout exits 64, 65 or 141 instead, with at most one stderr line."""
     try:
-        args = _read(argv)
-        if args is None:
-            args = build_parser().parse_args(argv)
-        code = args.func(args)
+        code = command()
         sys.stdout.flush()  # a closed stdout shows here, not at exit
         return code
     except UsageError as exc:
@@ -521,6 +490,15 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader left; the flush at exit goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+
+    def command():
+        args = _read(argv) or build_parser().parse_args(argv)
+        return args.func(args)
+    return run(command)
 
 
 if __name__ == "__main__":

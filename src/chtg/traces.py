@@ -1,4 +1,5 @@
-"""Traces of words in the generating reflections, by three routes.
+"""Traces of words in the generating reflections, by three routes, which
+``cross_check`` runs on one word and holds to ``agreement_bound``.
 
 For a word a = (a_1, ..., a_n) over {1, 2, 3} and iota_a = iota_{a_1} ...
 iota_{a_n}:
@@ -460,6 +461,27 @@ def trace_recursive(word, params) -> TraceValue:
         vals.append(-(vals[k0] + vals[k1] + vals[k2])
                     + betas[t] * (vals[k3] + vals[k4] + vals[k5] + vals[k6]))
     return TraceValue(vals[result], "recursive")
+
+
+def cross_check(word, realization) -> tuple[dict, dict]:
+    """Each route's trace of word by name and each other's distance from the
+    oracle; the recursion only where the others are finite and no radius is
+    zero.  A ValueError on overflow or a distance past agreement_bound."""
+    params = realization.params
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        results = {"oracle": trace_oracle(word, realization).value,
+                   "combinatorial": trace_combinatorial(word, params).value}
+    if all(map(cmath.isfinite, results.values())) and min(params.r) > _EPS:
+        results["recursive"] = trace_recursive(word, params).value
+    if not all(map(cmath.isfinite, results.values())):
+        raise ValueError("the trace overflows")
+    deltas = {name: abs(v - results["oracle"]) for name, v in results.items()
+              if name != "oracle"}
+    bound, worst = agreement_bound(word, realization), max(deltas.values())
+    if not worst <= bound:
+        raise ValueError(f"method disagreement {worst:.3g} "
+                         f"above the rounding bound {bound:.3g}")
+    return results, deltas
 
 
 # --- closed forms for the short words -------------------------------------

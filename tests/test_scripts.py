@@ -1,8 +1,11 @@
-"""Each analysis script in scripts/ runs at its defaults, and trace_table.py
-reads --p and --cos-alpha as chtg does; bench_pairs.py refuses bad paths
-before any run, pairs the long CLI runs (exit code, stdout digest, wall time
-and peak RSS) and the benchmark workloads, and summarises each group's
-pairs, saying whether a gain is resolved."""
+"""Each analysis script in scripts/ runs at its defaults and exits as chtg
+does: 64 on a usage error and 65 on a domain error, with one stderr line and
+empty stdout, and 141 with empty stderr on a closed stdout; trace_table.py
+reads --p and --cos-alpha as chtg does and skips the recursion at a zero
+radius.  bench_pairs.py refuses bad paths before any run, pairs the long CLI
+runs (exit code, stdout digest, wall time and peak RSS) and the benchmark
+workloads, and summarises each group's pairs, saying whether a gain is
+resolved."""
 
 import hashlib
 import importlib.util
@@ -14,45 +17,113 @@ from pathlib import Path
 
 import pytest
 
+from chtg.words import enumerate_words
+
 ROOT = Path(__file__).resolve().parent.parent
+# every script but the benchmark harness, tested on its own below
+SCRIPTS = sorted(p.name for p in (ROOT / "scripts").glob("*.py")
+                 if p.name != "bench_pairs.py")
 
 
-@pytest.mark.parametrize("script", ["trace_table.py", "type_survey.py",
-                                    "goldman_parker.py"])
-def test_script_runs_at_defaults(script):
+def script(name, *args, stdout=subprocess.PIPE):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script)],
-                          cwd=ROOT, env=env, capture_output=True, text=True,
-                          timeout=300)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          cwd=ROOT, env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=300)
+
+
+def chtg(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "chtg", *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def classes(max_len):
+    return sum(len(ws) for ws in enumerate_words(max_len))
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_runs_at_defaults(name):
+    proc = script(name)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
 
 
-def trace_table(*args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / "trace_table.py"),
-                           *args], cwd=ROOT, env=env, capture_output=True,
-                          text=True, timeout=60)
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_exits_141_quietly_on_a_closed_stdout(name):
+    r, w = os.pipe()
+    os.close(r)  # the reader is gone before the first write
+    try:
+        proc = script(name, stdout=w)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
-@pytest.mark.parametrize("p", [("4", "4", "4.5"), ("4", "4", "-7"),
-                               ("4", "4", "1")], ids=["fraction", "negative", "one"])
-def test_trace_table_reads_the_signature_as_chtg_does(p):
-    # 4.5 is no chtg signature entry, -7 and 1 no triangle (0 is not inf)
-    proc = trace_table("--p", *p, "--max-len", "2")
-    assert (proc.returncode, proc.stdout) == (1, "")
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_usage_error_exits_64(name):
+    proc = script(name, "--bogus")
+    assert (proc.returncode, proc.stdout) == (64, "")
+    assert proc.stderr == "usage error: unrecognized arguments: --bogus\n"
+
+
+@pytest.mark.parametrize("name, args", [
+    ("trace_table.py", ("--max-len", "0")), ("trace_table.py", ("--max-len", "25")),
+    ("goldman_parker.py", ("--steps", "-1"))])
+def test_script_domain_error_leaves_stdout_empty(name, args):
+    proc = script(name, *args)
+    assert (proc.returncode, proc.stdout) == (65, "")
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert proc.stderr.startswith("trace_table.py: ")
+    assert proc.stderr.startswith("domain error: ")
+    if name == "trace_table.py":  # the word length check chtg scan makes
+        want = chtg("scan", "--p", "4", "4", "4", "--cos-alpha", "0.3", *args)
+        assert (want.returncode, want.stderr) == (65, proc.stderr)
+
+
+_NO_TRIANGLE = "domain error: signature entries must be >= 2 or inf, got "
+
+
+@pytest.mark.parametrize("p, code, err", [
+    (("4", "4", "4.5"), 64, "usage error: bad signature entry '4.5'"),
+    (("4", "4", "-7"), 65, _NO_TRIANGLE + "-7"),
+    (("4", "4", "1"), 65, _NO_TRIANGLE + "1"),
+], ids=["fraction", "negative", "one"])
+def test_trace_table_reads_the_signature_as_chtg_does(p, code, err):
+    # 4.5 is no chtg signature entry, -7 and 1 no triangle (0 is not inf)
+    got = script("trace_table.py", "--p", *p, "--max-len", "2")
+    want = chtg("scan", "--p", *p, "--cos-alpha", "0.3", "--max-len", "2")
+    assert (got.returncode, got.stdout, got.stderr) == (code, "", err + "\n")
+    assert (want.returncode, want.stderr) == (code, got.stderr)
 
 
 def test_trace_table_reads_cos_alpha_as_chtg_does():
     args = ("--p", "inf", "inf", "inf", "--max-len", "3", "--cos-alpha")
-    got, want = trace_table(*args, "61/64"), trace_table(*args, "0.953125")
+    got = script("trace_table.py", *args, "61/64")
+    want = script("trace_table.py", *args, "0.953125")
     assert (got.returncode, got.stderr) == (0, "")
     assert got.stdout == want.stdout and want.returncode == 0
-    bad = trace_table(*args, "1/0")
-    assert (bad.returncode, bad.stdout) == (1, "")
-    assert bad.stderr == "trace_table.py: bad fraction '1/0'\n"
+    bad = script("trace_table.py", *args, "1/0")
+    assert (bad.returncode, bad.stdout) == (64, "")
+    assert bad.stderr == "usage error: bad fraction '1/0'\n"
+    assert chtg("scan", *args, "1/0").stderr == bad.stderr
+
+
+@pytest.mark.parametrize("cos_alpha", ["-61/64", "-1e-3"])
+def test_trace_table_reads_a_negative_value(cos_alpha):
+    # argparse alone stops at both, taking them for options
+    proc = script("trace_table.py", "--p", "4", "5", "6", "--cos-alpha",
+                  cos_alpha, "--max-len", "2")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == 1 + classes(2)
+
+
+def test_trace_table_skips_the_recursion_at_a_zero_radius():
+    # p = 2 gives r_1 = cos(pi/2) ~ 6e-17, where the recursion is undefined,
+    # so it runs only the other two routes, as chtg trace does
+    proc = script("trace_table.py", "--p", "2", "3", "7", "--cos-alpha", "0.1",
+                  "--max-len", "3")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == 1 + classes(3)
 
 
 def bench_pairs(*args):

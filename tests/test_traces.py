@@ -570,6 +570,27 @@ def test_reflection_norms_match_lapack():
             assert abs(got - want) <= 4 * math.ulp(want), (p, got, want)
 
 
+def test_cross_check_runs_the_recursion_only_where_it_is_defined(monkeypatch):
+    word = (1, 2, 1, 3, 2, 3)
+    rz = realize(TriangleParams.from_signature(4, 5, 6).with_t(0.5))
+    results, deltas = traces.cross_check(word, rz)
+    assert list(results) == ["oracle", "combinatorial", "recursive"]
+    assert results["recursive"] == trace_recursive(word, rz.params).value
+    assert deltas == {name: abs(results[name] - results["oracle"])
+                      for name in ("combinatorial", "recursive")}
+    assert max(deltas.values()) <= traces.agreement_bound(word, rz)
+
+    def recursion(word, params):
+        raise AssertionError("the recursion ran")
+
+    # p = 2 gives r_1 = cos(pi/2) ~ 6e-17: a zero radius
+    monkeypatch.setattr(traces, "trace_recursive", recursion)
+    zero = realize(TriangleParams.from_signature(2, 5, 6).with_t(0.3))
+    results, deltas = traces.cross_check(word, zero)
+    assert list(results) == ["oracle", "combinatorial"]
+    assert list(deltas) == ["combinatorial"]
+
+
 def test_constants_follow_interleaved_parameter_sets():
     a = BIT_POINTS["456"]
     b = BIT_POINTS["ultra"]
